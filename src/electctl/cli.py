@@ -25,6 +25,7 @@ from .instance_io import (
     instance_digest,
     instance_from_dict,
     instance_to_dict,
+    load_document,
     parse_instance,
     parse_witness,
     serialize_instance,
@@ -76,13 +77,6 @@ def _write_out(text: str, out: str | None) -> None:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _load_json(path: str) -> dict:
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT:
-        raise FormatError(f'{path}: missing format marker "{FORMAT}"')
-    return doc
 
 
 def _run_solver(instance, solver: str, budget: int):
@@ -143,7 +137,8 @@ def _print_audit(instance, witness) -> None:
 
 
 def cmd_reduce(args) -> int:
-    doc = _load_json(args.source)
+    source_text = Path(args.source).read_text()
+    doc = load_document(source_text)
     if args.kind == "x3c":
         x = X3CInstance(tuple(doc["base"]),
                         tuple(frozenset(t) for t in doc["triples"]))
@@ -156,7 +151,6 @@ def cmd_reduce(args) -> int:
     else:
         instance = approval_ccpv_te_to_e_ccpv_tp(instance_from_dict(doc))
     out_doc = instance_to_dict(instance)
-    source_text = Path(args.source).read_text()
     out_doc["provenance"] = {
         "reduction": args.kind,
         "source_sha256": hashlib.sha256(source_text.encode()).hexdigest(),
@@ -246,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--solver", choices=("poly", "oracle"), default="poly")
     p_solve.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_solve.add_argument("--out")
-    p_solve.add_argument("--format", choices=("json",), default="json")
     p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="check a witness against an instance")
@@ -269,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_sweep.add_argument("--out")
-    p_sweep.add_argument("--format", choices=("csv",), default="csv")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_gen = sub.add_parser("gen", help="generate a random instance")

@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Mapping
 
 
@@ -33,7 +34,6 @@ class VotingRule(Enum):
 LINEAR_RULES = frozenset(
     {VotingRule.PLURALITY, VotingRule.CONDORCET, VotingRule.WEAK_CONDORCET}
 )
-APPROVAL_RULES = frozenset({VotingRule.APPROVAL, VotingRule.SYSTEM_E})
 
 SPECIAL_INDICES = (0, 1, 2, 3)
 
@@ -87,7 +87,8 @@ class Profile:
 
     Ballots are homogeneous in kind and each references exactly the
     profile's candidates (linear orders are permutations; approval sets are
-    subsets). Instances are immutable.
+    subsets). Instances are immutable; derived tables (candidate ids, ballot
+    kind, pairwise margins) are computed once, on first use.
     """
 
     candidates: tuple[Candidate, ...]
@@ -98,8 +99,8 @@ class Profile:
         object.__setattr__(self, "ballots", tuple(self.ballots))
         if not self.candidates:
             raise ValueError("profile needs at least one candidate")
-        ids = [c.id for c in self.candidates]
-        idset = frozenset(ids)
+        ids = self.candidate_ids
+        idset = self.candidate_id_set
         if len(idset) != len(ids):
             raise ValueError("duplicate candidate ids")
         specials = [c.special_index for c in self.candidates if c.special_index is not None]
@@ -117,20 +118,36 @@ class Profile:
                     raise ValueError(f"approval ballot mentions unknown candidates: "
                                      f"{sorted(b.approvals - idset)}")
 
-    @property
+    @cached_property
     def candidate_ids(self) -> tuple[str, ...]:
         return tuple(c.id for c in self.candidates)
 
-    @property
+    @cached_property
+    def candidate_id_set(self) -> frozenset[str]:
+        return frozenset(self.candidate_ids)
+
+    @cached_property
     def kind(self) -> str | None:
         """Ballot kind, or None for an empty (kind-agnostic) profile."""
         return self.ballots[0].kind if self.ballots else None
 
-    def candidate(self, cid: str) -> Candidate:
-        for c in self.candidates:
-            if c.id == cid:
-                return c
-        raise KeyError(cid)
+    @cached_property
+    def _margins(self) -> Mapping[tuple[str, str], int]:
+        """Pairwise majority margins; read them through ``pairwise_margins``."""
+        ids = self.candidate_ids
+        pref: Counter[tuple[str, str]] = Counter()
+        for b in self.ballots:
+            order = b.order
+            for i, hi in enumerate(order):
+                for lo in order[i + 1:]:
+                    pref[(hi, lo)] += 1
+        margins = {}
+        for i, a in enumerate(ids):
+            for c in ids[i + 1:]:
+                m = pref[(a, c)] - pref[(c, a)]
+                margins[(a, c)] = m
+                margins[(c, a)] = -m
+        return margins
 
 
 def _check_kind(rule: VotingRule, profile: Profile) -> None:
@@ -139,18 +156,24 @@ def _check_kind(rule: VotingRule, profile: Profile) -> None:
         raise ValueError(f"{rule.value} requires {want} ballots, got {profile.kind}")
 
 
+def _candidate_subset(profile: Profile, subset: Iterable[str]) -> frozenset[str]:
+    keep = frozenset(subset)
+    if not keep:
+        raise ValueError("cannot restrict to an empty candidate set")
+    known = profile.candidate_id_set
+    if not keep <= known:
+        raise ValueError(f"unknown candidates in subset: {sorted(keep - known)}")
+    return keep
+
+
 def restrict_profile(profile: Profile, subset: Iterable[str]) -> Profile:
     """Project the profile onto a nonempty candidate subset.
 
     Linear ballots keep their relative order; approval ballots keep only
-    the retained candidates. Special tags survive the restriction.
+    the retained candidates. Special tags survive the restriction. This is
+    the reference semantics of ``winners(rule, profile, among=subset)``.
     """
-    keep = frozenset(subset)
-    if not keep:
-        raise ValueError("cannot restrict to an empty candidate set")
-    known = frozenset(profile.candidate_ids)
-    if not keep <= known:
-        raise ValueError(f"unknown candidates in subset: {sorted(keep - known)}")
+    keep = _candidate_subset(profile, subset)
     cands = tuple(c for c in profile.candidates if c.id in keep)
     if len(keep) == len(profile.candidates):
         return profile
@@ -166,19 +189,33 @@ def restrict_profile(profile: Profile, subset: Iterable[str]) -> Profile:
 def score_plurality(profile: Profile) -> dict[str, int]:
     """Top-choice counts; every candidate appears, counts sum to ||V||."""
     _check_kind(VotingRule.PLURALITY, profile)
-    scores = {cid: 0 for cid in profile.candidate_ids}
-    for b in profile.ballots:
-        scores[b.order[0]] += 1
-    return scores
+    return _plurality_scores(profile, profile.candidate_ids)
 
 
 def score_approval(profile: Profile) -> dict[str, int]:
     """Approval counts; every candidate appears."""
     _check_kind(VotingRule.APPROVAL, profile)
-    scores = {cid: 0 for cid in profile.candidate_ids}
+    return _approval_scores(profile, profile.candidate_ids)
+
+
+def _plurality_scores(profile: Profile, among: Iterable[str]) -> dict[str, int]:
+    """Per candidate of ``among``: the ballots that rank it first among them."""
+    scores = dict.fromkeys(among, 0)
+    for b in profile.ballots:
+        for cid in b.order:
+            if cid in scores:
+                scores[cid] += 1
+                break
+    return scores
+
+
+def _approval_scores(profile: Profile, among: Iterable[str]) -> dict[str, int]:
+    """Per candidate of ``among``: the ballots that approve it."""
+    scores = dict.fromkeys(among, 0)
     for b in profile.ballots:
         for cid in b.approvals:
-            scores[cid] += 1
+            if cid in scores:
+                scores[cid] += 1
     return scores
 
 
@@ -191,25 +228,8 @@ def majority_margin(profile: Profile, a: str, b: str) -> int:
 
 def pairwise_margins(profile: Profile) -> Mapping[tuple[str, str], int]:
     """All pairwise majority margins, computed once and cached on the profile."""
-    cached = getattr(profile, "_margin_cache", None)
-    if cached is not None:
-        return cached
     _check_kind(VotingRule.CONDORCET, profile)
-    ids = profile.candidate_ids
-    pref: Counter[tuple[str, str]] = Counter()
-    for b in profile.ballots:
-        order = b.order
-        for i, hi in enumerate(order):
-            for lo in order[i + 1:]:
-                pref[(hi, lo)] += 1
-    margins = {}
-    for i, a in enumerate(ids):
-        for c in ids[i + 1:]:
-            m = pref[(a, c)] - pref[(c, a)]
-            margins[(a, c)] = m
-            margins[(c, a)] = -m
-    object.__setattr__(profile, "_margin_cache", margins)
-    return margins
+    return profile._margins
 
 
 def condorcet_winners_from_margins(
@@ -240,23 +260,18 @@ def _argmax(scores: dict[str, int]) -> frozenset[str]:
     return frozenset(cid for cid, s in scores.items() if s == top)
 
 
-def _system_e_winners(profile: Profile) -> frozenset[str]:
-    by_index = {c.special_index: c.id for c in profile.candidates
-                if c.special_index is not None}
+def _system_e_winners(profile: Profile, among: frozenset[str]) -> frozenset[str]:
+    cands = [c for c in profile.candidates if c.id in among]
+    by_index = {c.special_index: c.id for c in cands if c.special_index is not None}
     present = frozenset(by_index)
-    nonspecial = [c.id for c in profile.candidates if c.special_index is None]
+    nonspecial = [c.id for c in cands if c.special_index is None]
 
     def approval_winners_nonspecial() -> frozenset[str]:
         if not nonspecial:
             return frozenset()
-        scores = {cid: 0 for cid in nonspecial}
-        for b in profile.ballots:
-            for cid in b.approvals:
-                if cid in scores:
-                    scores[cid] += 1
-        return _argmax(scores)
+        return _argmax(_approval_scores(profile, nonspecial))
 
-    if len(profile.candidates) <= 4:
+    if len(cands) <= 4:
         if present in (frozenset({0, 2}), frozenset({1, 3})):
             return approval_winners_nonspecial()
         return frozenset()
@@ -269,16 +284,24 @@ def _system_e_winners(profile: Profile) -> frozenset[str]:
     return frozenset()
 
 
-def winners(rule: VotingRule, profile: Profile) -> frozenset[str]:
-    """Winner set of a one-stage election under the given rule."""
+def winners(
+    rule: VotingRule, profile: Profile, among: Iterable[str] | None = None
+) -> frozenset[str]:
+    """Winner set of a one-stage election under the given rule.
+
+    ``among``, a nonempty subset of the candidate ids, limits the election
+    to those candidates: the result equals
+    ``winners(rule, restrict_profile(profile, among))``, computed from the
+    full profile without building the restricted one.
+    """
     _check_kind(rule, profile)
+    among = profile.candidate_id_set if among is None else _candidate_subset(profile, among)
     if rule is VotingRule.PLURALITY:
-        return _argmax(score_plurality(profile))
+        return _argmax(_plurality_scores(profile, among))
     if rule is VotingRule.APPROVAL:
-        return _argmax(score_approval(profile))
+        return _argmax(_approval_scores(profile, among))
     if rule in (VotingRule.CONDORCET, VotingRule.WEAK_CONDORCET):
-        margins = pairwise_margins(profile)
         return condorcet_winners_from_margins(
-            margins, profile.candidate_ids, weak=rule is VotingRule.WEAK_CONDORCET
+            pairwise_margins(profile), among, weak=rule is VotingRule.WEAK_CONDORCET
         )
-    return _system_e_winners(profile)
+    return _system_e_winners(profile, among)

@@ -25,6 +25,10 @@ from .two_stage import (
 
 FORMAT = "electctl/1"
 
+# Total ballots (main and pool, counts expanded) one document may describe;
+# checked before any ballot is built.
+MAX_BALLOTS = 1_000_000
+
 
 class FormatError(ValueError):
     pass
@@ -35,6 +39,16 @@ def _require_format(doc: Any) -> None:
         raise FormatError("document must be a JSON object")
     if doc.get("format") != FORMAT:
         raise FormatError(f'missing or unsupported format marker (want "{FORMAT}")')
+
+
+def load_document(text: str) -> dict:
+    """Parse JSON text into an electctl/1 document, checking its format marker."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"not valid JSON: {exc}") from exc
+    _require_format(doc)
+    return doc
 
 
 def _ballot_to_dict(ballot: Ballot, group: str | None) -> dict:
@@ -55,15 +69,24 @@ def _ballot_from_dict(entry: dict) -> Ballot:
     return Ballot(approvals=frozenset(entry["approve"]))
 
 
+def _check_ballot_counts(doc: dict) -> None:
+    total = 0
+    for section in ("ballots", "pool"):
+        for entry in doc.get(section, ()):
+            count = entry.get("count", 1)
+            if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+                raise FormatError("ballot count must be a positive integer")
+            total += count
+    if total > MAX_BALLOTS:
+        raise FormatError(f"document holds {total} ballots; the limit is {MAX_BALLOTS}")
+
+
 def _ballots_from_list(entries: list) -> tuple[tuple[Ballot, ...], list[str | None]]:
     ballots: list[Ballot] = []
     labels: list[str | None] = []
     for entry in entries:
-        count = entry.get("count", 1)
-        if not isinstance(count, int) or count < 1:
-            raise FormatError("ballot count must be a positive integer")
         ballot = _ballot_from_dict(entry)
-        for _ in range(count):
+        for _ in range(entry.get("count", 1)):
             ballots.append(ballot)
             labels.append(entry.get("group"))
     return tuple(ballots), labels
@@ -135,6 +158,7 @@ def instance_from_dict(doc: dict) -> ControlInstance:
         Candidate(entry["id"], entry.get("special"))
         for entry in doc.get("candidates", ())
     )
+    _check_ballot_counts(doc)
     ballots, labels = _ballots_from_list(doc.get("ballots", []))
     profile = Profile(candidates, ballots)
     pool = None
@@ -190,11 +214,7 @@ def witness_from_dict(doc: dict) -> Witness:
 
 
 def parse_instance(text: str) -> ControlInstance:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}") from exc
-    return instance_from_dict(doc)
+    return instance_from_dict(load_document(text))
 
 
 def serialize_instance(instance: ControlInstance) -> str:
@@ -202,11 +222,7 @@ def serialize_instance(instance: ControlInstance) -> str:
 
 
 def parse_witness(text: str) -> Witness:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}") from exc
-    return witness_from_dict(doc)
+    return witness_from_dict(load_document(text))
 
 
 def serialize_witness(witness: Witness) -> str:

@@ -31,43 +31,44 @@ from .two_stage import (
 DEFAULT_BUDGET = 10_000_000
 
 
-class BudgetExceeded(Exception):
-    pass
+def _subsets(
+    n: int, pin: bool = False, size: int | None = None
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Subsets of range(n), each with its complement, smallest first.
+
+    Subsets of one size come in ``itertools.combinations`` order. With
+    ``pin`` (and n > 0) every subset holds element 0, so each unordered
+    bipartition appears once. With ``size``, only subsets of that size
+    (counting a pinned element) are yielded. This order is what fixes the
+    oracle's witnesses and case counts.
+    """
+    pinned = (0,) if pin and n else ()
+    free = range(len(pinned), n)
+    for r in range(len(free) + 1):
+        if size is not None and r + len(pinned) != size:
+            continue
+        for rest in combinations(free, r):
+            first = pinned + rest
+            inside = set(first)
+            yield first, tuple(i for i in range(n) if i not in inside)
 
 
 def enumerate_equipartitions(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All unordered bipartitions of range(n) with part sizes within one.
 
     Yields C(n, n//2) / 2 bipartitions for even n > 0, C(n, (n+1)//2) for
-    odd n, and the single empty bipartition for n = 0.
+    odd n, and the single empty bipartition for n = 0. Even n pins element
+    0 into the first part to kill the part swap; odd n needs no pin, as
+    the larger part comes first.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        yield (), ()
-        return
-    hi = (n + 1) // 2
-    universe = range(n)
-    if n % 2 == 0:
-        # Pin element 0 into the first part to kill the part swap.
-        for rest in combinations(range(1, n), hi - 1):
-            first = (0,) + rest
-            yield first, tuple(i for i in universe if i not in set(first))
-    else:
-        for first in combinations(universe, hi):
-            yield first, tuple(i for i in universe if i not in set(first))
+    return _subsets(n, pin=n % 2 == 0, size=(n + 1) // 2)
 
 
 def _bipartitions(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All unordered bipartitions of range(n), empty parts included."""
-    if n == 0:
-        yield (), ()
-        return
-    rest = list(range(1, n))
-    for r in range(len(rest) + 1):
-        for extra in combinations(rest, r):
-            first = (0,) + extra
-            yield first, tuple(i for i in range(n) if i not in set(first))
+    return _subsets(n, pin=True)
 
 
 def _k_partitions(n: int, k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -116,22 +117,16 @@ def _candidate_witnesses(instance: ControlInstance) -> Iterator[Witness]:
                 frozenset(ids[i] for i in a), frozenset(ids[i] for i in b)
             )
     elif prob is Problem.CCPVG:
-        labels = [lab for lab, _ in instance.groups]
-        if not labels:
-            yield GroupSelection(frozenset())
-            return
         # Unordered bipartition of groups: the first group stays in part one.
-        rest = labels[1:]
-        for r in range(len(rest) + 1):
-            for chosen in combinations(rest, r):
-                yield GroupSelection(frozenset(chosen))
+        rest = [lab for lab, _ in instance.groups][1:]
+        for chosen, _ in _subsets(len(rest)):
+            yield GroupSelection(frozenset(rest[i] for i in chosen))
     elif prob in (Problem.CCDVG, Problem.CCAVG):
         labels = [lab for lab, _ in instance.groups]
-        sizes = dict((lab, len(idx)) for lab, idx in instance.groups)
-        for r in range(len(labels) + 1):
-            for chosen in combinations(labels, r):
-                if sum(sizes[lab] for lab in chosen) <= instance.limit:
-                    yield GroupSelection(frozenset(chosen))
+        sizes = [len(idx) for _, idx in instance.groups]
+        for chosen, _ in _subsets(len(labels)):
+            if sum(sizes[i] for i in chosen) <= instance.limit:
+                yield GroupSelection(frozenset(labels[i] for i in chosen))
     else:
         raise ValueError(f"unsupported problem {prob}")
 

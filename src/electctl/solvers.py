@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement
 
-from .elections import Profile, VotingRule, pairwise_margins
+from .elections import Profile, VotingRule, pairwise_margins, winners
 from .two_stage import (
     NO,
     YES,
@@ -201,13 +201,7 @@ def solve_plurality_ccpkv_te(instance: ControlInstance) -> Decision:
 
     def final_ok(finalists: frozenset[str]) -> bool:
         if finalists not in final_cache:
-            sc = {c: 0 for c in finalists}
-            for b in profile.ballots:
-                sc[next(x for x in b.order if x in finalists)] += 1
-            top = max(sc.values())
-            final_cache[finalists] = (
-                sc[p] == top and sum(1 for v in sc.values() if v == top) == 1
-            )
+            final_cache[finalists] = winners(instance.rule, profile, finalists) == {p}
         return final_cache[finalists]
 
     def build_parts(specs) -> tuple[tuple[int, ...], ...]:

@@ -15,14 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence, Union
 
-from .elections import (
-    Profile,
-    VotingRule,
-    condorcet_winners_from_margins,
-    pairwise_margins,
-    restrict_profile,
-    winners,
-)
+from .elections import Profile, VotingRule, winners
 
 
 class TieRule(Enum):
@@ -46,8 +39,6 @@ PARTITION_PROBLEMS = frozenset(
      Problem.CCPKV, Problem.CCPVG}
 )
 GROUP_PROBLEMS = frozenset({Problem.CCPVG, Problem.CCDVG, Problem.CCAVG})
-
-_CONDORCET_FAMILY = (VotingRule.CONDORCET, VotingRule.WEAK_CONDORCET)
 
 
 @dataclass(frozen=True)
@@ -226,7 +217,7 @@ def run_two_stage_voter_partition(
     finalists = finalists_voter_partition(rule, tie, profile, parts)
     if not finalists:
         return frozenset()
-    return winners(rule, restrict_profile(profile, finalists))
+    return winners(rule, profile, finalists)
 
 
 def run_two_stage_candidate_partition(
@@ -238,35 +229,20 @@ def run_two_stage_candidate_partition(
 ) -> frozenset[str]:
     """Final winner set after a runoff candidate partition (C1, C2).
 
-    Empty parts are legal and contribute no finalists. For the Condorcet
-    family all stages are evaluated from the full profile's margin table,
-    which equals running each restricted subelection directly.
+    Empty parts are legal and contribute no finalists. Every stage is an
+    election over the full profile limited to a candidate subset.
     """
     s1, s2 = frozenset(c1), frozenset(c2)
-    ids = frozenset(profile.candidate_ids)
-    if s1 & s2 or (s1 | s2) != ids:
+    if s1 & s2 or (s1 | s2) != profile.candidate_id_set:
         raise ValueError("(C1, C2) must partition the candidate set")
 
-    if rule in _CONDORCET_FAMILY:
-        margins = pairwise_margins(profile)
-        weak = rule is VotingRule.WEAK_CONDORCET
-        finalists: frozenset[str] = frozenset()
-        for side in (s1, s2):
-            if side:
-                sub = condorcet_winners_from_margins(margins, side, weak)
-                finalists |= _filter_tie(tie, sub)
-        if not finalists:
-            return frozenset()
-        return condorcet_winners_from_margins(margins, finalists, weak)
-
-    finalists = frozenset()
+    finalists: frozenset[str] = frozenset()
     for side in (s1, s2):
         if side:
-            sub = winners(rule, restrict_profile(profile, side))
-            finalists |= _filter_tie(tie, sub)
+            finalists |= _filter_tie(tie, winners(rule, profile, side))
     if not finalists:
         return frozenset()
-    return winners(rule, restrict_profile(profile, finalists))
+    return winners(rule, profile, finalists)
 
 
 def _group_parts(
@@ -331,12 +307,11 @@ def verify_witness(instance: ControlInstance, w: Witness) -> bool:
     if prob in (Problem.CCDVG, Problem.CCAVG):
         if not isinstance(w, GroupSelection):
             raise ValueError(f"{prob.value} needs a group selection witness")
-        _, chosen = _group_parts(instance, w.labels)
+        rest, chosen = _group_parts(instance, w.labels)
         if len(chosen) > instance.limit:
             return False
         if prob is Problem.CCDVG:
-            keep = [b for i, b in enumerate(profile.ballots) if i not in set(chosen)]
-            final = Profile(profile.candidates, tuple(keep))
+            final = Profile(profile.candidates, tuple(profile.ballots[i] for i in rest))
         else:
             added = tuple(instance.pool.ballots[i] for i in chosen)
             final = Profile(profile.candidates, profile.ballots + added)

@@ -59,6 +59,18 @@ class TestSolve:
         assert code == EXIT_ERROR
         assert "error" in err
 
+    def test_oversized_ballot_count_exits_three(self, tmp_path, capsys):
+        # Rejected from the counts alone, before any ballot is built.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "format": FORMAT, "problem": "CCEPV", "rule": "plurality",
+            "tie": "TE", "p": "p", "candidates": [{"id": "p"}, {"id": "a"}],
+            "ballots": [{"order": ["p", "a"], "count": 10 ** 12}]}))
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert "limit" in err
+
     def test_bad_usage_exits_three(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["solve"])

@@ -19,6 +19,7 @@ from electctl import (
 )
 from electctl.instance_io import (
     FORMAT,
+    MAX_BALLOTS,
     FormatError,
     instance_digest,
     instance_from_dict,
@@ -141,9 +142,20 @@ class TestErrors:
             instance_from_dict(doc)
 
     def test_bad_ballot_count(self):
+        for count in (0, True):
+            doc = self.base_doc()
+            doc["ballots"] = [{"order": ["p", "a", "b"], "count": count}]
+            with pytest.raises(FormatError):
+                instance_from_dict(doc)
+
+    def test_ballot_total_is_capped_per_document(self):
+        # Main and pool counts add up; the sum is checked before expansion.
         doc = self.base_doc()
-        doc["ballots"] = [{"order": ["p", "a", "b"], "count": 0}]
-        with pytest.raises(FormatError):
+        doc.update(problem="CCAVG", limit=1)
+        del doc["tie"]
+        doc["ballots"] = [{"order": ["p", "a", "b"], "count": MAX_BALLOTS}]
+        doc["pool"] = [{"order": ["p", "a", "b"], "group": "h1"}]
+        with pytest.raises(FormatError, match="limit"):
             instance_from_dict(doc)
 
     def test_partial_group_labels(self):

@@ -1,22 +1,26 @@
 """Unit tests for the exhaustive-enumeration oracle."""
 
+from itertools import combinations
 from math import comb
 
 import pytest
 
 from electctl import (
     Candidate,
+    CandidatePartition,
     ControlInstance,
+    GroupSelection,
     Problem,
     Profile,
     TieRule,
+    VoterPartition,
     VotingRule,
     enumerate_equipartitions,
     linear,
     oracle_solve,
     verify_witness,
 )
-from electctl.oracle import _bipartitions, _k_partitions
+from electctl.oracle import _bipartitions, _candidate_witnesses, _k_partitions
 
 PAB = tuple(Candidate(c) for c in ("p", "a", "b"))
 
@@ -60,6 +64,89 @@ class TestEnumeration:
         for parts in _k_partitions(4, 3):
             assert len(parts) == 3
             assert sorted(i for p in parts for i in p) == list(range(4))
+
+
+def with_complement(n, firsts):
+    return [(f, tuple(i for i in range(n) if i not in f)) for f in firsts]
+
+
+def ref_bipartitions(n):
+    """Element 0 pinned into the first part, which grows from {0}."""
+    if n == 0:
+        return [((), ())]
+    return with_complement(n, [(0,) + c for r in range(n)
+                               for c in combinations(range(1, n), r)])
+
+
+def ref_equipartitions(n):
+    """Even n pins element 0 into the first half; odd n lets the larger
+    part range over all ceil(n/2)-subsets."""
+    hi = (n + 1) // 2
+    if n % 2 == 0 and n > 0:
+        firsts = [(0,) + c for c in combinations(range(1, n), hi - 1)]
+    else:
+        firsts = list(combinations(range(n), hi))
+    return with_complement(n, firsts)
+
+
+def all_subsets(items):
+    return [c for r in range(len(items) + 1) for c in combinations(items, r)]
+
+
+class TestEnumerationOrder:
+    """The oracle's witness order is part of its output contract: it fixes
+    the returned witness and the case counts."""
+
+    def voter_instance(self, problem, n):
+        return ControlInstance(problem=problem, rule=VotingRule.PLURALITY,
+                               profile=profile(*["a"] * n), p="p", tie=TieRule.TE)
+
+    def test_voter_partitions(self):
+        for n in range(6):
+            got = list(_candidate_witnesses(self.voter_instance(Problem.CCPV, n)))
+            assert got == [VoterPartition(parts) for parts in ref_bipartitions(n)], n
+            got = list(_candidate_witnesses(self.voter_instance(Problem.CCEPV, n)))
+            assert got == [VoterPartition(parts) for parts in ref_equipartitions(n)], n
+
+    def test_candidate_partitions(self):
+        for m in range(1, 6):
+            ids = ("p",) + tuple(f"c{i}" for i in range(1, m))
+            prof = Profile(tuple(Candidate(c) for c in ids), (linear(*ids),))
+            for problem, ref in ((Problem.CCRPC, ref_bipartitions),
+                                 (Problem.CCREPC, ref_equipartitions)):
+                inst = ControlInstance(problem=problem, rule=VotingRule.CONDORCET,
+                                       profile=prof, p="p", tie=TieRule.TE)
+                want = [CandidatePartition({ids[i] for i in a}, {ids[i] for i in b})
+                        for a, b in ref(m)]
+                assert list(_candidate_witnesses(inst)) == want, (problem, m)
+
+    def test_ccpvg_selects_among_all_but_the_first_group(self):
+        for n_groups in range(5):
+            groups = tuple((f"g{i}", (i,)) for i in range(n_groups))
+            inst = ControlInstance(problem=Problem.CCPVG, rule=VotingRule.PLURALITY,
+                                   profile=profile(*["a"] * n_groups), p="p",
+                                   tie=TieRule.TE, groups=groups)
+            labels = [lab for lab, _ in groups]
+            want = [GroupSelection(c) for c in all_subsets(labels[1:])]
+            assert list(_candidate_witnesses(inst)) == want, n_groups
+            if n_groups == 0:
+                assert want == [GroupSelection(frozenset())]
+
+    def test_group_deletion_and_addition_respect_the_limit(self):
+        groups = (("g1", (0, 1)), ("g2", (2,)), ("g3", (3, 4)), ("g4", (5,)))
+        sizes = dict((lab, len(idx)) for lab, idx in groups)
+        for limit in range(7):
+            want = [GroupSelection(c) for c in all_subsets([lab for lab, _ in groups])
+                    if sum(sizes[lab] for lab in c) <= limit]
+            deletion = ControlInstance(
+                problem=Problem.CCDVG, rule=VotingRule.PLURALITY,
+                profile=profile(*["a"] * 6), p="p", limit=limit, groups=groups)
+            addition = ControlInstance(
+                problem=Problem.CCAVG, rule=VotingRule.PLURALITY,
+                profile=profile("a"), p="p", limit=limit, groups=groups,
+                pool=profile(*["p"] * 6))
+            assert list(_candidate_witnesses(deletion)) == want, limit
+            assert list(_candidate_witnesses(addition)) == want, limit
 
 
 class TestOracle:

@@ -1,5 +1,6 @@
 """Property-based invariants over randomly drawn profiles and partitions."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from electctl import (
     TieRule,
     VoterPartition,
     VotingRule,
+    approval,
     linear,
     majority_margin,
     restrict_profile,
@@ -125,3 +127,39 @@ def test_instance_serialization_round_trips(prof):
     inst = ControlInstance(problem=Problem.CCPV, rule=VotingRule.PLURALITY,
                            profile=prof, p="p", tie=TieRule.TE)
     assert parse_instance(serialize_instance(inst)) == inst
+
+
+@st.composite
+def rule_profile_subset(draw):
+    """A rule, a profile of its ballot kind, and a nonempty subset of the
+    candidates. System-E profiles hold all four special candidates, so the
+    subset decides which of its branches applies."""
+    rule = draw(st.sampled_from(list(VotingRule)))
+    if rule is VotingRule.SYSTEM_E:
+        cands = tuple(Candidate(f"s{i}", i) for i in range(4))
+        cands += tuple(Candidate(c) for c in IDS[:draw(st.integers(0, 3))])
+    else:
+        cands = tuple(Candidate(c) for c in IDS[:draw(st.integers(1, 4))])
+    ids = [c.id for c in cands]
+    n_voters = draw(st.integers(0, 9))
+    if rule in (VotingRule.APPROVAL, VotingRule.SYSTEM_E):
+        ballots = [approval(draw(st.sets(st.sampled_from(ids))))
+                   for _ in range(n_voters)]
+    else:
+        ballots = [linear(*draw(st.permutations(ids))) for _ in range(n_voters)]
+    among = draw(st.sets(st.sampled_from(ids), min_size=1))
+    return rule, Profile(cands, tuple(ballots)), among
+
+
+@settings(max_examples=300, deadline=None)
+@given(rule_profile_subset())
+def test_winners_among_equals_restricted_election(case):
+    rule, prof, among = case
+    assert winners(rule, prof, among) == winners(rule, restrict_profile(prof, among))
+
+
+def test_winners_among_rejects_empty_or_unknown_subsets():
+    prof = Profile(tuple(Candidate(c) for c in IDS[:2]), (linear("p", "a"),))
+    for among in (set(), {"z"}, {"p", "z"}):
+        with pytest.raises(ValueError):
+            winners(VotingRule.PLURALITY, prof, among)
