@@ -45,6 +45,7 @@ from .two_stage import (
     VoterPartition,
     Witness,
     finalists_voter_partition,
+    replay,
     run_two_stage_candidate_partition,
     run_two_stage_voter_partition,
     verify_witness,

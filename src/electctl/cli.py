@@ -39,19 +39,8 @@ from .reductions import (
     cubic_vc_to_weakcondorcet_ccrepc_tp,
     x3c_to_plurality_ccpvg_te,
 )
-from .solvers import UnsupportedInstance, solve_poly
-from .two_stage import (
-    NO,
-    PARTITION_PROBLEMS,
-    UNKNOWN,
-    YES,
-    Problem,
-    TieRule,
-    finalists_voter_partition,
-    run_two_stage_candidate_partition,
-    run_two_stage_voter_partition,
-    verify_witness,
-)
+from .solvers import solve_poly
+from .two_stage import NO, UNKNOWN, YES, Problem, TieRule, replay
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -109,31 +98,15 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     instance = parse_instance(Path(args.instance).read_text())
     witness = parse_witness(Path(args.witness).read_text())
-    accepted = verify_witness(instance, witness)
-    if instance.problem in PARTITION_PROBLEMS:
-        _print_audit(instance, witness)
+    result = replay(instance, witness)
+    if result is not None:
+        finalists, final = result
+        if finalists is not None:
+            print(f"finalists: {sorted(finalists)}")
+        print(f"final winners: {sorted(final)}")
+    accepted = result is not None and result[1] == {instance.p}
     print("accepted" if accepted else "rejected")
     return EXIT_YES if accepted else EXIT_NO
-
-
-def _print_audit(instance, witness) -> None:
-    from .two_stage import CandidatePartition, GroupSelection, VoterPartition, _group_parts
-
-    rule, tie, profile = instance.rule, instance.tie, instance.profile
-    try:
-        if isinstance(witness, CandidatePartition):
-            final = run_two_stage_candidate_partition(
-                rule, tie, profile, witness.c1, witness.c2)
-            print(f"final winners: {sorted(final)}")
-            return
-        parts = (witness.parts if isinstance(witness, VoterPartition)
-                 else _group_parts(instance, witness.labels))
-        finalists = finalists_voter_partition(rule, tie, profile, parts)
-        final = run_two_stage_voter_partition(rule, tie, profile, parts)
-        print(f"finalists: {sorted(finalists)}")
-        print(f"final winners: {sorted(final)}")
-    except ValueError as exc:
-        print(f"audit unavailable: {exc}")
 
 
 def cmd_reduce(args) -> int:
@@ -289,9 +262,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, UnsupportedInstance) as exc:
-        print(f"electctl: error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except (OSError, ValueError, KeyError) as exc:
         print(f"electctl: error: {exc}", file=sys.stderr)
         return EXIT_ERROR

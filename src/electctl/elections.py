@@ -134,20 +134,24 @@ class Profile:
     @cached_property
     def _margins(self) -> Mapping[tuple[str, str], int]:
         """Pairwise majority margins; read them through ``pairwise_margins``."""
-        ids = self.candidate_ids
-        pref: Counter[tuple[str, str]] = Counter()
-        for b in self.ballots:
-            order = b.order
-            for i, hi in enumerate(order):
-                for lo in order[i + 1:]:
-                    pref[(hi, lo)] += 1
-        margins = {}
-        for i, a in enumerate(ids):
-            for c in ids[i + 1:]:
-                m = pref[(a, c)] - pref[(c, a)]
-                margins[(a, c)] = m
-                margins[(c, a)] = -m
-        return margins
+        return _margin_table(self.candidate_ids, self.ballots)
+
+
+def _margin_table(ids: tuple[str, ...], ballots: Iterable[Ballot]) -> dict[tuple[str, str], int]:
+    """Pairwise majority margins over ``ids`` of the linear ballots ``ballots``."""
+    pref: Counter[tuple[str, str]] = Counter()
+    for b in ballots:
+        order = b.order
+        for i, hi in enumerate(order):
+            for lo in order[i + 1:]:
+                pref[(hi, lo)] += 1
+    margins = {}
+    for i, a in enumerate(ids):
+        for c in ids[i + 1:]:
+            m = pref[(a, c)] - pref[(c, a)]
+            margins[(a, c)] = m
+            margins[(c, a)] = -m
+    return margins
 
 
 def _check_kind(rule: VotingRule, profile: Profile) -> None:
@@ -189,19 +193,19 @@ def restrict_profile(profile: Profile, subset: Iterable[str]) -> Profile:
 def score_plurality(profile: Profile) -> dict[str, int]:
     """Top-choice counts; every candidate appears, counts sum to ||V||."""
     _check_kind(VotingRule.PLURALITY, profile)
-    return _plurality_scores(profile, profile.candidate_ids)
+    return _plurality_scores(profile.ballots, profile.candidate_ids)
 
 
 def score_approval(profile: Profile) -> dict[str, int]:
     """Approval counts; every candidate appears."""
     _check_kind(VotingRule.APPROVAL, profile)
-    return _approval_scores(profile, profile.candidate_ids)
+    return _approval_scores(profile.ballots, profile.candidate_ids)
 
 
-def _plurality_scores(profile: Profile, among: Iterable[str]) -> dict[str, int]:
+def _plurality_scores(votes: Iterable[Ballot], among: Iterable[str]) -> dict[str, int]:
     """Per candidate of ``among``: the ballots that rank it first among them."""
     scores = dict.fromkeys(among, 0)
-    for b in profile.ballots:
+    for b in votes:
         for cid in b.order:
             if cid in scores:
                 scores[cid] += 1
@@ -209,10 +213,10 @@ def _plurality_scores(profile: Profile, among: Iterable[str]) -> dict[str, int]:
     return scores
 
 
-def _approval_scores(profile: Profile, among: Iterable[str]) -> dict[str, int]:
+def _approval_scores(votes: Iterable[Ballot], among: Iterable[str]) -> dict[str, int]:
     """Per candidate of ``among``: the ballots that approve it."""
     scores = dict.fromkeys(among, 0)
-    for b in profile.ballots:
+    for b in votes:
         for cid in b.approvals:
             if cid in scores:
                 scores[cid] += 1
@@ -260,7 +264,9 @@ def _argmax(scores: dict[str, int]) -> frozenset[str]:
     return frozenset(cid for cid, s in scores.items() if s == top)
 
 
-def _system_e_winners(profile: Profile, among: frozenset[str]) -> frozenset[str]:
+def _system_e_winners(
+    profile: Profile, among: frozenset[str], votes: tuple[Ballot, ...]
+) -> frozenset[str]:
     cands = [c for c in profile.candidates if c.id in among]
     by_index = {c.special_index: c.id for c in cands if c.special_index is not None}
     present = frozenset(by_index)
@@ -269,14 +275,14 @@ def _system_e_winners(profile: Profile, among: frozenset[str]) -> frozenset[str]
     def approval_winners_nonspecial() -> frozenset[str]:
         if not nonspecial:
             return frozenset()
-        return _argmax(_approval_scores(profile, nonspecial))
+        return _argmax(_approval_scores(votes, nonspecial))
 
     if len(cands) <= 4:
         if present in (frozenset({0, 2}), frozenset({1, 3})):
             return approval_winners_nonspecial()
         return frozenset()
     if present >= frozenset(SPECIAL_INDICES):
-        result = {by_index[len(profile.ballots) % 4]}
+        result = {by_index[len(votes) % 4]}
         sub = approval_winners_nonspecial()
         if len(sub) == 1:
             result |= sub
@@ -284,24 +290,29 @@ def _system_e_winners(profile: Profile, among: frozenset[str]) -> frozenset[str]
     return frozenset()
 
 
-def winners(
-    rule: VotingRule, profile: Profile, among: Iterable[str] | None = None
-) -> frozenset[str]:
+def winners(rule: VotingRule, profile: Profile, among: Iterable[str] | None = None,
+            votes: tuple[Ballot, ...] | None = None) -> frozenset[str]:
     """Winner set of a one-stage election under the given rule.
 
     ``among``, a nonempty subset of the candidate ids, limits the election
     to those candidates: the result equals
     ``winners(rule, restrict_profile(profile, among))``, computed from the
-    full profile without building the restricted one.
+    full profile without building the restricted one. ``votes`` (by default
+    ``profile.ballots``; not re-checked) are the ballots that vote: the
+    result equals ``winners(rule, Profile(profile.candidates, votes), among)``
+    without building that profile.
     """
     _check_kind(rule, profile)
     among = profile.candidate_id_set if among is None else _candidate_subset(profile, among)
+    votes = profile.ballots if votes is None else votes
     if rule is VotingRule.PLURALITY:
-        return _argmax(_plurality_scores(profile, among))
+        return _argmax(_plurality_scores(votes, among))
     if rule is VotingRule.APPROVAL:
-        return _argmax(_approval_scores(profile, among))
+        return _argmax(_approval_scores(votes, among))
     if rule in (VotingRule.CONDORCET, VotingRule.WEAK_CONDORCET):
+        margins = (pairwise_margins(profile) if votes is profile.ballots
+                   else _margin_table(profile.candidate_ids, votes))
         return condorcet_winners_from_margins(
-            pairwise_margins(profile), among, weak=rule is VotingRule.WEAK_CONDORCET
+            margins, among, weak=rule is VotingRule.WEAK_CONDORCET
         )
-    return _system_e_winners(profile, among)
+    return _system_e_winners(profile, among, votes)

@@ -26,7 +26,7 @@ from .two_stage import (
 FORMAT = "electctl/1"
 
 # Total ballots (main and pool, counts expanded) one document may describe;
-# checked before any ballot is built.
+# checked before any count is expanded.
 MAX_BALLOTS = 1_000_000
 
 
@@ -61,34 +61,62 @@ def _ballot_to_dict(ballot: Ballot, group: str | None) -> dict:
     return entry
 
 
-def _ballot_from_dict(entry: dict) -> Ballot:
-    if ("order" in entry) == ("approve" in entry):
-        raise FormatError('each ballot needs exactly one of "order" / "approve"')
-    if "order" in entry:
-        return Ballot(order=tuple(entry["order"]))
-    return Ballot(approvals=frozenset(entry["approve"]))
+def _is_int(value: Any) -> bool:
+    return type(value) is int  # not bool, which JSON's true/false load as
 
 
-def _check_ballot_counts(doc: dict) -> None:
-    total = 0
-    for section in ("ballots", "pool"):
-        for entry in doc.get(section, ()):
-            count = entry.get("count", 1)
-            if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-                raise FormatError("ballot count must be a positive integer")
-            total += count
-    if total > MAX_BALLOTS:
-        raise FormatError(f"document holds {total} ballots; the limit is {MAX_BALLOTS}")
+def _is_str_list(value: Any) -> bool:
+    if not isinstance(value, list):
+        return False
+    try:
+        "".join(value)  # str.join takes only strings: a type check at C speed
+    except TypeError:
+        return False
+    return True
 
 
-def _ballots_from_list(entries: list) -> tuple[tuple[Ballot, ...], list[str | None]]:
+def _candidate_from_dict(entry: Any) -> Candidate:
+    if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
+        raise FormatError('each candidate must be an object with a string "id"')
+    special = entry.get("special")
+    if special is not None and not _is_int(special):
+        raise FormatError('a candidate\'s "special" must be an integer')
+    return Candidate(entry["id"], special)
+
+
+def _ballot_entries(doc: dict, section: str) -> list[tuple[Ballot, int, str | None]]:
+    """A section's ballot entries, checked and built as (ballot, count,
+    group label); counts are left unexpanded."""
+    entries = doc.get(section, [])
+    if not isinstance(entries, list):
+        raise FormatError(f'"{section}" must be a list of ballot objects')
+    out = []
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise FormatError("each ballot must be an object")
+        ranked = "order" in entry
+        if ranked == ("approve" in entry):
+            raise FormatError('each ballot needs exactly one of "order" / "approve"')
+        ids = entry["order"] if ranked else entry["approve"]
+        if not _is_str_list(ids):
+            raise FormatError('"order" / "approve" must be a list of candidate ids')
+        group = entry.get("group")
+        if group is not None and not isinstance(group, str):
+            raise FormatError("a ballot's group label must be a string")
+        count = entry.get("count", 1)
+        if type(count) is not int or count < 1:  # _is_int, inlined in this hot loop
+            raise FormatError("ballot count must be a positive integer")
+        ballot = Ballot(order=tuple(ids)) if ranked else Ballot(approvals=frozenset(ids))
+        out.append((ballot, count, group))
+    return out
+
+
+def _expand(entries: list) -> tuple[tuple[Ballot, ...], list[str | None]]:
     ballots: list[Ballot] = []
     labels: list[str | None] = []
-    for entry in entries:
-        ballot = _ballot_from_dict(entry)
-        for _ in range(entry.get("count", 1)):
-            ballots.append(ballot)
-            labels.append(entry.get("group"))
+    for ballot, count, group in entries:
+        ballots += [ballot] * count
+        labels += [group] * count
     return tuple(ballots), labels
 
 
@@ -154,17 +182,23 @@ def instance_from_dict(doc: dict) -> ControlInstance:
     except (KeyError, ValueError) as exc:
         raise FormatError(f"bad problem/rule: {exc}") from exc
     tie = TieRule(doc["tie"]) if "tie" in doc else None
-    candidates = tuple(
-        Candidate(entry["id"], entry.get("special"))
-        for entry in doc.get("candidates", ())
-    )
-    _check_ballot_counts(doc)
-    ballots, labels = _ballots_from_list(doc.get("ballots", []))
+    for key in ("k", "limit"):
+        if key in doc and not _is_int(doc[key]):
+            raise FormatError(f'"{key}" must be an integer')
+    entries = doc.get("candidates", [])
+    if not isinstance(entries, list):
+        raise FormatError('"candidates" must be a list of candidate objects')
+    candidates = tuple(_candidate_from_dict(entry) for entry in entries)
+    main_entries, pool_entries = _ballot_entries(doc, "ballots"), _ballot_entries(doc, "pool")
+    total = sum(count for _, count, _ in main_entries + pool_entries)
+    if total > MAX_BALLOTS:
+        raise FormatError(f"document holds {total} ballots; the limit is {MAX_BALLOTS}")
+    ballots, labels = _expand(main_entries)
     profile = Profile(candidates, ballots)
     pool = None
     pool_groups = None
     if "pool" in doc:
-        pool_ballots, pool_labels = _ballots_from_list(doc["pool"])
+        pool_ballots, pool_labels = _expand(pool_entries)
         pool = Profile(candidates, pool_ballots)
         pool_groups = _groups_from_labels(pool_labels, "pool")
     groups = pool_groups if problem is Problem.CCAVG else _groups_from_labels(labels, "main")
@@ -205,10 +239,18 @@ def witness_from_dict(doc: dict) -> Witness:
         raise FormatError('missing "witness" object')
     kind = body.get("type")
     if kind == "voter_partition":
-        return VoterPartition(tuple(tuple(p) for p in body["parts"]))
+        parts = body.get("parts")
+        if not isinstance(parts, list) or not all(
+                isinstance(p, list) and all(_is_int(i) for i in p) for p in parts):
+            raise FormatError('"parts" must be a list of lists of ballot indices')
+        return VoterPartition(tuple(tuple(p) for p in parts))
     if kind == "candidate_partition":
+        if not (_is_str_list(body.get("c1")) and _is_str_list(body.get("c2"))):
+            raise FormatError('"c1" and "c2" must be lists of candidate ids')
         return CandidatePartition(frozenset(body["c1"]), frozenset(body["c2"]))
     if kind == "group_selection":
+        if not _is_str_list(body.get("groups")):
+            raise FormatError('"groups" must be a list of group labels')
         return GroupSelection(frozenset(body["groups"]))
     raise FormatError(f"unknown witness type {kind!r}")
 

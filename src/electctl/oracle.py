@@ -72,24 +72,30 @@ def _bipartitions(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
 
 
 def _k_partitions(n: int, k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Canonical (part-permutation-free) k-part partitions of range(n)."""
+    """Canonical (part-permutation-free) k-part partitions of range(n).
+
+    Element i goes to part labels[i]; the labels run through the restricted
+    growth strings (each label at most one above every label before it,
+    and below k) in lexicographic order.
+    """
     labels = [0] * n
-
-    def rec(i: int, used: int):
-        if i == n:
-            parts: list[list[int]] = [[] for _ in range(k)]
-            for idx, lab in enumerate(labels):
-                parts[lab].append(idx)
-            yield tuple(tuple(part) for part in parts)
+    # peak[i]: the largest label among labels[:i] (0 for i = 0).
+    peak = [0] * n
+    while True:
+        parts: list[list[int]] = [[] for _ in range(k)]
+        for idx, lab in enumerate(labels):
+            parts[lab].append(idx)
+        yield tuple(tuple(part) for part in parts)
+        i = n - 1
+        while i > 0 and (labels[i] == k - 1 or labels[i] > peak[i]):
+            i -= 1
+        if i <= 0:
             return
-        for lab in range(min(used + 1, k)):
-            labels[i] = lab
-            yield from rec(i + 1, max(used, lab + 1))
-
-    if n == 0:
-        yield ((),) * k
-    else:
-        yield from rec(0, 0)
+        labels[i] += 1
+        top = max(peak[i], labels[i])
+        for j in range(i + 1, n):
+            labels[j] = 0
+            peak[j] = top
 
 
 def _candidate_witnesses(instance: ControlInstance) -> Iterator[Witness]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence, Union
 
-from .elections import Profile, VotingRule, winners
+from .elections import Profile, VotingRule, _check_kind, winners
 
 
 class TieRule(Enum):
@@ -98,7 +98,8 @@ class ControlInstance:
     ``groups`` maps a label to ballot indices of the election's voters for
     CCPVG/CCDVG, or of the adder pool for CCAVG; where present the groups
     must partition their vote multiset. ``limit`` is the addition/deletion
-    budget for CCDVG/CCAVG; ``k`` is the part count for CCPkV.
+    budget for CCDVG/CCAVG; ``k`` is the part count for CCPkV. The ballots
+    of the election and of the pool must be of the rule's kind.
     """
 
     problem: Problem
@@ -114,6 +115,7 @@ class ControlInstance:
     def __post_init__(self):
         if self.p not in self.profile.candidate_ids:
             raise ValueError(f"distinguished candidate {self.p!r} not in the election")
+        _check_kind(self.rule, self.profile)
         if isinstance(self.groups, Mapping):
             object.__setattr__(
                 self, "groups",
@@ -163,9 +165,7 @@ class ControlInstance:
         if self.problem is Problem.CCAVG:
             if self.pool.candidates != self.profile.candidates:
                 raise ValueError("pool must share the election's candidate set")
-            if (self.pool.kind is not None and self.profile.kind is not None
-                    and self.pool.kind != self.profile.kind):
-                raise ValueError("pool ballots must share the instance's ballot kind")
+            _check_kind(self.rule, self.pool)
         elif self.pool is not None:
             raise ValueError(f"{self.problem.value} takes no pool")
 
@@ -199,12 +199,28 @@ def finalists_voter_partition(
     parts: Sequence[Iterable[int]],
 ) -> frozenset[str]:
     """Union over parts of the TE/TP-filtered subelection winner sets."""
-    checked = _check_parts(len(profile.ballots), parts)
     finalists: frozenset[str] = frozenset()
-    for part in checked:
-        sub = Profile(profile.candidates, tuple(profile.ballots[i] for i in part))
-        finalists |= _filter_tie(tie, winners(rule, sub))
+    for part in _check_parts(len(profile.ballots), parts):
+        votes = tuple(profile.ballots[i] for i in part)
+        finalists |= _filter_tie(tie, winners(rule, profile, votes=votes))
     return finalists
+
+
+def _candidate_finalists(
+    rule: VotingRule, tie: TieRule, profile: Profile, c1: Iterable[str], c2: Iterable[str]
+) -> frozenset[str]:
+    s1, s2 = frozenset(c1), frozenset(c2)
+    if s1 & s2 or (s1 | s2) != profile.candidate_id_set:
+        raise ValueError("(C1, C2) must partition the candidate set")
+    finalists: frozenset[str] = frozenset()
+    for side in (s1, s2):
+        if side:
+            finalists |= _filter_tie(tie, winners(rule, profile, side))
+    return finalists
+
+
+def _final_round(rule: VotingRule, profile: Profile, finalists: frozenset[str]) -> frozenset[str]:
+    return winners(rule, profile, finalists) if finalists else frozenset()
 
 
 def run_two_stage_voter_partition(
@@ -214,10 +230,7 @@ def run_two_stage_voter_partition(
     parts: Sequence[Iterable[int]],
 ) -> frozenset[str]:
     """Final winner set after partitioning the voters into ``parts``."""
-    finalists = finalists_voter_partition(rule, tie, profile, parts)
-    if not finalists:
-        return frozenset()
-    return winners(rule, profile, finalists)
+    return _final_round(rule, profile, finalists_voter_partition(rule, tie, profile, parts))
 
 
 def run_two_stage_candidate_partition(
@@ -232,17 +245,7 @@ def run_two_stage_candidate_partition(
     Empty parts are legal and contribute no finalists. Every stage is an
     election over the full profile limited to a candidate subset.
     """
-    s1, s2 = frozenset(c1), frozenset(c2)
-    if s1 & s2 or (s1 | s2) != profile.candidate_id_set:
-        raise ValueError("(C1, C2) must partition the candidate set")
-
-    finalists: frozenset[str] = frozenset()
-    for side in (s1, s2):
-        if side:
-            finalists |= _filter_tie(tie, winners(rule, profile, side))
-    if not finalists:
-        return frozenset()
-    return winners(rule, profile, finalists)
+    return _final_round(rule, profile, _candidate_finalists(rule, tie, profile, c1, c2))
 
 
 def _group_parts(
@@ -263,58 +266,57 @@ def _groups_atomic(instance: ControlInstance, part: frozenset[int]) -> bool:
                for _, idx in instance.groups)
 
 
-def verify_witness(instance: ControlInstance, w: Witness) -> bool:
+def replay(
+    instance: ControlInstance, w: Witness
+) -> tuple[frozenset[str] | None, frozenset[str]] | None:
     """Replay the control action described by ``w``.
 
-    True iff the witness satisfies the problem's structural side conditions
-    (equipartition size bound, group atomicity, selection budget) and makes
-    the distinguished candidate the sole resulting winner. A witness whose
-    shape does not fit the problem family is an error, not a False.
+    Returns (finalists, final winners), with finalists None for the
+    one-stage families CCDVG/CCAVG, or None when the witness breaks the
+    problem's structural side conditions (equipartition size bound, group
+    atomicity, selection budget). A witness whose shape does not fit the
+    problem family is an error, not a None.
     """
     prob, rule, tie, profile = instance.problem, instance.rule, instance.tie, instance.profile
-    goal = frozenset({instance.p})
 
-    if prob in (Problem.CCPV, Problem.CCEPV):
-        if not isinstance(w, VoterPartition) or len(w.parts) != 2:
-            raise ValueError(f"{prob.value} needs a two-part voter partition witness")
-        if prob is Problem.CCEPV and abs(len(w.parts[0]) - len(w.parts[1])) > 1:
-            return False
-        return run_two_stage_voter_partition(rule, tie, profile, w.parts) == goal
-
-    if prob is Problem.CCPKV:
-        if not isinstance(w, VoterPartition) or len(w.parts) != instance.k:
-            raise ValueError("CCPkV needs a k-part voter partition witness")
-        return run_two_stage_voter_partition(rule, tie, profile, w.parts) == goal
-
-    if prob in (Problem.CCRPC, Problem.CCREPC):
+    if prob in (Problem.CCPV, Problem.CCEPV, Problem.CCPKV, Problem.CCPVG):
+        if prob is Problem.CCPVG and isinstance(w, GroupSelection):
+            parts = _group_parts(instance, w.labels)
+        else:
+            size = instance.k if prob is Problem.CCPKV else 2
+            if not isinstance(w, VoterPartition) or len(w.parts) != size:
+                raise ValueError(f"{prob.value} needs a {size}-part voter partition witness")
+            if prob is Problem.CCEPV and abs(len(w.parts[0]) - len(w.parts[1])) > 1:
+                return None
+            if prob is Problem.CCPVG and not all(_groups_atomic(instance, frozenset(p))
+                                                 for p in w.parts):
+                return None
+            parts = w.parts
+        finalists = finalists_voter_partition(rule, tie, profile, parts)
+    elif prob in (Problem.CCRPC, Problem.CCREPC):
         if not isinstance(w, CandidatePartition):
             raise ValueError(f"{prob.value} needs a candidate partition witness")
         if prob is Problem.CCREPC and abs(len(w.c1) - len(w.c2)) > 1:
-            return False
-        return run_two_stage_candidate_partition(rule, tie, profile, w.c1, w.c2) == goal
-
-    if prob is Problem.CCPVG:
-        if isinstance(w, GroupSelection):
-            parts = _group_parts(instance, w.labels)
-        elif isinstance(w, VoterPartition) and len(w.parts) == 2:
-            if not all(_groups_atomic(instance, frozenset(p)) for p in w.parts):
-                return False
-            parts = w.parts
-        else:
-            raise ValueError("CCPVG needs a group selection or two-part voter partition")
-        return run_two_stage_voter_partition(rule, tie, profile, parts) == goal
-
-    if prob in (Problem.CCDVG, Problem.CCAVG):
+            return None
+        finalists = _candidate_finalists(rule, tie, profile, w.c1, w.c2)
+    elif prob in (Problem.CCDVG, Problem.CCAVG):
         if not isinstance(w, GroupSelection):
             raise ValueError(f"{prob.value} needs a group selection witness")
         rest, chosen = _group_parts(instance, w.labels)
         if len(chosen) > instance.limit:
-            return False
+            return None
         if prob is Problem.CCDVG:
-            final = Profile(profile.candidates, tuple(profile.ballots[i] for i in rest))
+            votes = tuple(profile.ballots[i] for i in rest)
         else:
-            added = tuple(instance.pool.ballots[i] for i in chosen)
-            final = Profile(profile.candidates, profile.ballots + added)
-        return winners(rule, final) == goal
+            votes = profile.ballots + tuple(instance.pool.ballots[i] for i in chosen)
+        return None, winners(rule, profile, votes=votes)
+    else:
+        raise ValueError(f"unsupported problem {prob}")
+    return finalists, _final_round(rule, profile, finalists)
 
-    raise ValueError(f"unsupported problem {prob}")
+
+def verify_witness(instance: ControlInstance, w: Witness) -> bool:
+    """True iff ``replay`` accepts the witness's side conditions and the
+    distinguished candidate is the sole final winner."""
+    result = replay(instance, w)
+    return result is not None and result[1] == {instance.p}

@@ -29,6 +29,61 @@ def gen_instance(tmp_path, capsys, name, seed="1"):
     return path
 
 
+def plurality_doc(**fields):
+    doc = {"format": FORMAT, "problem": "CCEPV", "rule": "plurality", "tie": "TE",
+           "p": "p", "candidates": [{"id": "p"}, {"id": "a"}],
+           "ballots": [{"order": ["p", "a"]}, {"order": ["a", "p"]}]}
+    doc.update(fields)
+    return {key: value for key, value in doc.items() if value is not None}
+
+
+def voter_witness(parts):
+    return {"format": FORMAT, "witness": {"type": "voter_partition", "parts": parts}}
+
+
+MALFORMED_INSTANCES = {
+    "ballot-is-string": plurality_doc(ballots=["pa"]),
+    "order-is-number": plurality_doc(ballots=[{"order": 5}]),
+    "order-holds-a-list": plurality_doc(ballots=[{"order": ["p", ["a"]]}]),
+    "k-is-string": plurality_doc(problem="CCPkV", k="3"),
+    "limit-is-string": plurality_doc(problem="CCDVG", tie=None, limit="1", ballots=[
+        {"order": ["p", "a"], "group": "A"}]),
+    "candidates-is-string": plurality_doc(candidates="pa"),
+    "approval-under-plurality": plurality_doc(
+        ballots=[{"approve": ["p"]}, {"approve": ["a"]}]),
+    "approval-pool-under-plurality": plurality_doc(
+        problem="CCAVG", tie=None, limit=1, ballots=[],
+        pool=[{"approve": ["p"], "group": "A"}]),
+}
+MALFORMED_WITNESSES = {
+    "parts-is-number": voter_witness(5),
+    "part-holds-a-string": voter_witness([[0, "x"], [1]]),
+    "parts-hold-strings": voter_witness([["0"], ["1"]]),
+    "c1-is-number": {"format": FORMAT, "witness": {
+        "type": "candidate_partition", "c1": 5, "c2": ["a"]}},
+    "groups-is-number": {"format": FORMAT, "witness": {
+        "type": "group_selection", "groups": 7}},
+}
+
+
+@pytest.mark.parametrize("name", [*MALFORMED_INSTANCES, *MALFORMED_WITNESSES])
+def test_malformed_document_exits_three(tmp_path, capsys, name):
+    # A malformed document is an error (exit 3, one line on stderr), never
+    # a traceback or a "no".
+    inst_path, wit_path = tmp_path / "inst.json", tmp_path / "witness.json"
+    if name in MALFORMED_INSTANCES:
+        inst_path.write_text(json.dumps(MALFORMED_INSTANCES[name]))
+        argv = ("solve", str(inst_path))
+    else:
+        inst_path.write_text(json.dumps(plurality_doc()))
+        wit_path.write_text(json.dumps(MALFORMED_WITNESSES[name]))
+        argv = ("verify", str(inst_path), str(wit_path))
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.startswith("electctl: error:") and err.count("\n") == 1
+
+
 class TestSolve:
     def test_solve_reports_answer_and_digest(self, tmp_path, capsys):
         path = gen_instance(tmp_path, capsys, "inst.json")
@@ -51,6 +106,16 @@ class TestSolve:
         path = gen_instance(tmp_path, capsys, "inst.json")
         code, out, _ = run(capsys, "solve", str(path), "--solver", "oracle",
                            "--budget", "0")
+        assert code == EXIT_UNKNOWN
+        assert json.loads(out)["answer"] == "unknown"
+
+    def test_deep_k_partition_enumeration_stops_at_the_budget(self, tmp_path, capsys):
+        # 1,500 voters: far deeper than Python's recursion limit.
+        path = tmp_path / "ccpkv.json"
+        path.write_text(json.dumps(plurality_doc(
+            problem="CCPkV", k=2, ballots=[{"order": ["a", "p"], "count": 1500}])))
+        code, out, _ = run(capsys, "solve", str(path), "--solver", "oracle",
+                           "--budget", "10")
         assert code == EXIT_UNKNOWN
         assert json.loads(out)["answer"] == "unknown"
 

@@ -230,3 +230,11 @@ class TestSystemE:
     def test_large_empty_electorate(self):
         prof = e_profile((0, 1, 2, 3), ("x",), [])
         assert winners(VotingRule.SYSTEM_E, prof) == {"s0", "x"}
+
+    def test_votes_decide_branch_and_nonspecial_winner(self):
+        # Only the voting ballots count: the third ballot alone is one voter
+        # (mod 4 = 1), and it approves y.
+        prof = e_profile((0, 1, 2, 3), ("x", "y"), [["x"], ["x"], ["y"]])
+        assert winners(VotingRule.SYSTEM_E, prof, votes=prof.ballots[2:]) == {"s1", "y"}
+        prof = e_profile((0, 2), ("x", "y"), [["x"], ["x"], ["y"]])
+        assert winners(VotingRule.SYSTEM_E, prof, votes=prof.ballots[2:]) == {"y"}

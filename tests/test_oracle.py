@@ -1,6 +1,6 @@
 """Unit tests for the exhaustive-enumeration oracle."""
 
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -119,6 +119,19 @@ class TestEnumerationOrder:
                 want = [CandidatePartition({ids[i] for i in a}, {ids[i] for i in b})
                         for a, b in ref(m)]
                 assert list(_candidate_witnesses(inst)) == want, (problem, m)
+
+    def test_k_partitions_follow_restricted_growth_strings(self):
+        # Element i goes to part labels[i], for the lexicographically ordered
+        # label strings in which each label is at most one above all before it.
+        for n in range(7):
+            for k in (2, 3):
+                want = []
+                for labels in product(range(k), repeat=n):
+                    if all(lab <= max(labels[:i], default=-1) + 1
+                           for i, lab in enumerate(labels)):
+                        want.append(tuple(tuple(i for i in range(n) if labels[i] == part)
+                                          for part in range(k)))
+                assert list(_k_partitions(n, k)) == want, (n, k)
 
     def test_ccpvg_selects_among_all_but_the_first_group(self):
         for n_groups in range(5):

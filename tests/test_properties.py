@@ -131,9 +131,10 @@ def test_instance_serialization_round_trips(prof):
 
 @st.composite
 def rule_profile_subset(draw):
-    """A rule, a profile of its ballot kind, and a nonempty subset of the
-    candidates. System-E profiles hold all four special candidates, so the
-    subset decides which of its branches applies."""
+    """A rule, a profile of its ballot kind, a nonempty subset of the
+    candidates, and a sub-multiset of the ballots (possibly empty).
+    System-E profiles hold all four special candidates, so the subset
+    decides which of its branches applies."""
     rule = draw(st.sampled_from(list(VotingRule)))
     if rule is VotingRule.SYSTEM_E:
         cands = tuple(Candidate(f"s{i}", i) for i in range(4))
@@ -148,14 +149,18 @@ def rule_profile_subset(draw):
     else:
         ballots = [linear(*draw(st.permutations(ids))) for _ in range(n_voters)]
     among = draw(st.sets(st.sampled_from(ids), min_size=1))
-    return rule, Profile(cands, tuple(ballots)), among
+    kept = draw(st.lists(st.booleans(), min_size=n_voters, max_size=n_voters))
+    votes = tuple(b for b, keep in zip(ballots, kept) if keep)
+    return rule, Profile(cands, tuple(ballots)), among, votes
 
 
 @settings(max_examples=300, deadline=None)
 @given(rule_profile_subset())
 def test_winners_among_equals_restricted_election(case):
-    rule, prof, among = case
+    rule, prof, among, votes = case
     assert winners(rule, prof, among) == winners(rule, restrict_profile(prof, among))
+    assert (winners(rule, prof, among, votes)
+            == winners(rule, Profile(prof.candidates, votes), among))
 
 
 def test_winners_among_rejects_empty_or_unknown_subsets():
