@@ -36,6 +36,7 @@ from .solvers import (
     solve_weakcondorcet_ccrpc_tp,
 )
 from .two_stage import (
+    TAKES,
     CandidatePartition,
     ControlInstance,
     Decision,

@@ -22,6 +22,7 @@ from .generate import FAMILIES, family_instance, random_instance
 from .instance_io import (
     FORMAT,
     FormatError,
+    cubic_vc_from_dict,
     instance_digest,
     instance_from_dict,
     instance_to_dict,
@@ -30,11 +31,10 @@ from .instance_io import (
     parse_witness,
     serialize_instance,
     witness_to_dict,
+    x3c_from_dict,
 )
 from .oracle import DEFAULT_BUDGET, oracle_solve
 from .reductions import (
-    CubicGraphVC,
-    X3CInstance,
     approval_ccpv_te_to_e_ccpv_tp,
     cubic_vc_to_weakcondorcet_ccrepc_tp,
     x3c_to_plurality_ccpvg_te,
@@ -113,14 +113,9 @@ def cmd_reduce(args) -> int:
     source_text = Path(args.source).read_text()
     doc = load_document(source_text)
     if args.kind == "x3c":
-        x = X3CInstance(tuple(doc["base"]),
-                        tuple(frozenset(t) for t in doc["triples"]))
-        instance = x3c_to_plurality_ccpvg_te(x)
+        instance = x3c_to_plurality_ccpvg_te(x3c_from_dict(doc))
     elif args.kind == "cvc":
-        g = CubicGraphVC(tuple(doc["vertices"]),
-                         tuple(frozenset(e) for e in doc["edges"]),
-                         int(doc["k"]))
-        instance = cubic_vc_to_weakcondorcet_ccrepc_tp(g)
+        instance = cubic_vc_to_weakcondorcet_ccrepc_tp(cubic_vc_from_dict(doc))
     else:
         instance = approval_ccpv_te_to_e_ccpv_tp(instance_from_dict(doc))
     out_doc = instance_to_dict(instance)

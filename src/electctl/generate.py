@@ -5,8 +5,8 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .elections import Ballot, Candidate, Profile, VotingRule
-from .two_stage import ControlInstance, Problem, TieRule
+from .elections import LINEAR_RULES, Ballot, Candidate, Profile, VotingRule
+from .two_stage import TAKES, ControlInstance, Problem, TieRule
 
 GROUP_PREFIX = "G"
 
@@ -56,10 +56,14 @@ def random_instance(
     pool_size: int | None = None,
     with_specials: bool = False,
 ) -> ControlInstance:
-    """One random instance; reproducible given the rng state."""
+    """One random instance; reproducible given the rng state. The groups
+    and the pool are drawn only for a problem that takes them."""
+    for what, value, least in (("candidates", n_candidates, 1), ("voters", n_voters, 0),
+                               ("pool size", pool_size, 0), ("groups", n_groups, 1)):
+        if value is not None and value < least:
+            raise ValueError(f"{what} must be at least {least}, got {value}")
     ids = default_candidate_ids(n_candidates)
-    approval_kind = rule in (VotingRule.APPROVAL, VotingRule.SYSTEM_E)
-    make = approval_profile if approval_kind else linear_profile
+    make = linear_profile if rule in LINEAR_RULES else approval_profile
 
     if with_specials:
         cands = tuple(Candidate(cid) for cid in ids) + tuple(
@@ -71,14 +75,15 @@ def random_instance(
     else:
         profile = make(rng, ids, n_voters)
 
-    groups = None
+    takes = TAKES[problem]
     pool = None
-    if problem in (Problem.CCPVG, Problem.CCDVG):
-        groups = random_groups(rng, n_voters, n_groups or max(1, n_voters // 2))
-    elif problem is Problem.CCAVG:
-        size = pool_size if pool_size is not None else n_voters
-        pool = Profile(profile.candidates, make(rng, profile.candidate_ids, size).ballots)
-        groups = random_groups(rng, size, n_groups or max(1, size // 2))
+    grouped = n_voters  # the ballot count the groups partition
+    if "pool" in takes:  # drawn before the groups, which then partition it
+        grouped = pool_size if pool_size is not None else n_voters
+        pool = Profile(profile.candidates, make(rng, profile.candidate_ids, grouped).ballots)
+    groups = None
+    if "groups" in takes:
+        groups = random_groups(rng, grouped, n_groups or max(1, grouped // 2))
 
     return ControlInstance(
         problem=problem,
@@ -112,6 +117,6 @@ def family_instance(
     problem, rule, tie = FAMILIES[family]
     return random_instance(
         rng, problem, rule, tie, n_candidates, n_voters,
-        k=k if problem is Problem.CCPKV else None,
+        k=k if "k" in TAKES[problem] else None,
         with_specials=rule is VotingRule.SYSTEM_E,
     )

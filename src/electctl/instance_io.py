@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import zip_longest
 from typing import Any
 
 from .elections import Ballot, Candidate, Profile, VotingRule
+from .reductions import CubicGraphVC, X3CInstance
 from .two_stage import (
     CandidatePartition,
     ControlInstance,
@@ -131,6 +133,12 @@ def _groups_from_labels(labels: list[str | None], what: str):
     return tuple((lab, tuple(idx)) for lab, idx in groups.items())
 
 
+def _ballot_dicts(profile: Profile, labels) -> list[dict]:
+    """One section's ballot entries; ``labels`` gives each ballot's group
+    label, or is empty for a section without groups."""
+    return [_ballot_to_dict(b, lab) for b, lab in zip_longest(profile.ballots, labels)]
+
+
 def instance_to_dict(instance: ControlInstance) -> dict:
     doc: dict[str, Any] = {
         "format": FORMAT,
@@ -150,27 +158,13 @@ def instance_to_dict(instance: ControlInstance) -> dict:
         for c in instance.profile.candidates
     ]
 
-    def labels_for(profile: Profile, grouped: bool) -> list[str | None]:
-        out: list[str | None] = [None] * len(profile.ballots)
-        if grouped:
-            for lab, idx in instance.groups:
-                for i in idx:
-                    out[i] = lab
-        return out
-
-    main_grouped = instance.groups is not None and instance.problem is not Problem.CCAVG
-    doc["ballots"] = [
-        _ballot_to_dict(b, lab)
-        for b, lab in zip(instance.profile.ballots,
-                          labels_for(instance.profile, main_grouped))
-    ]
+    labels: list[str | None] = [None] * len(instance.grouped.ballots)
+    for lab, idx in instance.groups or ():
+        for i in idx:
+            labels[i] = lab
+    doc["ballots"] = _ballot_dicts(instance.profile, labels if instance.pool is None else ())
     if instance.pool is not None:
-        pool_grouped = instance.problem is Problem.CCAVG
-        doc["pool"] = [
-            _ballot_to_dict(b, lab)
-            for b, lab in zip(instance.pool.ballots,
-                              labels_for(instance.pool, pool_grouped))
-        ]
+        doc["pool"] = _ballot_dicts(instance.pool, labels)
     return doc
 
 
@@ -194,14 +188,11 @@ def instance_from_dict(doc: dict) -> ControlInstance:
     if total > MAX_BALLOTS:
         raise FormatError(f"document holds {total} ballots; the limit is {MAX_BALLOTS}")
     ballots, labels = _expand(main_entries)
-    profile = Profile(candidates, ballots)
-    pool = None
-    pool_groups = None
-    if "pool" in doc:
-        pool_ballots, pool_labels = _expand(pool_entries)
-        pool = Profile(candidates, pool_ballots)
-        pool_groups = _groups_from_labels(pool_labels, "pool")
-    groups = pool_groups if problem is Problem.CCAVG else _groups_from_labels(labels, "main")
+    profile, pool, section = Profile(candidates, ballots), None, "main"
+    if "pool" in doc:  # groups label the pool if there is one, as in ControlInstance.grouped
+        pool_ballots, labels = _expand(pool_entries)
+        pool, section = Profile(candidates, pool_ballots), "pool"
+    groups = _groups_from_labels(labels, section)
     try:
         return ControlInstance(
             problem=problem,
@@ -253,6 +244,43 @@ def witness_from_dict(doc: dict) -> Witness:
             raise FormatError('"groups" must be a list of group labels')
         return GroupSelection(frozenset(body["groups"]))
     raise FormatError(f"unknown witness type {kind!r}")
+
+
+def _id_lists(doc: dict, key: str) -> list[list[str]]:
+    value = doc.get(key)
+    if not isinstance(value, list) or not all(_is_str_list(ids) for ids in value):
+        raise FormatError(f'"{key}" must be a list of lists of ids')
+    return value
+
+
+def _build_source(make, *fields):
+    try:
+        return make(*fields)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
+
+
+def x3c_from_dict(doc: dict) -> X3CInstance:
+    """An Exact Cover by 3-Sets source: "base" lists the element ids and
+    "triples" lists each triple as a list of element ids."""
+    _require_format(doc)
+    if not _is_str_list(doc.get("base")):
+        raise FormatError('"base" must be a list of element ids')
+    triples = _id_lists(doc, "triples")
+    return _build_source(X3CInstance, tuple(doc["base"]), tuple(frozenset(t) for t in triples))
+
+
+def cubic_vc_from_dict(doc: dict) -> CubicGraphVC:
+    """A cubic vertex cover source: "vertices" lists the vertex ids, "edges"
+    lists each edge as a list of two vertex ids, and "k" is the cover size."""
+    _require_format(doc)
+    if not _is_str_list(doc.get("vertices")):
+        raise FormatError('"vertices" must be a list of vertex ids')
+    edges = _id_lists(doc, "edges")
+    if not _is_int(doc.get("k")):
+        raise FormatError('"k" must be an integer')
+    return _build_source(CubicGraphVC, tuple(doc["vertices"]),
+                         tuple(frozenset(e) for e in edges), doc["k"])
 
 
 def parse_instance(text: str) -> ControlInstance:

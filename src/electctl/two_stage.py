@@ -34,11 +34,20 @@ class Problem(Enum):
     CCAVG = "CCAVG"
 
 
-PARTITION_PROBLEMS = frozenset(
-    {Problem.CCPV, Problem.CCEPV, Problem.CCRPC, Problem.CCREPC,
-     Problem.CCPKV, Problem.CCPVG}
-)
-GROUP_PROBLEMS = frozenset({Problem.CCPVG, Problem.CCDVG, Problem.CCAVG})
+# The optional ControlInstance fields each problem takes: an instance of the
+# problem sets exactly these. Every partition problem takes a tie rule,
+# CCPkV its part count, the group problems their groups, and deletion and
+# addition a budget (addition also its adder pool).
+TAKES: dict[Problem, tuple[str, ...]] = {
+    Problem.CCPV: ("tie",),
+    Problem.CCEPV: ("tie",),
+    Problem.CCRPC: ("tie",),
+    Problem.CCREPC: ("tie",),
+    Problem.CCPKV: ("tie", "k"),
+    Problem.CCPVG: ("tie", "groups"),
+    Problem.CCDVG: ("limit", "groups"),
+    Problem.CCAVG: ("limit", "groups", "pool"),
+}
 
 
 @dataclass(frozen=True)
@@ -95,11 +104,11 @@ class Decision:
 class ControlInstance:
     """An election plus a control-problem descriptor.
 
-    ``groups`` maps a label to ballot indices of the election's voters for
-    CCPVG/CCDVG, or of the adder pool for CCAVG; where present the groups
-    must partition their vote multiset. ``limit`` is the addition/deletion
-    budget for CCDVG/CCAVG; ``k`` is the part count for CCPkV. The ballots
-    of the election and of the pool must be of the rule's kind.
+    ``TAKES`` lists the optional fields each problem sets. ``groups`` maps
+    a label to ballot indices of ``grouped`` and must partition its vote
+    multiset. ``limit`` is the addition/deletion budget; ``k`` is the part
+    count. The ballots of the election and of the pool must be of the
+    rule's kind.
     """
 
     problem: Problem
@@ -116,58 +125,37 @@ class ControlInstance:
         if self.p not in self.profile.candidate_ids:
             raise ValueError(f"distinguished candidate {self.p!r} not in the election")
         _check_kind(self.rule, self.profile)
-        if isinstance(self.groups, Mapping):
-            object.__setattr__(
-                self, "groups",
-                tuple((lab, tuple(idx)) for lab, idx in self.groups.items()),
-            )
-        elif self.groups is not None:
-            object.__setattr__(
-                self, "groups",
-                tuple((lab, tuple(idx)) for lab, idx in self.groups),
-            )
+        if self.groups is not None:
+            items = self.groups.items() if isinstance(self.groups, Mapping) else self.groups
+            object.__setattr__(self, "groups", tuple((lab, tuple(idx)) for lab, idx in items))
 
-        if self.problem in PARTITION_PROBLEMS:
-            if self.tie is None:
-                raise ValueError(f"{self.problem.value} needs a tie rule")
-        elif self.tie is not None:
-            raise ValueError(f"{self.problem.value} takes no tie rule")
+        takes = TAKES[self.problem]
+        for name in ("tie", "k", "limit", "groups", "pool"):
+            given = getattr(self, name) is not None
+            if given != (name in takes):
+                raise ValueError(f"{self.problem.value} {'takes no' if given else 'needs'} {name}")
 
-        if self.problem is Problem.CCPKV:
-            if self.k is None or self.k < 2:
-                raise ValueError("CCPkV needs k >= 2")
-        elif self.k is not None:
-            raise ValueError(f"{self.problem.value} takes no k")
-
-        if self.problem in (Problem.CCDVG, Problem.CCAVG):
-            if self.limit is None or self.limit < 0:
-                raise ValueError(f"{self.problem.value} needs a nonnegative limit")
-        elif self.limit is not None:
-            raise ValueError(f"{self.problem.value} takes no limit")
-
-        if self.problem is Problem.CCAVG and self.pool is None:
-            raise ValueError("CCAVG needs an adder pool")
-
-        if self.problem in GROUP_PROBLEMS:
-            if self.groups is None:
-                raise ValueError(f"{self.problem.value} needs voter groups")
-            covered = self.pool if self.problem is Problem.CCAVG else self.profile
-            n = len(covered.ballots)
+        if self.k is not None and self.k < 2:
+            raise ValueError(f"{self.problem.value} needs k >= 2")
+        if self.limit is not None and self.limit < 0:
+            raise ValueError(f"{self.problem.value} needs a nonnegative limit")
+        if self.pool is not None:
+            if self.pool.candidates != self.profile.candidates:
+                raise ValueError("pool must share the election's candidate set")
+            _check_kind(self.rule, self.pool)
+        if self.groups is not None:
             seen = sorted(i for _, idx in self.groups for i in idx)
-            if seen != list(range(n)):
+            if seen != list(range(len(self.grouped.ballots))):
                 raise ValueError("groups must partition the vote multiset exactly once")
             labels = [lab for lab, _ in self.groups]
             if len(set(labels)) != len(labels):
                 raise ValueError("duplicate group labels")
-        elif self.groups is not None:
-            raise ValueError(f"{self.problem.value} takes no groups")
 
-        if self.problem is Problem.CCAVG:
-            if self.pool.candidates != self.profile.candidates:
-                raise ValueError("pool must share the election's candidate set")
-            _check_kind(self.rule, self.pool)
-        elif self.pool is not None:
-            raise ValueError(f"{self.problem.value} takes no pool")
+    @property
+    def grouped(self) -> Profile:
+        """The profile whose ballots the groups partition: the adder pool if
+        there is one, otherwise the election."""
+        return self.pool if self.pool is not None else self.profile
 
     @property
     def group_map(self) -> dict[str, tuple[int, ...]]:

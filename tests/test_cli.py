@@ -84,6 +84,69 @@ def test_malformed_document_exits_three(tmp_path, capsys, name):
     assert err.startswith("electctl: error:") and err.count("\n") == 1
 
 
+def cvc_source(**fields):
+    doc = {"format": FORMAT, "vertices": ["u1", "u2", "u3", "u4"],
+           "edges": [["u1", "u2"], ["u1", "u3"], ["u1", "u4"],
+                     ["u2", "u3"], ["u2", "u4"], ["u3", "u4"]], "k": 3}
+    doc.update(fields)
+    return {key: value for key, value in doc.items() if value is not None}
+
+
+def x3c_source(**fields):
+    doc = {"format": FORMAT, "base": ["b1", "b2", "b3", "b4", "b5", "b6"],
+           "triples": [["b1", "b2", "b3"], ["b4", "b5", "b6"],
+                       ["b1", "b2", "b4"], ["b1", "b5", "b6"]]}
+    doc.update(fields)
+    return doc
+
+
+# name: (reduction, source document, the field the message must name)
+MALFORMED_SOURCES = {
+    "edges-is-number": ("cvc", cvc_source(edges=5), "edges"),
+    "edges-missing": ("cvc", cvc_source(edges=None), "edges"),
+    "k-is-string": ("cvc", cvc_source(k="3"), "k"),
+    "k-is-bool": ("cvc", cvc_source(k=True), "k"),
+    "base-is-number": ("x3c", x3c_source(base=5), "base"),
+    "triple-is-string": ("x3c", x3c_source(
+        base=["a", "b", "c", "d", "e", "f"], triples=["abc", "def", "abd", "aef"]),
+        "triples"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_SOURCES)
+def test_malformed_reduce_source_exits_three(tmp_path, capsys, name):
+    kind, doc, field = MALFORMED_SOURCES[name]
+    src = tmp_path / "source.json"
+    src.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "reduce", kind, str(src))
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.startswith("electctl: error:") and err.count("\n") == 1
+    assert f'"{field}"' in err
+
+
+GEN_CCEPV = ("gen", "--problem", "CCEPV", "--rule", "plurality", "--tie", "TE")
+IMPOSSIBLE_SIZES = {
+    "gen-no-candidates": GEN_CCEPV + ("--candidates", "0"),
+    "gen-negative-voters": GEN_CCEPV + ("--voters", "-3"),
+    "gen-negative-pool": ("gen", "--problem", "CCAVG", "--rule", "plurality",
+                          "--limit", "1", "--pool-size", "-1"),
+    "gen-no-groups": ("gen", "--problem", "CCPVG", "--rule", "plurality",
+                      "--tie", "TE", "--groups", "0"),
+    "sweep-negative-voters": ("sweep", "ccepv", "--voters", "-1", "--count", "1"),
+}
+
+
+@pytest.mark.parametrize("name", IMPOSSIBLE_SIZES)
+def test_impossible_sizes_exit_three(tmp_path, capsys, name):
+    out_path = tmp_path / "out"
+    code, out, err = run(capsys, *IMPOSSIBLE_SIZES[name], "--out", str(out_path))
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.startswith("electctl: error:") and err.count("\n") == 1
+    assert not out_path.exists()
+
+
 class TestSolve:
     def test_solve_reports_answer_and_digest(self, tmp_path, capsys):
         path = gen_instance(tmp_path, capsys, "inst.json")

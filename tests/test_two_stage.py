@@ -104,6 +104,46 @@ class TestInstanceValidation:
         assert inst.group_map == {"g": (0,), "h": (1,)}
 
 
+# The optional fields each problem takes, written out independently of the
+# table in two_stage, with one valid value per field. The election and the
+# pool both hold two ballots, so the groups are valid for either.
+TAKEN_FIELDS = {
+    Problem.CCPV: {"tie"},
+    Problem.CCEPV: {"tie"},
+    Problem.CCRPC: {"tie"},
+    Problem.CCREPC: {"tie"},
+    Problem.CCPKV: {"tie", "k"},
+    Problem.CCPVG: {"tie", "groups"},
+    Problem.CCDVG: {"limit", "groups"},
+    Problem.CCAVG: {"limit", "groups", "pool"},
+}
+FIELD_VALUES = {"tie": TieRule.TE, "k": 2, "limit": 1,
+                "groups": (("g", (0,)), ("h", (1,))), "pool": profile("a", "b")}
+
+
+@pytest.mark.parametrize("field", FIELD_VALUES)
+@pytest.mark.parametrize("problem", list(Problem), ids=lambda p: p.value)
+def test_instance_needs_exactly_the_fields_its_problem_takes(problem, field):
+    # Adding or dropping one field is an error exactly when the field's
+    # presence disagrees with the problem.
+    taken = TAKEN_FIELDS[problem]
+    for present in (True, False):
+        fields = {name: FIELD_VALUES[name] for name in taken}
+        fields.pop(field, None)
+        if present:
+            fields[field] = FIELD_VALUES[field]
+
+        def build():
+            return ControlInstance(problem=problem, rule=VotingRule.PLURALITY,
+                                   profile=profile("p", "a"), p="p", **fields)
+
+        if present == (field in taken):
+            build()
+        else:
+            with pytest.raises(ValueError):
+                build()
+
+
 class TestVoterPartitionStages:
     def test_worked_example_partition(self):
         # 5 votes for p, 6 for a, 3 for b; V1 = 4 p-votes and 3 a-votes.
