@@ -20,6 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain, combinations
 from typing import Iterable, Mapping
 
 
@@ -139,12 +140,7 @@ class Profile:
 
 def _margin_table(ids: tuple[str, ...], ballots: Iterable[Ballot]) -> dict[tuple[str, str], int]:
     """Pairwise majority margins over ``ids`` of the linear ballots ``ballots``."""
-    pref: Counter[tuple[str, str]] = Counter()
-    for b in ballots:
-        order = b.order
-        for i, hi in enumerate(order):
-            for lo in order[i + 1:]:
-                pref[(hi, lo)] += 1
+    pref = Counter(chain.from_iterable(combinations(b.order, 2) for b in ballots))
     margins = {}
     for i, a in enumerate(ids):
         for c in ids[i + 1:]:
@@ -248,15 +244,9 @@ def condorcet_winners_from_margins(
     profile's margin table alone.
     """
     ids = tuple(candidate_ids)
-    out = []
-    for a in ids:
-        if weak:
-            ok = all(margins[(a, b)] >= 0 for b in ids if b != a)
-        else:
-            ok = all(margins[(a, b)] > 0 for b in ids if b != a)
-        if ok:
-            out.append(a)
-    return frozenset(out)
+    least = 0 if weak else 1  # margins are ints, so "> 0" is ">= 1"
+    return frozenset(a for a in ids
+                     if all(margins[(a, b)] >= least for b in ids if b != a))
 
 
 def _argmax(scores: dict[str, int]) -> frozenset[str]:

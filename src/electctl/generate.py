@@ -33,14 +33,13 @@ def approval_profile(rng: random.Random, ids: Sequence[str], n_voters: int) -> P
 
 
 def random_groups(rng: random.Random, n_ballots: int, n_groups: int):
-    """A random partition of ballot indices into at most n_groups groups."""
+    """A random partition of ballot indices into at most n_groups groups,
+    listed in the order of their first ballot, as a document reads back."""
     assignment = [rng.randrange(n_groups) for _ in range(n_ballots)]
-    groups = []
-    for g in range(n_groups):
-        idx = tuple(i for i, a in enumerate(assignment) if a == g)
-        if idx:
-            groups.append((f"{GROUP_PREFIX}{g + 1}", idx))
-    return tuple(groups)
+    groups: dict[int, list[int]] = {}
+    for i, g in enumerate(assignment):
+        groups.setdefault(g, []).append(i)
+    return tuple((f"{GROUP_PREFIX}{g + 1}", tuple(idx)) for g, idx in groups.items())
 
 
 def random_instance(

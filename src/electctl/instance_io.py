@@ -16,6 +16,7 @@ from typing import Any
 from .elections import Ballot, Candidate, Profile, VotingRule
 from .reductions import CubicGraphVC, X3CInstance
 from .two_stage import (
+    TAKES,
     CandidatePartition,
     ControlInstance,
     GroupSelection,
@@ -30,6 +31,9 @@ FORMAT = "electctl/1"
 # Total ballots (main and pool, counts expanded) one document may describe;
 # checked before any count is expanded.
 MAX_BALLOTS = 1_000_000
+# Candidates one document may list; checked before any is built. The margin
+# table has one entry per ordered pair, so this matches MAX_BALLOTS.
+MAX_CANDIDATES = 1_000
 
 
 class FormatError(ValueError):
@@ -49,6 +53,8 @@ def load_document(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FormatError("not valid JSON: arrays or objects nest too deeply") from exc
     _require_format(doc)
     return doc
 
@@ -122,13 +128,22 @@ def _expand(entries: list) -> tuple[tuple[Ballot, ...], list[str | None]]:
     return tuple(ballots), labels
 
 
-def _groups_from_labels(labels: list[str | None], what: str):
-    if all(lab is None for lab in labels):
+def _groups_from_labels(problem: Problem, labels: dict[str, list[str | None]]):
+    """The groups that the ballot sections' labels give. A group problem's
+    groups label every ballot of the section ``ControlInstance.grouped``
+    names: "pool" if the problem takes a pool, otherwise "ballots". No other
+    ballot carries a label."""
+    takes = TAKES[problem]
+    grouped = ("pool" if "pool" in takes else "ballots") if "groups" in takes else None
+    for section, labs in labels.items():
+        if section != grouped and any(lab is not None for lab in labs):
+            raise FormatError(f'{problem.value} takes no group labels on "{section}" ballots')
+    if grouped is None:
         return None
-    if any(lab is None for lab in labels):
-        raise FormatError(f"either all or no {what} ballots must carry a group label")
+    if None in labels[grouped]:
+        raise FormatError(f'every "{grouped}" ballot of {problem.value} needs a group label')
     groups: dict[str, list[int]] = {}
-    for i, lab in enumerate(labels):
+    for i, lab in enumerate(labels[grouped]):
         groups.setdefault(lab, []).append(i)
     return tuple((lab, tuple(idx)) for lab, idx in groups.items())
 
@@ -182,17 +197,19 @@ def instance_from_dict(doc: dict) -> ControlInstance:
     entries = doc.get("candidates", [])
     if not isinstance(entries, list):
         raise FormatError('"candidates" must be a list of candidate objects')
+    if len(entries) > MAX_CANDIDATES:
+        raise FormatError(f"document lists {len(entries)} candidates; "
+                          f"the limit is {MAX_CANDIDATES}")
     candidates = tuple(_candidate_from_dict(entry) for entry in entries)
     main_entries, pool_entries = _ballot_entries(doc, "ballots"), _ballot_entries(doc, "pool")
     total = sum(count for _, count, _ in main_entries + pool_entries)
     if total > MAX_BALLOTS:
         raise FormatError(f"document holds {total} ballots; the limit is {MAX_BALLOTS}")
-    ballots, labels = _expand(main_entries)
-    profile, pool, section = Profile(candidates, ballots), None, "main"
-    if "pool" in doc:  # groups label the pool if there is one, as in ControlInstance.grouped
-        pool_ballots, labels = _expand(pool_entries)
-        pool, section = Profile(candidates, pool_ballots), "pool"
-    groups = _groups_from_labels(labels, section)
+    ballots, main_labels = _expand(main_entries)
+    pool_ballots, pool_labels = _expand(pool_entries)
+    groups = _groups_from_labels(problem, {"ballots": main_labels, "pool": pool_labels})
+    profile = Profile(candidates, ballots)
+    pool = Profile(candidates, pool_ballots) if "pool" in doc else None
     try:
         return ControlInstance(
             problem=problem,

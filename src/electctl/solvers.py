@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement
 
-from .elections import Profile, VotingRule, pairwise_margins, winners
+from .elections import Profile, VotingRule, winners
 from .two_stage import (
     NO,
     YES,
@@ -112,11 +112,10 @@ def solve_plurality_ccepv_te(instance: ControlInstance) -> Decision:
         return yes((tuple(range(hi)), tuple(range(hi, n))))
 
     others = [cid for cid in ids if cid != p]
-    margins = pairwise_margins(profile)
 
     # Condition 1: V2 has a unique winner c and p beats c in the final.
     for c in others:
-        if margins[(p, c)] <= 0:
+        if winners(instance.rule, profile, (p, c)) != {p}:
             continue
         for kp in range(1, score[p] + 1):
             for kc in range(1, score[c] + 1):

@@ -41,6 +41,15 @@ def voter_witness(parts):
     return {"format": FORMAT, "witness": {"type": "voter_partition", "parts": parts}}
 
 
+# Valid JSON nested deeper than the parser's recursion limit.
+NESTED_TOO_DEEPLY = "[" * 100_000 + "]" * 100_000
+
+
+def document_text(doc):
+    # A string is a document's raw text; anything else is dumped as JSON.
+    return doc if isinstance(doc, str) else json.dumps(doc)
+
+
 MALFORMED_INSTANCES = {
     "ballot-is-string": plurality_doc(ballots=["pa"]),
     "order-is-number": plurality_doc(ballots=[{"order": 5}]),
@@ -54,6 +63,11 @@ MALFORMED_INSTANCES = {
     "approval-pool-under-plurality": plurality_doc(
         problem="CCAVG", tie=None, limit=1, ballots=[],
         pool=[{"approve": ["p"], "group": "A"}]),
+    "avg-label-on-main-ballot": plurality_doc(
+        problem="CCAVG", tie=None, limit=1,
+        ballots=[{"order": ["p", "a"], "group": "X"}, {"order": ["a", "p"]}],
+        pool=[{"order": ["p", "a"], "group": "A"}]),
+    "nested-too-deeply": NESTED_TOO_DEEPLY,
 }
 MALFORMED_WITNESSES = {
     "parts-is-number": voter_witness(5),
@@ -63,6 +77,7 @@ MALFORMED_WITNESSES = {
         "type": "candidate_partition", "c1": 5, "c2": ["a"]}},
     "groups-is-number": {"format": FORMAT, "witness": {
         "type": "group_selection", "groups": 7}},
+    "witness-nested-too-deeply": NESTED_TOO_DEEPLY,
 }
 
 
@@ -71,12 +86,14 @@ def test_malformed_document_exits_three(tmp_path, capsys, name):
     # A malformed document is an error (exit 3, one line on stderr), never
     # a traceback or a "no".
     inst_path, wit_path = tmp_path / "inst.json", tmp_path / "witness.json"
+    # The oracle takes every problem, so no instance exits 3 for want of a
+    # polynomial solver.
     if name in MALFORMED_INSTANCES:
-        inst_path.write_text(json.dumps(MALFORMED_INSTANCES[name]))
-        argv = ("solve", str(inst_path))
+        inst_path.write_text(document_text(MALFORMED_INSTANCES[name]))
+        argv = ("solve", "--solver", "oracle", str(inst_path))
     else:
         inst_path.write_text(json.dumps(plurality_doc()))
-        wit_path.write_text(json.dumps(MALFORMED_WITNESSES[name]))
+        wit_path.write_text(document_text(MALFORMED_WITNESSES[name]))
         argv = ("verify", str(inst_path), str(wit_path))
     code, out, err = run(capsys, *argv)
     assert code == EXIT_ERROR
@@ -100,7 +117,7 @@ def x3c_source(**fields):
     return doc
 
 
-# name: (reduction, source document, the field the message must name)
+# name: (reduction, source document, the field the message must name, if any)
 MALFORMED_SOURCES = {
     "edges-is-number": ("cvc", cvc_source(edges=5), "edges"),
     "edges-missing": ("cvc", cvc_source(edges=None), "edges"),
@@ -110,6 +127,7 @@ MALFORMED_SOURCES = {
     "triple-is-string": ("x3c", x3c_source(
         base=["a", "b", "c", "d", "e", "f"], triples=["abc", "def", "abd", "aef"]),
         "triples"),
+    "nested-too-deeply": ("cvc", NESTED_TOO_DEEPLY, None),
 }
 
 
@@ -117,12 +135,13 @@ MALFORMED_SOURCES = {
 def test_malformed_reduce_source_exits_three(tmp_path, capsys, name):
     kind, doc, field = MALFORMED_SOURCES[name]
     src = tmp_path / "source.json"
-    src.write_text(json.dumps(doc))
+    src.write_text(document_text(doc))
     code, out, err = run(capsys, "reduce", kind, str(src))
     assert code == EXIT_ERROR
     assert out == ""
     assert err.startswith("electctl: error:") and err.count("\n") == 1
-    assert f'"{field}"' in err
+    if field is not None:
+        assert f'"{field}"' in err
 
 
 GEN_CCEPV = ("gen", "--problem", "CCEPV", "--rule", "plurality", "--tie", "TE")
@@ -350,3 +369,19 @@ class TestGen:
         assert code == EXIT_YES
         doc = json.loads(path.read_text())
         assert all("group" in b for b in doc["ballots"])
+
+    @pytest.mark.parametrize("problem,sizes", [
+        ("CCPVG", ("--tie", "TE", "--voters", "0")),
+        ("CCDVG", ("--limit", "1", "--voters", "0")),
+        ("CCAVG", ("--limit", "1", "--pool-size", "0")),
+    ])
+    def test_group_problem_without_ballots_solves(self, tmp_path, capsys, problem, sizes):
+        # A group problem whose grouped ballots are empty has no groups; its
+        # generated document must still read back and be decided.
+        path = tmp_path / "g.json"
+        code, _, _ = run(capsys, "gen", "--problem", problem, "--rule", "plurality",
+                         *sizes, "--out", str(path))
+        assert code == EXIT_YES
+        code, out, err = run(capsys, "solve", "--solver", "oracle", str(path))
+        assert code in (EXIT_YES, EXIT_NO), err
+        assert json.loads(out)["answer"] in ("yes", "no")

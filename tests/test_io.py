@@ -20,6 +20,7 @@ from electctl import (
 from electctl.instance_io import (
     FORMAT,
     MAX_BALLOTS,
+    MAX_CANDIDATES,
     FormatError,
     instance_digest,
     instance_from_dict,
@@ -157,6 +158,18 @@ class TestErrors:
         doc["pool"] = [{"order": ["p", "a", "b"], "group": "h1"}]
         with pytest.raises(FormatError, match="limit"):
             instance_from_dict(doc)
+
+    def test_candidate_count_is_capped_per_document(self):
+        # Checked before any candidate is built: the entries here are not
+        # even candidate objects, yet the message is about the limit.
+        doc = self.base_doc()
+        doc["candidates"] = [5] * (MAX_CANDIDATES + 1)
+        with pytest.raises(FormatError, match="limit"):
+            instance_from_dict(doc)
+        doc["candidates"] = [{"id": f"c{i}"} for i in range(MAX_CANDIDATES)]
+        doc["candidates"][0] = {"id": "p"}
+        doc["ballots"] = []
+        assert len(instance_from_dict(doc).profile.candidates) == MAX_CANDIDATES
 
     def test_partial_group_labels(self):
         doc = self.base_doc()

@@ -1,5 +1,7 @@
 """Property-based invariants over randomly drawn profiles and partitions."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,8 +22,10 @@ from electctl import (
     verify_witness,
     winners,
 )
-from electctl.instance_io import parse_instance, serialize_instance
-from electctl.two_stage import finalists_voter_partition
+from electctl.elections import pairwise_margins
+from electctl.generate import random_instance
+from electctl.instance_io import instance_digest, parse_instance, serialize_instance
+from electctl.two_stage import TAKES, finalists_voter_partition
 
 IDS = ("p", "a", "b", "c")
 
@@ -44,6 +48,23 @@ def profile_with_bipartition(draw):
     v1 = tuple(i for i in range(n) if side[i])
     v2 = tuple(i for i in range(n) if not side[i])
     return prof, (v1, v2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_margin_table_counts_each_pair_from_the_definition(data):
+    ids = ("p", "a", "b", "c", "d")[:data.draw(st.integers(1, 5))]
+    orders = data.draw(st.lists(st.permutations(ids), max_size=9))
+    prof = Profile(tuple(Candidate(c) for c in ids), tuple(linear(*o) for o in orders))
+    expected = {}
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            for x, y in ((a, b), (b, a)):
+                above = sum(o.index(x) < o.index(y) for o in orders)
+                below = sum(o.index(y) < o.index(x) for o in orders)
+                expected[(x, y)] = above - below
+    # Keys, values and their order.
+    assert list(pairwise_margins(prof).items()) == list(expected.items())
 
 
 @settings(max_examples=120, deadline=None)
@@ -121,12 +142,31 @@ def test_candidate_partition_winner_is_a_candidate(prof, data):
     assert final <= frozenset(ids)
 
 
-@settings(max_examples=100, deadline=None)
-@given(linear_profiles())
-def test_instance_serialization_round_trips(prof):
-    inst = ControlInstance(problem=Problem.CCPV, rule=VotingRule.PLURALITY,
-                           profile=prof, p="p", tie=TieRule.TE)
-    assert parse_instance(serialize_instance(inst)) == inst
+@st.composite
+def generated_instances(draw):
+    """An instance of any problem, rule and tie rule, drawn through
+    generate.random_instance; no voters and an empty pool included."""
+    problem = draw(st.sampled_from(list(Problem)))
+    rule = draw(st.sampled_from(list(VotingRule)))
+    takes = TAKES[problem]
+    return random_instance(
+        random.Random(draw(st.integers(0, 2**32))), problem, rule,
+        draw(st.sampled_from(list(TieRule))) if "tie" in takes else None,
+        n_candidates=draw(st.integers(1, 4)),
+        n_voters=draw(st.integers(0, 6)),
+        k=draw(st.integers(2, 3)) if "k" in takes else None,
+        limit=draw(st.integers(0, 3)) if "limit" in takes else None,
+        pool_size=draw(st.integers(0, 6)) if "pool" in takes else None,
+        with_specials=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(generated_instances())
+def test_instance_serialization_round_trips(inst):
+    back = parse_instance(serialize_instance(inst))
+    assert back == inst
+    assert instance_digest(back) == instance_digest(inst)
 
 
 @st.composite
