@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, combinations
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 
 class VotingRule(Enum):
@@ -88,8 +88,11 @@ class Profile:
 
     Ballots are homogeneous in kind and each references exactly the
     profile's candidates (linear orders are permutations; approval sets are
-    subsets). Instances are immutable; derived tables (candidate ids, ballot
-    kind, pairwise margins) are computed once, on first use.
+    subsets). Instances are immutable; derived tables are computed once, on
+    first use, and live as long as the profile: candidate ids and positions,
+    the ballot kind, each ballot as candidate positions and its top choice,
+    pairwise margins, the Condorcet family's dominance masks, and a memo of
+    final rounds.
     """
 
     candidates: tuple[Candidate, ...]
@@ -133,21 +136,70 @@ class Profile:
         return self.ballots[0].kind if self.ballots else None
 
     @cached_property
+    def index(self) -> dict[str, int]:
+        """Candidate id -> its position in ``candidates``."""
+        return {cid: i for i, cid in enumerate(self.candidate_ids)}
+
+    @cached_property
+    def positions(self) -> tuple[tuple[int, ...], ...]:
+        """Each ballot as candidate positions: a linear order in rank order,
+        an approval set in no particular order."""
+        index = self.index
+        return tuple(tuple(map(index.__getitem__, b.order if b.order is not None
+                               else b.approvals)) for b in self.ballots)
+
+    @cached_property
+    def tops(self) -> tuple[int, ...]:
+        """Per linear ballot, the position of its top choice."""
+        index = self.index
+        return tuple(index[b.order[0]] for b in self.ballots)
+
+    @cached_property
     def _margins(self) -> Mapping[tuple[str, str], int]:
         """Pairwise majority margins; read them through ``pairwise_margins``."""
-        return _margin_table(self.candidate_ids, self.ballots)
+        return _margin_table(self.candidate_ids, _pair_counts(self.positions))
+
+    @cached_property
+    def _dominance(self) -> dict[int, tuple[int, ...]]:
+        """``_dominance_masks`` of all ballots by least margin (1 for
+        Condorcet, 0 for weakCondorcet), filled by ``winners`` on first use."""
+        return {}
+
+    @cached_property
+    def _final_rounds(self) -> dict:
+        """Memo of ``two_stage``'s final rounds, keyed by (rule, finalists)."""
+        return {}
 
 
-def _margin_table(ids: tuple[str, ...], ballots: Iterable[Ballot]) -> dict[tuple[str, str], int]:
-    """Pairwise majority margins over ``ids`` of the linear ballots ``ballots``."""
-    pref = Counter(chain.from_iterable(combinations(b.order, 2) for b in ballots))
+def _pair_counts(orders: Iterable[tuple[int, ...]]) -> Counter:
+    """(a, c) -> how many of the linear ballots ``orders``, given as
+    candidate positions, rank a above c."""
+    return Counter(chain.from_iterable(combinations(order, 2) for order in orders))
+
+
+def _margin_table(ids: tuple[str, ...], above: Counter) -> dict[tuple[str, str], int]:
+    """Pairwise majority margins over ``ids`` from the pair counts ``above``."""
     margins = {}
     for i, a in enumerate(ids):
-        for c in ids[i + 1:]:
-            m = pref[(a, c)] - pref[(c, a)]
-            margins[(a, c)] = m
-            margins[(c, a)] = -m
+        for j in range(i + 1, len(ids)):
+            m = above[(i, j)] - above[(j, i)]
+            margins[(a, ids[j])] = m
+            margins[(ids[j], a)] = -m
     return margins
+
+
+def _dominance_masks(m: int, above: Counter, least: int) -> tuple[int, ...]:
+    """Per candidate position a, the bitmask of the positions c with
+    margin(a, c) >= least, a's own bit included: a wins the Condorcet-family
+    election among the mask S iff S & ~masks[a] == 0."""
+    masks = [1 << a for a in range(m)]
+    for a, c in combinations(range(m), 2):
+        margin = above[(a, c)] - above[(c, a)]
+        if margin >= least:
+            masks[a] |= 1 << c
+        if -margin >= least:
+            masks[c] |= 1 << a
+    return tuple(masks)
 
 
 def _check_kind(rule: VotingRule, profile: Profile) -> None:
@@ -189,33 +241,19 @@ def restrict_profile(profile: Profile, subset: Iterable[str]) -> Profile:
 def score_plurality(profile: Profile) -> dict[str, int]:
     """Top-choice counts; every candidate appears, counts sum to ||V||."""
     _check_kind(VotingRule.PLURALITY, profile)
-    return _plurality_scores(profile.ballots, profile.candidate_ids)
+    scores = dict.fromkeys(profile.candidate_ids, 0)
+    for b in profile.ballots:
+        scores[b.order[0]] += 1
+    return scores
 
 
 def score_approval(profile: Profile) -> dict[str, int]:
     """Approval counts; every candidate appears."""
     _check_kind(VotingRule.APPROVAL, profile)
-    return _approval_scores(profile.ballots, profile.candidate_ids)
-
-
-def _plurality_scores(votes: Iterable[Ballot], among: Iterable[str]) -> dict[str, int]:
-    """Per candidate of ``among``: the ballots that rank it first among them."""
-    scores = dict.fromkeys(among, 0)
-    for b in votes:
-        for cid in b.order:
-            if cid in scores:
-                scores[cid] += 1
-                break
-    return scores
-
-
-def _approval_scores(votes: Iterable[Ballot], among: Iterable[str]) -> dict[str, int]:
-    """Per candidate of ``among``: the ballots that approve it."""
-    scores = dict.fromkeys(among, 0)
-    for b in votes:
+    scores = dict.fromkeys(profile.candidate_ids, 0)
+    for b in profile.ballots:
         for cid in b.approvals:
-            if cid in scores:
-                scores[cid] += 1
+            scores[cid] += 1
     return scores
 
 
@@ -241,7 +279,8 @@ def condorcet_winners_from_margins(
 
     Restricting a linear-order profile to a candidate subset preserves
     pairwise margins, so subelection winners are determined by the full
-    profile's margin table alone.
+    profile's margin table alone. ``winners`` decides the same from the
+    profile's dominance masks; this is the reference it is tested against.
     """
     ids = tuple(candidate_ids)
     least = 0 if weak else 1  # margins are ints, so "> 0" is ">= 1"
@@ -249,30 +288,41 @@ def condorcet_winners_from_margins(
                      if all(margins[(a, b)] >= least for b in ids if b != a))
 
 
-def _argmax(scores: dict[str, int]) -> frozenset[str]:
+_bit = (1).__lshift__  # _bit(a) is the bitmask of candidate position a alone
+
+
+def _argmax(scores: Mapping[str, int]) -> frozenset[str]:
     top = max(scores.values())
-    return frozenset(cid for cid, s in scores.items() if s == top)
+    return frozenset(cid for cid, score in scores.items() if score == top)
+
+
+def _voting(table: tuple, votes: Sequence[int] | None) -> Iterable:
+    """The entries of ``table``, which has one per ballot, of the ballots
+    that vote (all of them when ``votes`` is None)."""
+    return table if votes is None else map(table.__getitem__, votes)
 
 
 def _system_e_winners(
-    profile: Profile, among: frozenset[str], votes: tuple[Ballot, ...]
+    profile: Profile, among: Sequence[int], votes: Sequence[int] | None
 ) -> frozenset[str]:
-    cands = [c for c in profile.candidates if c.id in among]
-    by_index = {c.special_index: c.id for c in cands if c.special_index is not None}
+    cands, ids = profile.candidates, profile.candidate_ids
+    by_index = {cands[a].special_index: a for a in among if cands[a].special_index is not None}
     present = frozenset(by_index)
-    nonspecial = [c.id for c in cands if c.special_index is None]
+    nonspecial = [a for a in among if cands[a].special_index is None]
 
     def approval_winners_nonspecial() -> frozenset[str]:
         if not nonspecial:
             return frozenset()
-        return _argmax(_approval_scores(votes, nonspecial))
+        counts = Counter(chain.from_iterable(_voting(profile.positions, votes)))
+        return _argmax({ids[a]: counts.get(a, 0) for a in nonspecial})
 
-    if len(cands) <= 4:
+    if len(among) <= 4:
         if present in (frozenset({0, 2}), frozenset({1, 3})):
             return approval_winners_nonspecial()
         return frozenset()
     if present >= frozenset(SPECIAL_INDICES):
-        result = {by_index[len(votes) % 4]}
+        n_votes = len(profile.ballots if votes is None else votes)
+        result = {ids[by_index[n_votes % 4]]}
         sub = approval_winners_nonspecial()
         if len(sub) == 1:
             result |= sub
@@ -281,28 +331,50 @@ def _system_e_winners(
 
 
 def winners(rule: VotingRule, profile: Profile, among: Iterable[str] | None = None,
-            votes: tuple[Ballot, ...] | None = None) -> frozenset[str]:
+            votes: Sequence[int] | None = None) -> frozenset[str]:
     """Winner set of a one-stage election under the given rule.
 
     ``among``, a nonempty subset of the candidate ids, limits the election
     to those candidates: the result equals
     ``winners(rule, restrict_profile(profile, among))``, computed from the
     full profile without building the restricted one. ``votes`` (by default
-    ``profile.ballots``; not re-checked) are the ballots that vote: the
-    result equals ``winners(rule, Profile(profile.candidates, votes), among)``
-    without building that profile.
+    every ballot; not re-checked) are the indices into ``profile.ballots``
+    of the ballots that vote: the result equals
+    ``winners(rule, Profile(profile.candidates, [profile.ballots[i] for i in
+    votes]), among)`` without building that profile.
+
+    The election reads the profile's cached tables: plurality counts top
+    choices (among fewer candidates, each ballot's first choice in
+    ``among``), approval and system E count ``positions``, and the
+    Condorcet family tests ``among`` as a bitmask against each candidate's
+    dominance mask (cached for all ballots, counted from ``votes``
+    otherwise).
     """
     _check_kind(rule, profile)
-    among = profile.candidate_id_set if among is None else _candidate_subset(profile, among)
-    votes = profile.ballots if votes is None else votes
+    ids = profile.candidate_ids
+    keep = profile.candidate_id_set if among is None else _candidate_subset(profile, among)
+    if rule is VotingRule.PLURALITY and len(keep) < len(ids):
+        scores = dict.fromkeys(keep, 0)
+        for b in _voting(profile.ballots, votes):
+            for cid in b.order:  # the ballot's first choice in keep
+                if cid in scores:
+                    scores[cid] += 1
+                    break
+        return _argmax(scores)
+    among = range(len(ids)) if len(keep) == len(ids) else list(map(profile.index.__getitem__, keep))
     if rule is VotingRule.PLURALITY:
-        return _argmax(_plurality_scores(votes, among))
+        counts = Counter(_voting(profile.tops, votes))
+        return _argmax({ids[a]: counts.get(a, 0) for a in among})
     if rule is VotingRule.APPROVAL:
-        return _argmax(_approval_scores(votes, among))
-    if rule in (VotingRule.CONDORCET, VotingRule.WEAK_CONDORCET):
-        margins = (pairwise_margins(profile) if votes is profile.ballots
-                   else _margin_table(profile.candidate_ids, votes))
-        return condorcet_winners_from_margins(
-            margins, among, weak=rule is VotingRule.WEAK_CONDORCET
-        )
-    return _system_e_winners(profile, among, votes)
+        counts = Counter(chain.from_iterable(_voting(profile.positions, votes)))
+        return _argmax({ids[a]: counts.get(a, 0) for a in among})
+    if rule is VotingRule.SYSTEM_E:
+        return _system_e_winners(profile, among, votes)
+    least = 1 if rule is VotingRule.CONDORCET else 0
+    cache = profile._dominance if votes is None else {}  # only all ballots are cached
+    dom = cache.get(least)
+    if dom is None:
+        above = _pair_counts(_voting(profile.positions, votes))
+        dom = cache[least] = _dominance_masks(len(ids), above, least)
+    mask = sum(map(_bit, among))
+    return frozenset(ids[a] for a in among if not mask & ~dom[a])

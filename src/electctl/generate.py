@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .elections import LINEAR_RULES, Ballot, Candidate, Profile, VotingRule
+from .elections import LINEAR_RULES, SPECIAL_INDICES, Ballot, Candidate, Profile, VotingRule
+from .instance_io import MAX_CANDIDATES
 from .two_stage import TAKES, ControlInstance, Problem, TieRule
 
 GROUP_PREFIX = "G"
@@ -61,12 +62,15 @@ def random_instance(
                                ("pool size", pool_size, 0), ("groups", n_groups, 1)):
         if value is not None and value < least:
             raise ValueError(f"{what} must be at least {least}, got {value}")
+    total = n_candidates + (len(SPECIAL_INDICES) if with_specials else 0)
+    if total > MAX_CANDIDATES:
+        raise ValueError(f"{total} candidates; the limit is {MAX_CANDIDATES}")
     ids = default_candidate_ids(n_candidates)
     make = linear_profile if rule in LINEAR_RULES else approval_profile
 
     if with_specials:
         cands = tuple(Candidate(cid) for cid in ids) + tuple(
-            Candidate(f"s{i}", special_index=i) for i in range(4)
+            Candidate(f"s{i}", special_index=i) for i in SPECIAL_INDICES
         )
         all_ids = tuple(c.id for c in cands)
         base = make(rng, all_ids, n_voters)

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping, Sequence, Union
 
 from .elections import Profile, VotingRule, _check_kind, winners
@@ -106,7 +108,9 @@ class ControlInstance:
 
     ``TAKES`` lists the optional fields each problem sets. ``groups`` maps
     a label to ballot indices of ``grouped`` and must partition its vote
-    multiset. ``limit`` is the addition/deletion budget; ``k`` is the part
+    multiset into nonempty groups; they are kept in the order of their
+    first ballot, each with its indices ascending, as a document reads them
+    back. ``limit`` is the addition/deletion budget; ``k`` is the part
     count. The ballots of the election and of the pool must be of the
     rule's kind.
     """
@@ -144,12 +148,16 @@ class ControlInstance:
                 raise ValueError("pool must share the election's candidate set")
             _check_kind(self.rule, self.pool)
         if self.groups is not None:
+            if not all(idx for _, idx in self.groups):
+                raise ValueError("every group needs a ballot")
             seen = sorted(i for _, idx in self.groups for i in idx)
             if seen != list(range(len(self.grouped.ballots))):
                 raise ValueError("groups must partition the vote multiset exactly once")
             labels = [lab for lab, _ in self.groups]
             if len(set(labels)) != len(labels):
                 raise ValueError("duplicate group labels")
+            groups = ((lab, tuple(sorted(idx))) for lab, idx in self.groups)
+            object.__setattr__(self, "groups", tuple(sorted(groups, key=lambda g: g[1][0])))
 
     @property
     def grouped(self) -> Profile:
@@ -157,9 +165,15 @@ class ControlInstance:
         there is one, otherwise the election."""
         return self.pool if self.pool is not None else self.profile
 
-    @property
+    @cached_property
     def group_map(self) -> dict[str, tuple[int, ...]]:
         return dict(self.groups or ())
+
+    @cached_property
+    def electorate(self) -> Profile:
+        """The election's ballots followed by the pool's: every CCAVG
+        addition elects from this profile."""
+        return Profile(self.profile.candidates, self.profile.ballots + self.pool.ballots)
 
 
 def _filter_tie(tie: TieRule, subwinners: frozenset[str]) -> frozenset[str]:
@@ -170,12 +184,12 @@ def _filter_tie(tie: TieRule, subwinners: frozenset[str]) -> frozenset[str]:
 
 def _check_parts(n: int, parts: Sequence[Iterable[int]]) -> list[tuple[int, ...]]:
     out = [tuple(p) for p in parts]
-    flat = sorted(i for p in out for i in p)
-    if any(i < 0 or i >= n for i in flat):
-        raise ValueError("ballot index out of range")
-    if len(flat) != len(set(flat)):
-        raise ValueError("overlapping partition parts")
-    if len(flat) != n:
+    flat = sorted(chain.from_iterable(out))
+    if flat != list(range(n)):
+        if any(i < 0 or i >= n for i in flat):
+            raise ValueError("ballot index out of range")
+        if len(flat) != len(set(flat)):
+            raise ValueError("overlapping partition parts")
         raise ValueError("parts must cover every ballot")
     return out
 
@@ -189,8 +203,7 @@ def finalists_voter_partition(
     """Union over parts of the TE/TP-filtered subelection winner sets."""
     finalists: frozenset[str] = frozenset()
     for part in _check_parts(len(profile.ballots), parts):
-        votes = tuple(profile.ballots[i] for i in part)
-        finalists |= _filter_tie(tie, winners(rule, profile, votes=votes))
+        finalists |= _filter_tie(tie, winners(rule, profile, votes=part))
     return finalists
 
 
@@ -207,8 +220,22 @@ def _candidate_finalists(
     return finalists
 
 
+# The most final rounds one profile remembers. TE finalist sets are few,
+# but under TP they can be many (80,555 in the oracle's run on the
+# weakCondorcet K_{3,3}, k=2 reduction), so a full memo is emptied.
+FINAL_MEMO_SIZE = 64
+
+
 def _final_round(rule: VotingRule, profile: Profile, finalists: frozenset[str]) -> frozenset[str]:
-    return winners(rule, profile, finalists) if finalists else frozenset()
+    """All voters elect among the finalists; memoized on the profile."""
+    memo = profile._final_rounds
+    key = (rule, finalists)
+    won = memo.get(key)
+    if won is None:
+        if len(memo) >= FINAL_MEMO_SIZE:
+            memo.clear()
+        won = memo[key] = winners(rule, profile, finalists) if finalists else frozenset()
+    return won
 
 
 def run_two_stage_voter_partition(
@@ -240,12 +267,11 @@ def _group_parts(
     instance: ControlInstance, selected: frozenset[str]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     gmap = instance.group_map
-    unknown = selected - set(gmap)
+    unknown = [lab for lab in selected if lab not in gmap]
     if unknown:
         raise ValueError(f"unknown group labels: {sorted(unknown)}")
-    chosen = tuple(sorted(i for lab in selected for i in gmap[lab]))
-    rest = tuple(sorted(i for lab, idx in instance.groups for i in idx
-                        if lab not in selected))
+    chosen = tuple(chain.from_iterable(map(gmap.__getitem__, selected)))
+    rest = tuple(chain.from_iterable(idx for lab, idx in instance.groups if lab not in selected))
     return rest, chosen
 
 
@@ -294,10 +320,10 @@ def replay(
         if len(chosen) > instance.limit:
             return None
         if prob is Problem.CCDVG:
-            votes = tuple(profile.ballots[i] for i in rest)
-        else:
-            votes = profile.ballots + tuple(instance.pool.ballots[i] for i in chosen)
-        return None, winners(rule, profile, votes=votes)
+            return None, winners(rule, profile, votes=rest)
+        n = len(profile.ballots)
+        votes = (*range(n), *(n + i for i in chosen))
+        return None, winners(rule, instance.electorate, votes=votes)
     else:
         raise ValueError(f"unsupported problem {prob}")
     return finalists, _final_round(rule, profile, finalists)

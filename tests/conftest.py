@@ -1,4 +1,14 @@
-"""Shared pytest plumbing: print one line per acceptance criterion."""
+"""Shared pytest plumbing: the hypothesis profile, and one printed line per
+acceptance criterion."""
+
+import os
+
+from hypothesis import settings
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a property
+# failure in CI reproduces; local runs keep drawing fresh examples.
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -4,13 +4,21 @@ Commands run in-process through main(argv); exit statuses follow the
 contract 0 = yes, 1 = no, 2 = unknown, 3 = error.
 """
 
+import contextlib
 import csv
+import io
 import json
+import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from electctl import Problem, TieRule, VotingRule
 from electctl.cli import EXIT_ERROR, EXIT_NO, EXIT_UNKNOWN, EXIT_YES, main
-from electctl.instance_io import FORMAT
+from electctl.generate import random_instance
+from electctl.instance_io import FORMAT, instance_to_dict, parse_instance
+from electctl.two_stage import TAKES
 
 
 def run(capsys, *argv):
@@ -101,6 +109,66 @@ def test_malformed_document_exits_three(tmp_path, capsys, name):
     assert err.startswith("electctl: error:") and err.count("\n") == 1
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 10**12) | st.floats(allow_nan=False)
+    | st.text(max_size=4) | st.sampled_from(["p", "c1", "G1", FORMAT, "CCPVG", "TE"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=3),
+    max_leaves=8)
+DOCUMENT_KEYS = ["format", "problem", "rule", "tie", "p", "k", "limit", "candidates",
+                 "ballots", "pool", "id", "special", "order", "approve", "count", "group"]
+
+
+@st.composite
+def fuzzed_documents(draw):
+    """A JSON-like value, or a generated instance's document with a few of
+    its fields, or its ballots' and candidates' fields, dropped or replaced."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(JSON_VALUES)
+    problem = draw(st.sampled_from(list(Problem)))
+    takes = TAKES[problem]
+    doc = instance_to_dict(random_instance(
+        random.Random(draw(st.integers(0, 99))), problem,
+        draw(st.sampled_from(list(VotingRule))),
+        draw(st.sampled_from(list(TieRule))) if "tie" in takes else None,
+        n_candidates=draw(st.integers(1, 3)), n_voters=draw(st.integers(0, 4)),
+        k=2 if "k" in takes else None, limit=1 if "limit" in takes else None,
+        pool_size=2 if "pool" in takes else None))
+    for _ in range(draw(st.integers(0, 3))):
+        target = doc
+        entries = [e for key in ("candidates", "ballots", "pool")
+                   if isinstance(doc.get(key), list) for e in doc[key] if isinstance(e, dict)]
+        if entries and draw(st.booleans()):
+            target = draw(st.sampled_from(entries))
+        key = draw(st.sampled_from(DOCUMENT_KEYS))
+        if draw(st.booleans()):
+            target.pop(key, None)
+        else:
+            target[key] = draw(JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=fuzzed_documents(), oracle=st.booleans())
+def test_any_document_keeps_the_exit_contract(tmp_path, doc, oracle):
+    # Exit 0, 1 or 2 only for a document that parses; anything else is
+    # exit 3 with a message, never a traceback.
+    text = json.dumps(doc)
+    path = tmp_path / "fuzz.json"
+    path.write_text(text)
+    argv = ["solve", str(path)] + (["--solver", "oracle", "--budget", "3"] if oracle else [])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_YES, EXIT_NO, EXIT_UNKNOWN, EXIT_ERROR)
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_ERROR:
+        assert err.getvalue().startswith("electctl: error:")
+    else:
+        parse_instance(text)
+
+
 def cvc_source(**fields):
     doc = {"format": FORMAT, "vertices": ["u1", "u2", "u3", "u4"],
            "edges": [["u1", "u2"], ["u1", "u3"], ["u1", "u4"],
@@ -148,6 +216,7 @@ GEN_CCEPV = ("gen", "--problem", "CCEPV", "--rule", "plurality", "--tie", "TE")
 IMPOSSIBLE_SIZES = {
     "gen-no-candidates": GEN_CCEPV + ("--candidates", "0"),
     "gen-negative-voters": GEN_CCEPV + ("--voters", "-3"),
+    "gen-too-many-candidates": GEN_CCEPV + ("--candidates", "1001", "--voters", "2"),
     "gen-negative-pool": ("gen", "--problem", "CCAVG", "--rule", "plurality",
                           "--limit", "1", "--pool-size", "-1"),
     "gen-no-groups": ("gen", "--problem", "CCPVG", "--rule", "plurality",

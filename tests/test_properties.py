@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from electctl import (
     Candidate,
+    CandidatePartition,
     ControlInstance,
+    GroupSelection,
     Problem,
     Profile,
     TieRule,
@@ -17,12 +19,16 @@ from electctl import (
     approval,
     linear,
     majority_margin,
+    replay,
     restrict_profile,
     run_two_stage_candidate_partition,
+    run_two_stage_voter_partition,
+    score_approval,
+    score_plurality,
     verify_witness,
     winners,
 )
-from electctl.elections import pairwise_margins
+from electctl.elections import condorcet_winners_from_margins, pairwise_margins
 from electctl.generate import random_instance
 from electctl.instance_io import instance_digest, parse_instance, serialize_instance
 from electctl.two_stage import TAKES, finalists_voter_partition
@@ -190,7 +196,7 @@ def rule_profile_subset(draw):
         ballots = [linear(*draw(st.permutations(ids))) for _ in range(n_voters)]
     among = draw(st.sets(st.sampled_from(ids), min_size=1))
     kept = draw(st.lists(st.booleans(), min_size=n_voters, max_size=n_voters))
-    votes = tuple(b for b, keep in zip(ballots, kept) if keep)
+    votes = tuple(i for i, keep in enumerate(kept) if keep)
     return rule, Profile(cands, tuple(ballots)), among, votes
 
 
@@ -199,8 +205,9 @@ def rule_profile_subset(draw):
 def test_winners_among_equals_restricted_election(case):
     rule, prof, among, votes = case
     assert winners(rule, prof, among) == winners(rule, restrict_profile(prof, among))
+    voting = tuple(prof.ballots[i] for i in votes)
     assert (winners(rule, prof, among, votes)
-            == winners(rule, Profile(prof.candidates, votes), among))
+            == winners(rule, Profile(prof.candidates, voting), among))
 
 
 def test_winners_among_rejects_empty_or_unknown_subsets():
@@ -208,3 +215,127 @@ def test_winners_among_rejects_empty_or_unknown_subsets():
     for among in (set(), {"z"}, {"p", "z"}):
         with pytest.raises(ValueError):
             winners(VotingRule.PLURALITY, prof, among)
+
+
+# ------------------------------------------------- naive two-stage evaluator
+
+def _top_scorers(scores):
+    top = max(scores.values())
+    return frozenset(cid for cid, score in scores.items() if score == top)
+
+
+def naive_winners(rule, profile, among, ballots):
+    """Winners among ``among`` of the election the ``ballots`` hold, each
+    sub-election built as an explicit restricted profile and decided from
+    the rule's definition."""
+    sub = restrict_profile(Profile(profile.candidates, tuple(ballots)), among)
+    if rule is VotingRule.PLURALITY:
+        return _top_scorers(score_plurality(sub))
+    if rule is VotingRule.APPROVAL:
+        return _top_scorers(score_approval(sub))
+    if rule in (VotingRule.CONDORCET, VotingRule.WEAK_CONDORCET):
+        return condorcet_winners_from_margins(pairwise_margins(sub), sub.candidate_ids,
+                                              weak=rule is VotingRule.WEAK_CONDORCET)
+    # System E: its four branches, on the special candidates present.
+    specials = {c.special_index: c.id for c in sub.candidates if c.special_index is not None}
+    plain = [c.id for c in sub.candidates if c.special_index is None]
+    best = _top_scorers(score_approval(restrict_profile(sub, plain))) if plain else frozenset()
+    if len(sub.candidates) <= 4:
+        return best if set(specials) in ({0, 2}, {1, 3}) else frozenset()
+    if set(specials) == {0, 1, 2, 3}:
+        return frozenset({specials[len(sub.ballots) % 4]} | (best if len(best) == 1 else set()))
+    return frozenset()
+
+
+def naive_replay(inst, w):
+    """(finalists, final winners) of the control action ``w``, or None when
+    it breaks a side condition; finalists are None for CCDVG and CCAVG."""
+    prob, rule, prof = inst.problem, inst.rule, inst.profile
+    everyone = prof.candidate_ids
+
+    def promoted(won):
+        return won if inst.tie is TieRule.TP or len(won) == 1 else frozenset()
+
+    if prob in (Problem.CCDVG, Problem.CCAVG):
+        chosen = [i for lab, idx in inst.groups if lab in w.labels for i in idx]
+        if len(chosen) > inst.limit:
+            return None
+        if prob is Problem.CCDVG:
+            ballots = [b for i, b in enumerate(prof.ballots) if i not in chosen]
+        else:
+            ballots = list(prof.ballots) + [inst.pool.ballots[i] for i in chosen]
+        return None, naive_winners(rule, prof, everyone, ballots)
+    finalists = frozenset()
+    if prob in (Problem.CCRPC, Problem.CCREPC):
+        if prob is Problem.CCREPC and abs(len(w.c1) - len(w.c2)) > 1:
+            return None
+        for side in (w.c1, w.c2):
+            if side:
+                finalists |= promoted(naive_winners(rule, prof, side, prof.ballots))
+    else:
+        if isinstance(w, GroupSelection):
+            parts = [[i for lab, idx in inst.groups if (lab in w.labels) == inside for i in idx]
+                     for inside in (False, True)]
+        else:
+            parts = w.parts
+            if prob is Problem.CCEPV and abs(len(parts[0]) - len(parts[1])) > 1:
+                return None
+            if prob is Problem.CCPVG and any(
+                    0 < len(set(idx) & set(part)) < len(idx)
+                    for _, idx in inst.groups for part in parts):
+                return None
+        for part in parts:
+            finalists |= promoted(naive_winners(rule, prof, everyone,
+                                                [prof.ballots[i] for i in part]))
+    final = naive_winners(rule, prof, finalists, prof.ballots) if finalists else frozenset()
+    return finalists, final
+
+
+@st.composite
+def instances_with_witnesses(draw):
+    """A generated instance and a random witness of the right shape, which
+    may break the problem's side conditions."""
+    inst = draw(generated_instances())
+    prob, n = inst.problem, len(inst.profile.ballots)
+    labels = [lab for lab, _ in inst.groups or ()]
+    if prob in (Problem.CCDVG, Problem.CCAVG) or (
+            prob is Problem.CCPVG and draw(st.booleans())):
+        return inst, GroupSelection(draw(st.sets(st.sampled_from(labels))) if labels else ())
+    if prob in (Problem.CCRPC, Problem.CCREPC):
+        ids = inst.profile.candidate_ids
+        c1 = draw(st.sets(st.sampled_from(ids)))
+        return inst, CandidatePartition(c1, frozenset(ids) - c1)
+    size = inst.k if prob is Problem.CCPKV else 2
+    if prob is Problem.CCPVG and draw(st.booleans()):  # keep the groups whole
+        side = dict(zip(labels, draw(st.lists(st.integers(0, 1), min_size=len(labels),
+                                              max_size=len(labels)))))
+        where = {i: side[lab] for lab, idx in inst.groups for i in idx}
+        owner = [where[i] for i in range(n)]
+    else:
+        owner = draw(st.lists(st.integers(0, size - 1), min_size=n, max_size=n))
+    return inst, VoterPartition(tuple(tuple(i for i in range(n) if owner[i] == part)
+                                      for part in range(size)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(instances_with_witnesses())
+def test_replay_equals_naive_two_stage_evaluation(case):
+    inst, w = case
+    assert replay(inst, w) == naive_replay(inst, w)
+
+
+def test_final_round_memo_tells_rules_apart():
+    # One profile, the same finalists {p, a, b}, two rules: plurality elects
+    # p and b (two first places each), Condorcet elects a (3 of 5 against
+    # either). A final-round memo keyed by the finalists alone would hand
+    # the second rule the first rule's winners.
+    ballots = (linear("p", "a", "b"), linear("p", "a", "b"), linear("b", "a", "p"),
+               linear("b", "a", "p"), linear("a", "p", "b"))
+    prof = Profile(tuple(Candidate(c) for c in ("p", "a", "b")), ballots)
+    parts = ((0, 1), (2, 3), (4,))
+    for rule, final in ((VotingRule.PLURALITY, {"p", "b"}), (VotingRule.CONDORCET, {"a"}),
+                        (VotingRule.PLURALITY, {"p", "b"})):
+        assert run_two_stage_voter_partition(rule, TieRule.TP, prof, parts) == final
+        inst = ControlInstance(problem=Problem.CCPKV, rule=rule, profile=prof, p="p",
+                               tie=TieRule.TP, k=3)
+        assert replay(inst, VoterPartition(parts)) == naive_replay(inst, VoterPartition(parts))

@@ -19,6 +19,8 @@ from electctl import (
     run_two_stage_voter_partition,
     verify_witness,
 )
+from electctl.instance_io import parse_instance, serialize_instance
+from electctl.oracle import oracle_solve
 
 PAB = tuple(Candidate(c) for c in ("p", "a", "b"))
 
@@ -102,6 +104,27 @@ class TestInstanceValidation:
                                profile=profile("p", "a"), p="p", limit=1,
                                groups={"g": (0,), "h": (1,)})
         assert inst.group_map == {"g": (0,), "h": (1,)}
+
+    def test_groups_must_not_be_empty(self):
+        # No document can express an empty group: it has no ballot to label.
+        with pytest.raises(ValueError):
+            ControlInstance(problem=Problem.CCPVG, rule=VotingRule.PLURALITY,
+                            profile=profile("p"), p="p", tie=TieRule.TE,
+                            groups=(("g", (0,)), ("h", ())))
+
+    def test_groups_are_listed_as_their_document_reads_back(self):
+        # h's first ballot precedes g's, and h's indices are given out of
+        # order. Deleting g (an "a" ballot) leaves p the sole winner;
+        # deleting h does not. The oracle tries {} then {h} then {g}.
+        inst = ControlInstance(problem=Problem.CCDVG, rule=VotingRule.PLURALITY,
+                               profile=profile("a", "a", "p", "p"), p="p", limit=2,
+                               groups=(("g", (1,)), ("h", (3, 0)), ("f", (2,))))
+        assert inst.groups == (("h", (0, 3)), ("g", (1,)), ("f", (2,)))
+        back = parse_instance(serialize_instance(inst))
+        assert back == inst
+        mine, theirs = oracle_solve(inst), oracle_solve(back)
+        assert mine.witness == theirs.witness == GroupSelection({"g"})
+        assert mine.stats["cases"] == theirs.stats["cases"] == 3
 
 
 # The optional fields each problem takes, written out independently of the
