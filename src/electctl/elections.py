@@ -91,8 +91,7 @@ class Profile:
     subsets). Instances are immutable; derived tables are computed once, on
     first use, and live as long as the profile: candidate ids and positions,
     the ballot kind, each ballot as candidate positions and its top choice,
-    pairwise margins, the Condorcet family's dominance masks, and a memo of
-    final rounds.
+    pairwise margins and the Condorcet family's dominance masks.
     """
 
     candidates: tuple[Candidate, ...]
@@ -163,11 +162,6 @@ class Profile:
     def _dominance(self) -> dict[int, tuple[int, ...]]:
         """``_dominance_masks`` of all ballots by least margin (1 for
         Condorcet, 0 for weakCondorcet), filled by ``winners`` on first use."""
-        return {}
-
-    @cached_property
-    def _final_rounds(self) -> dict:
-        """Memo of ``two_stage``'s final rounds, keyed by (rule, finalists)."""
         return {}
 
 
@@ -338,8 +332,10 @@ def winners(rule: VotingRule, profile: Profile, among: Iterable[str] | None = No
     to those candidates: the result equals
     ``winners(rule, restrict_profile(profile, among))``, computed from the
     full profile without building the restricted one. ``votes`` (by default
-    every ballot; not re-checked) are the indices into ``profile.ballots``
-    of the ballots that vote: the result equals
+    every ballot) are the indices into ``profile.ballots`` of the ballots
+    that vote, each in ``range(len(profile.ballots))``: they are not
+    re-checked (a negative index would wrap around), so callers validate
+    them first, as ``two_stage`` does. The result equals
     ``winners(rule, Profile(profile.candidates, [profile.ballots[i] for i in
     votes]), among)`` without building that profile.
 
@@ -353,18 +349,24 @@ def winners(rule: VotingRule, profile: Profile, among: Iterable[str] | None = No
     _check_kind(rule, profile)
     ids = profile.candidate_ids
     keep = profile.candidate_id_set if among is None else _candidate_subset(profile, among)
-    if rule is VotingRule.PLURALITY and len(keep) < len(ids):
-        scores = dict.fromkeys(keep, 0)
-        for b in _voting(profile.ballots, votes):
-            for cid in b.order:  # the ballot's first choice in keep
-                if cid in scores:
-                    scores[cid] += 1
-                    break
-        return _argmax(scores)
-    among = range(len(ids)) if len(keep) == len(ids) else list(map(profile.index.__getitem__, keep))
     if rule is VotingRule.PLURALITY:
-        counts = Counter(_voting(profile.tops, votes))
-        return _argmax({ids[a]: counts.get(a, 0) for a in among})
+        # Two counts, each the faster where it runs: a scan of the ballots
+        # for the finals and candidate-partition rounds, a tally of ``tops``
+        # for the voter parts (see README).
+        if len(keep) < len(ids):
+            scores = dict.fromkeys(keep, 0)
+            for b in _voting(profile.ballots, votes):
+                for cid in b.order:  # the ballot's first choice in keep
+                    if cid in scores:
+                        scores[cid] += 1
+                        break
+            return _argmax(scores)
+        counts = [0] * len(ids)
+        for a in _voting(profile.tops, votes):
+            counts[a] += 1
+        top = max(counts)
+        return frozenset(ids[a] for a, count in enumerate(counts) if count == top)
+    among = range(len(ids)) if len(keep) == len(ids) else list(map(profile.index.__getitem__, keep))
     if rule is VotingRule.APPROVAL:
         counts = Counter(chain.from_iterable(_voting(profile.positions, votes)))
         return _argmax({ids[a]: counts.get(a, 0) for a in among})

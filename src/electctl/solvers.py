@@ -21,6 +21,7 @@ from .two_stage import (
     Problem,
     TieRule,
     VoterPartition,
+    final_round,
     run_two_stage_candidate_partition,
 )
 
@@ -196,13 +197,6 @@ def solve_plurality_ccpkv_te(instance: ControlInstance) -> Decision:
                 empty_seen = True
             options.append(("elim", (d, e), s))
 
-    final_cache: dict[frozenset[str], bool] = {}
-
-    def final_ok(finalists: frozenset[str]) -> bool:
-        if finalists not in final_cache:
-            final_cache[finalists] = winners(instance.rule, profile, finalists) == {p}
-        return final_cache[finalists]
-
     def build_parts(specs) -> tuple[tuple[int, ...], ...]:
         kparts: list[list[int]] = [[] for _ in specs]
         for h in ids:
@@ -235,7 +229,7 @@ def solve_plurality_ccpkv_te(instance: ControlInstance) -> Decision:
             finalists = frozenset(
                 m for kind, members, _ in specs if kind == "win" for m in members
             )
-            if not final_ok(finalists):
+            if final_round(instance, finalists) != {p}:
                 continue
             base_cap = sum((s - 1) if kind == "win" else s for kind, _, s in specs)
             exact = {cid: 0 for cid in ids}

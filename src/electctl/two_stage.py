@@ -170,6 +170,11 @@ class ControlInstance:
         return dict(self.groups or ())
 
     @cached_property
+    def _finals(self) -> dict[frozenset[str], frozenset[str]]:
+        """Memo of ``final_round``: finalists -> final winners."""
+        return {}
+
+    @cached_property
     def electorate(self) -> Profile:
         """The election's ballots followed by the pool's: every CCAVG
         addition elects from this profile."""
@@ -220,21 +225,28 @@ def _candidate_finalists(
     return finalists
 
 
-# The most final rounds one profile remembers. TE finalist sets are few,
-# but under TP they can be many (80,555 in the oracle's run on the
-# weakCondorcet K_{3,3}, k=2 reduction), so a full memo is emptied.
+def _final_round(rule: VotingRule, profile: Profile, finalists: frozenset[str]) -> frozenset[str]:
+    return winners(rule, profile, finalists) if finalists else frozenset()
+
+
+# The most finals one instance remembers; a full memo is emptied. Under TP
+# one enumeration can meet tens of thousands of finalist sets (80,555 on
+# the weakCondorcet K_{3,3}, k=2 reduction), but it meets them close
+# together: on every benchmark workload 64 entries hit within 0.5 points
+# as often as an unbounded memo (see README).
 FINAL_MEMO_SIZE = 64
 
 
-def _final_round(rule: VotingRule, profile: Profile, finalists: frozenset[str]) -> frozenset[str]:
-    """All voters elect among the finalists; memoized on the profile."""
-    memo = profile._final_rounds
-    key = (rule, finalists)
-    won = memo.get(key)
+def final_round(instance: ControlInstance, finalists: frozenset[str]) -> frozenset[str]:
+    """The instance's final round: all of its voters elect among the
+    finalists. Remembered on the instance, so an enumeration of witnesses
+    does not rerun a final it has already decided."""
+    memo = instance._finals
+    won = memo.get(finalists)
     if won is None:
         if len(memo) >= FINAL_MEMO_SIZE:
             memo.clear()
-        won = memo[key] = winners(rule, profile, finalists) if finalists else frozenset()
+        won = memo[finalists] = _final_round(instance.rule, instance.profile, finalists)
     return won
 
 
@@ -326,7 +338,7 @@ def replay(
         return None, winners(rule, instance.electorate, votes=votes)
     else:
         raise ValueError(f"unsupported problem {prob}")
-    return finalists, _final_round(rule, profile, finalists)
+    return finalists, final_round(instance, finalists)
 
 
 def verify_witness(instance: ControlInstance, w: Witness) -> bool:

@@ -31,7 +31,7 @@ from electctl import (
 from electctl.elections import condorcet_winners_from_margins, pairwise_margins
 from electctl.generate import random_instance
 from electctl.instance_io import instance_digest, parse_instance, serialize_instance
-from electctl.two_stage import TAKES, finalists_voter_partition
+from electctl.two_stage import FINAL_MEMO_SIZE, TAKES, final_round, finalists_voter_partition
 
 IDS = ("p", "a", "b", "c")
 
@@ -327,8 +327,9 @@ def test_replay_equals_naive_two_stage_evaluation(case):
 def test_final_round_memo_tells_rules_apart():
     # One profile, the same finalists {p, a, b}, two rules: plurality elects
     # p and b (two first places each), Condorcet elects a (3 of 5 against
-    # either). A final-round memo keyed by the finalists alone would hand
-    # the second rule the first rule's winners.
+    # either). The memo is kept per instance, which fixes the rule; one kept
+    # on the profile and keyed by the finalists alone would hand the second
+    # rule the first rule's winners.
     ballots = (linear("p", "a", "b"), linear("p", "a", "b"), linear("b", "a", "p"),
                linear("b", "a", "p"), linear("a", "p", "b"))
     prof = Profile(tuple(Candidate(c) for c in ("p", "a", "b")), ballots)
@@ -339,3 +340,19 @@ def test_final_round_memo_tells_rules_apart():
         inst = ControlInstance(problem=Problem.CCPKV, rule=rule, profile=prof, p="p",
                                tie=TieRule.TP, k=3)
         assert replay(inst, VoterPartition(parts)) == naive_replay(inst, VoterPartition(parts))
+
+
+def test_final_round_memo_stays_bounded():
+    # More distinct finalist sets than the memo holds: each is still
+    # decided right, and the memo never grows past its size.
+    ids = tuple(f"c{i}" for i in range(9))
+    rng = random.Random(7)
+    prof = Profile(tuple(Candidate(c) for c in ids),
+                   tuple(linear(*rng.sample(ids, len(ids))) for _ in range(5)))
+    inst = ControlInstance(problem=Problem.CCPV, rule=VotingRule.PLURALITY, profile=prof,
+                           p="c0", tie=TieRule.TP)
+    sets = [frozenset(ids[j] for j in range(9) if mask >> j & 1) for mask in range(1, 200)]
+    assert len(sets) > FINAL_MEMO_SIZE
+    for finalists in sets + sets[:10]:
+        assert final_round(inst, finalists) == winners(VotingRule.PLURALITY, prof, finalists)
+        assert len(inst._finals) <= FINAL_MEMO_SIZE
