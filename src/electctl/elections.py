@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain, combinations, compress
 from typing import Iterable, Mapping, Sequence
 
 
@@ -89,9 +89,9 @@ class Profile:
     Ballots are homogeneous in kind and each references exactly the
     profile's candidates (linear orders are permutations; approval sets are
     subsets). Instances are immutable; derived tables are computed once, on
-    first use, and live as long as the profile: candidate ids and positions,
-    the ballot kind, each ballot as candidate positions and its top choice,
-    pairwise margins and the Condorcet family's dominance masks.
+    first use, and live as long as the profile: candidate ids, positions and
+    bitmasks, the ballot kind, each ballot as candidate positions and its
+    top choice, pairwise margins and the Condorcet family's standing masks.
     """
 
     candidates: tuple[Candidate, ...]
@@ -159,9 +159,29 @@ class Profile:
         return _margin_table(self.candidate_ids, _pair_counts(self.positions))
 
     @cached_property
-    def _dominance(self) -> dict[int, tuple[int, ...]]:
-        """``_dominance_masks`` of all ballots by least margin (1 for
-        Condorcet, 0 for weakCondorcet), filled by ``winners`` on first use."""
+    def bit(self) -> dict[str, int]:
+        """Candidate id -> the bitmask of its position alone."""
+        return {cid: 1 << i for i, cid in enumerate(self.candidate_ids)}
+
+    @cached_property
+    def everyone(self) -> int:
+        """The bitmask of every candidate position."""
+        return (1 << len(self.candidates)) - 1
+
+    @cached_property
+    def special_bits(self) -> tuple[int, int, int, int]:
+        """Per system-E special index, the bitmask of its candidate (0 when
+        no candidate carries it)."""
+        bits = [0] * len(SPECIAL_INDICES)
+        for i, c in enumerate(self.candidates):
+            if c.special_index is not None:
+                bits[c.special_index] = 1 << i
+        return tuple(bits)
+
+    @cached_property
+    def _standing(self) -> dict[int, tuple[int, ...]]:
+        """``_standing_masks`` of all ballots by least margin (1 for
+        Condorcet, 0 for weakCondorcet), filled by ``_elect`` on first use."""
         return {}
 
 
@@ -182,17 +202,18 @@ def _margin_table(ids: tuple[str, ...], above: Counter) -> dict[tuple[str, str],
     return margins
 
 
-def _dominance_masks(m: int, above: Counter, least: int) -> tuple[int, ...]:
-    """Per candidate position a, the bitmask of the positions c with
-    margin(a, c) >= least, a's own bit included: a wins the Condorcet-family
-    election among the mask S iff S & ~masks[a] == 0."""
-    masks = [1 << a for a in range(m)]
+def _standing_masks(m: int, above: Counter, least: int) -> tuple[int, ...]:
+    """Per candidate position c, the bitmask of the positions a with
+    margin(a, c) >= least, c's own bit included: the candidates c leaves
+    standing. The Condorcet-family winners among the mask S are S and'ed
+    with the standing mask of every member of S."""
+    masks = [1 << c for c in range(m)]
     for a, c in combinations(range(m), 2):
         margin = above[(a, c)] - above[(c, a)]
         if margin >= least:
-            masks[a] |= 1 << c
-        if -margin >= least:
             masks[c] |= 1 << a
+        if -margin >= least:
+            masks[a] |= 1 << c
     return tuple(masks)
 
 
@@ -274,20 +295,12 @@ def condorcet_winners_from_margins(
     Restricting a linear-order profile to a candidate subset preserves
     pairwise margins, so subelection winners are determined by the full
     profile's margin table alone. ``winners`` decides the same from the
-    profile's dominance masks; this is the reference it is tested against.
+    profile's standing masks; this is the reference it is tested against.
     """
     ids = tuple(candidate_ids)
     least = 0 if weak else 1  # margins are ints, so "> 0" is ">= 1"
     return frozenset(a for a in ids
                      if all(margins[(a, b)] >= least for b in ids if b != a))
-
-
-_bit = (1).__lshift__  # _bit(a) is the bitmask of candidate position a alone
-
-
-def _argmax(scores: Mapping[str, int]) -> frozenset[str]:
-    top = max(scores.values())
-    return frozenset(cid for cid, score in scores.items() if score == top)
 
 
 def _voting(table: tuple, votes: Sequence[int] | None) -> Iterable:
@@ -296,32 +309,109 @@ def _voting(table: tuple, votes: Sequence[int] | None) -> Iterable:
     return table if votes is None else map(table.__getitem__, votes)
 
 
-def _system_e_winners(
-    profile: Profile, among: Sequence[int], votes: Sequence[int] | None
-) -> frozenset[str]:
-    cands, ids = profile.candidates, profile.candidate_ids
-    by_index = {cands[a].special_index: a for a in among if cands[a].special_index is not None}
-    present = frozenset(by_index)
-    nonspecial = [a for a in among if cands[a].special_index is None]
+def _members(mask: int) -> list[int]:
+    """The candidate positions in ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    def approval_winners_nonspecial() -> frozenset[str]:
-        if not nonspecial:
-            return frozenset()
+
+def _ids(profile: Profile, mask: int) -> Iterable[str]:
+    """The candidate ids of the positions in ``mask``, in candidate order."""
+    # bin(mask) read backwards from its last digit is bit 0, bit 1, ...
+    return compress(profile.candidate_ids, map("1".__eq__, bin(mask)[:1:-1]))
+
+
+def _mask_ids(profile: Profile, mask: int) -> frozenset[str]:
+    return frozenset(_ids(profile, mask))
+
+
+def _id_mask(profile: Profile, ids: Iterable[str]) -> int:
+    """The bitmask of ``ids``, distinct ids of the profile's candidates."""
+    return sum(map(profile.bit.__getitem__, ids))
+
+
+def _top(counts, members: Sequence[int]) -> int:
+    """The mask of the ``members`` with the highest count in ``counts``."""
+    top = max(map(counts.__getitem__, members))
+    return sum(1 << a for a in members if counts[a] == top)
+
+
+def _system_e(profile: Profile, among: int, votes: Sequence[int] | None) -> int:
+    s0, s1, s2, s3 = specials = profile.special_bits
+    present = among & (s0 | s1 | s2 | s3)
+
+    def plain_approval_winners() -> int:
+        plain = among ^ present
+        if not plain:
+            return 0
+        return _top(Counter(chain.from_iterable(_voting(profile.positions, votes))),
+                    _members(plain))
+
+    if among.bit_count() <= 4:
+        if s0 and s2 and present == s0 | s2 or s1 and s3 and present == s1 | s3:
+            return plain_approval_winners()
+        return 0
+    if s0 and s1 and s2 and s3 and present == s0 | s1 | s2 | s3:
+        won = specials[len(profile.ballots if votes is None else votes) % 4]
+        sub = plain_approval_winners()
+        return won | sub if not sub & (sub - 1) else won  # a sole plain winner joins
+    return 0
+
+
+def _elect(rule: VotingRule, profile: Profile, among: int,
+           votes: Sequence[int] | None) -> int:
+    """``winners`` on compiled input: the winners, as a position bitmask, of
+    the election among the positions in the nonzero bitmask ``among`` in
+    which the ballots ``votes`` vote. Neither the ballot kind nor the
+    indices are checked; ``winners`` and ``two_stage`` check them first.
+
+    Plurality counts top choices (among fewer candidates, each ballot's
+    first choice in ``among``), approval and system E count ``positions``,
+    and the Condorcet family intersects ``among`` with the standing mask of
+    each of its members (cached for all ballots, counted from ``votes``
+    otherwise).
+    """
+    if rule is VotingRule.PLURALITY:
+        # Two counts, each the faster where it runs: a scan of the ballots
+        # for the finals and candidate-partition rounds, a tally of ``tops``
+        # for the voter parts (see README).
+        if among == profile.everyone:
+            counts = [0] * len(profile.candidates)
+            for a in _voting(profile.tops, votes):
+                counts[a] += 1
+            top = max(counts)
+            if counts.count(top) == 1:
+                return 1 << counts.index(top)
+            return _top(counts, range(len(counts)))
+        scores = dict.fromkeys(_ids(profile, among), 0)
+        for b in _voting(profile.ballots, votes):
+            for cid in b.order:  # the ballot's first choice in among
+                if cid in scores:
+                    scores[cid] += 1
+                    break
+        top = max(scores.values())
+        return sum(profile.bit[cid] for cid, score in scores.items() if score == top)
+    if rule is VotingRule.APPROVAL:
         counts = Counter(chain.from_iterable(_voting(profile.positions, votes)))
-        return _argmax({ids[a]: counts.get(a, 0) for a in nonspecial})
-
-    if len(among) <= 4:
-        if present in (frozenset({0, 2}), frozenset({1, 3})):
-            return approval_winners_nonspecial()
-        return frozenset()
-    if present >= frozenset(SPECIAL_INDICES):
-        n_votes = len(profile.ballots if votes is None else votes)
-        result = {ids[by_index[n_votes % 4]]}
-        sub = approval_winners_nonspecial()
-        if len(sub) == 1:
-            result |= sub
-        return frozenset(result)
-    return frozenset()
+        return _top(counts, _members(among))
+    if rule is VotingRule.SYSTEM_E:
+        return _system_e(profile, among, votes)
+    least = 1 if rule is VotingRule.CONDORCET else 0
+    cache = profile._standing if votes is None else {}  # only all ballots are cached
+    standing = cache.get(least)
+    if standing is None:
+        above = _pair_counts(_voting(profile.positions, votes))
+        standing = cache[least] = _standing_masks(len(profile.candidates), above, least)
+    won = rest = among
+    while rest and won:
+        low = rest & -rest
+        won &= standing[low.bit_length() - 1]
+        rest ^= low
+    return won
 
 
 def winners(rule: VotingRule, profile: Profile, among: Iterable[str] | None = None,
@@ -333,50 +423,17 @@ def winners(rule: VotingRule, profile: Profile, among: Iterable[str] | None = No
     ``winners(rule, restrict_profile(profile, among))``, computed from the
     full profile without building the restricted one. ``votes`` (by default
     every ballot) are the indices into ``profile.ballots`` of the ballots
-    that vote, each in ``range(len(profile.ballots))``: they are not
-    re-checked (a negative index would wrap around), so callers validate
-    them first, as ``two_stage`` does. The result equals
+    that vote, each in ``range(len(profile.ballots))`` (``ValueError``
+    otherwise); the result equals
     ``winners(rule, Profile(profile.candidates, [profile.ballots[i] for i in
-    votes]), among)`` without building that profile.
-
-    The election reads the profile's cached tables: plurality counts top
-    choices (among fewer candidates, each ballot's first choice in
-    ``among``), approval and system E count ``positions``, and the
-    Condorcet family tests ``among`` as a bitmask against each candidate's
-    dominance mask (cached for all ballots, counted from ``votes``
-    otherwise).
+    votes]), among)`` without building that profile. The election itself
+    is ``_elect``, on the profile's cached tables.
     """
     _check_kind(rule, profile)
-    ids = profile.candidate_ids
-    keep = profile.candidate_id_set if among is None else _candidate_subset(profile, among)
-    if rule is VotingRule.PLURALITY:
-        # Two counts, each the faster where it runs: a scan of the ballots
-        # for the finals and candidate-partition rounds, a tally of ``tops``
-        # for the voter parts (see README).
-        if len(keep) < len(ids):
-            scores = dict.fromkeys(keep, 0)
-            for b in _voting(profile.ballots, votes):
-                for cid in b.order:  # the ballot's first choice in keep
-                    if cid in scores:
-                        scores[cid] += 1
-                        break
-            return _argmax(scores)
-        counts = [0] * len(ids)
-        for a in _voting(profile.tops, votes):
-            counts[a] += 1
-        top = max(counts)
-        return frozenset(ids[a] for a, count in enumerate(counts) if count == top)
-    among = range(len(ids)) if len(keep) == len(ids) else list(map(profile.index.__getitem__, keep))
-    if rule is VotingRule.APPROVAL:
-        counts = Counter(chain.from_iterable(_voting(profile.positions, votes)))
-        return _argmax({ids[a]: counts.get(a, 0) for a in among})
-    if rule is VotingRule.SYSTEM_E:
-        return _system_e_winners(profile, among, votes)
-    least = 1 if rule is VotingRule.CONDORCET else 0
-    cache = profile._dominance if votes is None else {}  # only all ballots are cached
-    dom = cache.get(least)
-    if dom is None:
-        above = _pair_counts(_voting(profile.positions, votes))
-        dom = cache[least] = _dominance_masks(len(ids), above, least)
-    mask = sum(map(_bit, among))
-    return frozenset(ids[a] for a in among if not mask & ~dom[a])
+    if votes is not None:
+        votes = tuple(votes)
+        if votes and not (0 <= min(votes) and max(votes) < len(profile.ballots)):
+            raise ValueError("ballot index out of range")
+    mask = profile.everyone if among is None else _id_mask(
+        profile, _candidate_subset(profile, among))
+    return _mask_ids(profile, _elect(rule, profile, mask, votes))

@@ -11,20 +11,18 @@ never a silent "no".
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterator
 
 from .two_stage import (
     NO,
     UNKNOWN,
     YES,
-    CandidatePartition,
+    Compiled,
     ControlInstance,
     Decision,
-    GroupSelection,
     Problem,
-    VoterPartition,
-    Witness,
+    _public_witness,
     verify_witness,
 )
 
@@ -98,47 +96,59 @@ def _k_partitions(n: int, k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
             peak[j] = top
 
 
-def _candidate_witnesses(instance: ControlInstance) -> Iterator[Witness]:
+def _candidate_witnesses(instance: ControlInstance) -> Iterator[Compiled]:
+    """The instance's witnesses in the oracle's order, compiled for
+    ``two_stage._replay``: candidate sides as bitmasks, voter parts as
+    index tuples, a group selection as its groups' indices, concatenated."""
+    return map(Compiled, _compiled_forms(instance))
+
+
+def _compiled_forms(instance: ControlInstance) -> Iterator[tuple]:
     prob = instance.problem
-    nv = len(instance.profile.ballots)
+    profile = instance.profile
+    nv = len(profile.ballots)
 
     if prob is Problem.CCPV:
-        for a, b in _bipartitions(nv):
-            yield VoterPartition((a, b))
+        yield from _bipartitions(nv)
     elif prob is Problem.CCEPV:
-        for a, b in enumerate_equipartitions(nv):
-            yield VoterPartition((a, b))
+        yield from enumerate_equipartitions(nv)
     elif prob is Problem.CCPKV:
-        for parts in _k_partitions(nv, instance.k):
-            yield VoterPartition(parts)
+        yield from _k_partitions(nv, instance.k)
     elif prob in (Problem.CCRPC, Problem.CCREPC):
-        ids = instance.profile.candidate_ids
-        nc = len(ids)
-        if prob is Problem.CCREPC:
-            source = enumerate_equipartitions(nc)
-        else:
-            source = _bipartitions(nc)
-        for a, b in source:
-            yield CandidatePartition(
-                frozenset(ids[i] for i in a), frozenset(ids[i] for i in b)
-            )
+        nc, everyone = len(profile.candidates), profile.everyone
+        source = enumerate_equipartitions(nc) if prob is Problem.CCREPC else _bipartitions(nc)
+        bits = [1 << i for i in range(nc)]
+        for a, _ in source:
+            side = sum(map(bits.__getitem__, a))
+            yield side, everyone ^ side
     elif prob is Problem.CCPVG:
         # Unordered bipartition of groups: the first group stays in part one.
-        rest = [lab for lab, _ in instance.groups][1:]
-        for chosen, _ in _subsets(len(rest)):
-            yield GroupSelection(frozenset(rest[i] for i in chosen))
+        first, *rest = [idx for _, idx in instance.groups] or [()]
+        for chosen, others in _subsets(len(rest)):
+            yield (first + _joined(rest, others), _joined(rest, chosen))
     elif prob in (Problem.CCDVG, Problem.CCAVG):
-        labels = [lab for lab, _ in instance.groups]
-        sizes = [len(idx) for _, idx in instance.groups]
-        for chosen, _ in _subsets(len(labels)):
-            if sum(sizes[i] for i in chosen) <= instance.limit:
-                yield GroupSelection(frozenset(labels[i] for i in chosen))
+        groups = [idx for _, idx in instance.groups]
+        if prob is Problem.CCAVG:  # the pool's ballots follow the election's
+            groups = [tuple(nv + i for i in idx) for idx in groups]
+        sizes = [len(idx) for idx in groups]
+        voters = tuple(range(nv))
+        for chosen, others in _subsets(len(groups)):
+            if sum(map(sizes.__getitem__, chosen)) <= instance.limit:
+                if prob is Problem.CCDVG:
+                    yield _joined(groups, others)
+                else:
+                    yield voters + _joined(groups, chosen)
     else:
         raise ValueError(f"unsupported problem {prob}")
 
 
+def _joined(groups: list[tuple[int, ...]], which: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(chain.from_iterable(map(groups.__getitem__, which)))
+
+
 def oracle_solve(instance: ControlInstance, budget: int = DEFAULT_BUDGET) -> Decision:
-    """Decide the instance by exhaustive witness enumeration."""
+    """Decide the instance by exhaustive witness enumeration. Witnesses are
+    enumerated and replayed compiled; only the one returned is built."""
     examined = 0
     for w in _candidate_witnesses(instance):
         examined += 1
@@ -146,5 +156,5 @@ def oracle_solve(instance: ControlInstance, budget: int = DEFAULT_BUDGET) -> Dec
             return Decision(UNKNOWN, stats={"cases": examined - 1,
                                             "budget": budget})
         if verify_witness(instance, w):
-            return Decision(YES, w, {"cases": examined})
+            return Decision(YES, _public_witness(instance, w), {"cases": examined})
     return Decision(NO, stats={"cases": examined})

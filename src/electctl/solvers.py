@@ -172,6 +172,7 @@ def solve_plurality_ccpkv_te(instance: ControlInstance) -> Decision:
     """
     _require(instance, Problem.CCPKV, VotingRule.PLURALITY, TieRule.TE)
     profile, p, k = instance.profile, instance.p, instance.k
+    bit = profile.bit
     ids = profile.candidate_ids
     n = len(profile.ballots)
     classes = _top_classes(profile)
@@ -226,10 +227,8 @@ def solve_plurality_ccpkv_te(instance: ControlInstance) -> Decision:
         for combo in combinations_with_replacement(options, k - 1):
             cases += 1
             specs = (head,) + combo
-            finalists = frozenset(
-                m for kind, members, _ in specs if kind == "win" for m in members
-            )
-            if final_round(instance, finalists) != {p}:
+            finalists = {m for kind, members, _ in specs if kind == "win" for m in members}
+            if final_round(instance, sum(map(bit.__getitem__, finalists))) != bit[p]:
                 continue
             base_cap = sum((s - 1) if kind == "win" else s for kind, _, s in specs)
             exact = {cid: 0 for cid in ids}

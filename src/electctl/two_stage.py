@@ -17,7 +17,14 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterable, Mapping, Sequence, Union
 
-from .elections import Profile, VotingRule, _check_kind, winners
+from .elections import (
+    Profile,
+    VotingRule,
+    _check_kind,
+    _elect,
+    _id_mask,
+    _mask_ids,
+)
 
 
 class TieRule(Enum):
@@ -170,8 +177,8 @@ class ControlInstance:
         return dict(self.groups or ())
 
     @cached_property
-    def _finals(self) -> dict[frozenset[str], frozenset[str]]:
-        """Memo of ``final_round``: finalists -> final winners."""
+    def _finals(self) -> dict[int, int]:
+        """Memo of the final round: finalist mask -> final winners' mask."""
         return {}
 
     @cached_property
@@ -181,14 +188,8 @@ class ControlInstance:
         return Profile(self.profile.candidates, self.profile.ballots + self.pool.ballots)
 
 
-def _filter_tie(tie: TieRule, subwinners: frozenset[str]) -> frozenset[str]:
-    if tie is TieRule.TE and len(subwinners) != 1:
-        return frozenset()
-    return subwinners
-
-
-def _check_parts(n: int, parts: Sequence[Iterable[int]]) -> list[tuple[int, ...]]:
-    out = [tuple(p) for p in parts]
+def _check_parts(n: int, parts: Sequence[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
+    out = tuple(map(tuple, parts))
     flat = sorted(chain.from_iterable(out))
     if flat != list(range(n)):
         if any(i < 0 or i >= n for i in flat):
@@ -199,34 +200,40 @@ def _check_parts(n: int, parts: Sequence[Iterable[int]]) -> list[tuple[int, ...]
     return out
 
 
-def finalists_voter_partition(
-    rule: VotingRule,
-    tie: TieRule,
-    profile: Profile,
-    parts: Sequence[Iterable[int]],
-) -> frozenset[str]:
-    """Union over parts of the TE/TP-filtered subelection winner sets."""
-    finalists: frozenset[str] = frozenset()
-    for part in _check_parts(len(profile.ballots), parts):
-        finalists |= _filter_tie(tie, winners(rule, profile, votes=part))
-    return finalists
-
-
-def _candidate_finalists(
-    rule: VotingRule, tie: TieRule, profile: Profile, c1: Iterable[str], c2: Iterable[str]
-) -> frozenset[str]:
+def _candidate_sides(profile: Profile, c1: Iterable[str], c2: Iterable[str]) -> tuple[int, int]:
+    """The bitmasks of (C1, C2), which must partition the candidate set."""
     s1, s2 = frozenset(c1), frozenset(c2)
     if s1 & s2 or (s1 | s2) != profile.candidate_id_set:
         raise ValueError("(C1, C2) must partition the candidate set")
-    finalists: frozenset[str] = frozenset()
-    for side in (s1, s2):
-        if side:
-            finalists |= _filter_tie(tie, winners(rule, profile, side))
+    return _id_mask(profile, s1), _id_mask(profile, s2)
+
+
+# The compiled core. Candidates are position bitmasks and voters ballot
+# indices, checked before they get here: stage one elects per voter part
+# (all candidates running) or per nonempty candidate side (all voters
+# voting); TE keeps a subelection's winners only when there is one.
+
+def _voter_finalists(rule: VotingRule, tie: TieRule, profile: Profile,
+                     parts: Iterable[Sequence[int]]) -> int:
+    te, everyone = tie is TieRule.TE, profile.everyone
+    finalists = 0
+    for part in parts:
+        won = _elect(rule, profile, everyone, part)
+        if not (te and won & (won - 1)):
+            finalists |= won
     return finalists
 
 
-def _final_round(rule: VotingRule, profile: Profile, finalists: frozenset[str]) -> frozenset[str]:
-    return winners(rule, profile, finalists) if finalists else frozenset()
+def _candidate_finalists(rule: VotingRule, tie: TieRule, profile: Profile,
+                         sides: Iterable[int]) -> int:
+    te = tie is TieRule.TE
+    finalists = 0
+    for side in sides:
+        if side:
+            won = _elect(rule, profile, side, None)
+            if not (te and won & (won - 1)):
+                finalists |= won
+    return finalists
 
 
 # The most finals one instance remembers; a full memo is emptied. Under TP
@@ -237,17 +244,60 @@ def _final_round(rule: VotingRule, profile: Profile, finalists: frozenset[str]) 
 FINAL_MEMO_SIZE = 64
 
 
-def final_round(instance: ControlInstance, finalists: frozenset[str]) -> frozenset[str]:
-    """The instance's final round: all of its voters elect among the
-    finalists. Remembered on the instance, so an enumeration of witnesses
-    does not rerun a final it has already decided."""
+def final_round(instance: ControlInstance, finalists: int) -> int:
+    """The instance's final round, finalists and winners as bitmasks: all
+    of its voters elect among the finalists. Remembered on the instance,
+    keyed by the finalist mask, so an enumeration of witnesses does not
+    rerun a final it has already decided."""
+    if not finalists:
+        return 0
     memo = instance._finals
     won = memo.get(finalists)
     if won is None:
         if len(memo) >= FINAL_MEMO_SIZE:
             memo.clear()
-        won = memo[finalists] = _final_round(instance.rule, instance.profile, finalists)
+        won = memo[finalists] = _elect(instance.rule, instance.profile, finalists, None)
     return won
+
+
+_CANDIDATE_PROBLEMS = (Problem.CCRPC, Problem.CCREPC)
+_GROUP_VOTE_PROBLEMS = (Problem.CCDVG, Problem.CCAVG)
+
+
+def _replay(instance: ControlInstance, w: tuple) -> tuple[int | None, int]:
+    """(finalists, final winners) as bitmasks, finalists None for CCDVG and
+    CCAVG, of the compiled witness ``w``: for a candidate partition its two
+    side masks; for a voter partition its parts, and for a CCPVG group
+    selection its unselected and selected groups' ballots, each part as a
+    tuple of indices; for CCDVG and CCAVG the indices of the ballots that
+    vote, into the election's ballots or the ``electorate``'s."""
+    prob, rule, profile = instance.problem, instance.rule, instance.profile
+    if prob in _CANDIDATE_PROBLEMS:
+        finalists = _candidate_finalists(rule, instance.tie, profile, w)
+    elif prob in _GROUP_VOTE_PROBLEMS:
+        electorate = profile if prob is Problem.CCDVG else instance.electorate
+        return None, _elect(rule, electorate, profile.everyone, w)
+    else:
+        finalists = _voter_finalists(rule, instance.tie, profile, w)
+    return finalists, final_round(instance, finalists)
+
+
+# The public entry points check their input and compile it for the core.
+
+def finalists_voter_partition(
+    rule: VotingRule,
+    tie: TieRule,
+    profile: Profile,
+    parts: Sequence[Iterable[int]],
+) -> frozenset[str]:
+    """Union over parts of the TE/TP-filtered subelection winner sets."""
+    _check_kind(rule, profile)
+    parts = _check_parts(len(profile.ballots), parts)
+    return _mask_ids(profile, _voter_finalists(rule, tie, profile, parts))
+
+
+def _one_shot_final(rule: VotingRule, profile: Profile, finalists: int) -> frozenset[str]:
+    return _mask_ids(profile, _elect(rule, profile, finalists, None) if finalists else 0)
 
 
 def run_two_stage_voter_partition(
@@ -257,7 +307,9 @@ def run_two_stage_voter_partition(
     parts: Sequence[Iterable[int]],
 ) -> frozenset[str]:
     """Final winner set after partitioning the voters into ``parts``."""
-    return _final_round(rule, profile, finalists_voter_partition(rule, tie, profile, parts))
+    _check_kind(rule, profile)
+    parts = _check_parts(len(profile.ballots), parts)
+    return _one_shot_final(rule, profile, _voter_finalists(rule, tie, profile, parts))
 
 
 def run_two_stage_candidate_partition(
@@ -272,7 +324,9 @@ def run_two_stage_candidate_partition(
     Empty parts are legal and contribute no finalists. Every stage is an
     election over the full profile limited to a candidate subset.
     """
-    return _final_round(rule, profile, _candidate_finalists(rule, tie, profile, c1, c2))
+    _check_kind(rule, profile)
+    sides = _candidate_sides(profile, c1, c2)
+    return _one_shot_final(rule, profile, _candidate_finalists(rule, tie, profile, sides))
 
 
 def _group_parts(
@@ -292,6 +346,62 @@ def _groups_atomic(instance: ControlInstance, part: frozenset[int]) -> bool:
                for _, idx in instance.groups)
 
 
+def _compile(instance: ControlInstance, w: Witness) -> tuple | None:
+    """The compiled form (see ``_replay``) of an outside witness, or None
+    when it breaks the problem's structural side conditions (equipartition
+    size bound, group atomicity, selection budget). A witness whose shape
+    does not fit the problem family, or that names unknown ballots, groups
+    or candidates, is an error."""
+    prob, profile = instance.problem, instance.profile
+
+    if prob in (Problem.CCPV, Problem.CCEPV, Problem.CCPKV, Problem.CCPVG):
+        if prob is Problem.CCPVG and isinstance(w, GroupSelection):
+            return _group_parts(instance, w.labels)
+        size = instance.k if prob is Problem.CCPKV else 2
+        if not isinstance(w, VoterPartition) or len(w.parts) != size:
+            raise ValueError(f"{prob.value} needs a {size}-part voter partition witness")
+        if prob is Problem.CCEPV and abs(len(w.parts[0]) - len(w.parts[1])) > 1:
+            return None
+        if prob is Problem.CCPVG and not all(_groups_atomic(instance, frozenset(p))
+                                             for p in w.parts):
+            return None
+        return _check_parts(len(profile.ballots), w.parts)
+    if prob in _CANDIDATE_PROBLEMS:
+        if not isinstance(w, CandidatePartition):
+            raise ValueError(f"{prob.value} needs a candidate partition witness")
+        if prob is Problem.CCREPC and abs(len(w.c1) - len(w.c2)) > 1:
+            return None
+        return _candidate_sides(profile, w.c1, w.c2)
+    if prob in _GROUP_VOTE_PROBLEMS:
+        if not isinstance(w, GroupSelection):
+            raise ValueError(f"{prob.value} needs a group selection witness")
+        rest, chosen = _group_parts(instance, w.labels)
+        if len(chosen) > instance.limit:
+            return None
+        if prob is Problem.CCDVG:
+            return rest
+        n = len(profile.ballots)
+        return (*range(n), *(n + i for i in chosen))
+    raise ValueError(f"unsupported problem {prob}")
+
+
+def _public_witness(instance: ControlInstance, w: tuple) -> Witness:
+    """The witness object of the compiled witness ``w``: the inverse of
+    ``_compile`` on the witnesses the oracle enumerates."""
+    prob, profile = instance.problem, instance.profile
+    if prob in _CANDIDATE_PROBLEMS:
+        return CandidatePartition(*(_mask_ids(profile, side) for side in w))
+    if prob in (Problem.CCPV, Problem.CCEPV, Problem.CCPKV):
+        return VoterPartition(w)
+    owner = {i: lab for lab, idx in instance.groups for i in idx}
+    if prob is Problem.CCPVG:
+        return GroupSelection(frozenset(map(owner.__getitem__, w[1])))
+    if prob is Problem.CCDVG:
+        return GroupSelection(frozenset(owner.values()) - frozenset(map(owner.__getitem__, w)))
+    n = len(profile.ballots)
+    return GroupSelection(frozenset(owner[i - n] for i in w[n:]))
+
+
 def replay(
     instance: ControlInstance, w: Witness
 ) -> tuple[frozenset[str] | None, frozenset[str]] | None:
@@ -303,46 +413,27 @@ def replay(
     atomicity, selection budget). A witness whose shape does not fit the
     problem family is an error, not a None.
     """
-    prob, rule, tie, profile = instance.problem, instance.rule, instance.tie, instance.profile
-
-    if prob in (Problem.CCPV, Problem.CCEPV, Problem.CCPKV, Problem.CCPVG):
-        if prob is Problem.CCPVG and isinstance(w, GroupSelection):
-            parts = _group_parts(instance, w.labels)
-        else:
-            size = instance.k if prob is Problem.CCPKV else 2
-            if not isinstance(w, VoterPartition) or len(w.parts) != size:
-                raise ValueError(f"{prob.value} needs a {size}-part voter partition witness")
-            if prob is Problem.CCEPV and abs(len(w.parts[0]) - len(w.parts[1])) > 1:
-                return None
-            if prob is Problem.CCPVG and not all(_groups_atomic(instance, frozenset(p))
-                                                 for p in w.parts):
-                return None
-            parts = w.parts
-        finalists = finalists_voter_partition(rule, tie, profile, parts)
-    elif prob in (Problem.CCRPC, Problem.CCREPC):
-        if not isinstance(w, CandidatePartition):
-            raise ValueError(f"{prob.value} needs a candidate partition witness")
-        if prob is Problem.CCREPC and abs(len(w.c1) - len(w.c2)) > 1:
-            return None
-        finalists = _candidate_finalists(rule, tie, profile, w.c1, w.c2)
-    elif prob in (Problem.CCDVG, Problem.CCAVG):
-        if not isinstance(w, GroupSelection):
-            raise ValueError(f"{prob.value} needs a group selection witness")
-        rest, chosen = _group_parts(instance, w.labels)
-        if len(chosen) > instance.limit:
-            return None
-        if prob is Problem.CCDVG:
-            return None, winners(rule, profile, votes=rest)
-        n = len(profile.ballots)
-        votes = (*range(n), *(n + i for i in chosen))
-        return None, winners(rule, instance.electorate, votes=votes)
-    else:
-        raise ValueError(f"unsupported problem {prob}")
-    return finalists, final_round(instance, finalists)
+    compiled = _compile(instance, w)
+    if compiled is None:
+        return None
+    finalists, won = _replay(instance, compiled)
+    profile = instance.profile
+    return (None if finalists is None else _mask_ids(profile, finalists)), _mask_ids(profile, won)
 
 
-def verify_witness(instance: ControlInstance, w: Witness) -> bool:
+class Compiled(tuple):
+    """A witness compiled for ``_replay``, as the oracle enumerates them:
+    ``verify_witness`` replays it without the checks that a witness from
+    outside needs. Only the oracle makes them."""
+
+    __slots__ = ()
+
+
+def verify_witness(instance: ControlInstance, w: Witness | Compiled) -> bool:
     """True iff ``replay`` accepts the witness's side conditions and the
     distinguished candidate is the sole final winner."""
-    result = replay(instance, w)
-    return result is not None and result[1] == {instance.p}
+    if type(w) is not Compiled:
+        w = _compile(instance, w)
+        if w is None:
+            return False
+    return _replay(instance, w)[1] == instance.profile.bit[instance.p]

@@ -73,6 +73,16 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             winners(VotingRule.APPROVAL, profile("p"))
 
+    def test_votes_out_of_range(self):
+        # A negative index must not wrap around to the last ballot.
+        prof = profile("p", "a")
+        for rule in (VotingRule.PLURALITY, VotingRule.CONDORCET):
+            for votes in ((-1,), (0, 2), (5,)):
+                with pytest.raises(ValueError):
+                    winners(rule, prof, votes=votes)
+        assert winners(VotingRule.PLURALITY, prof, votes=(1,)) == {"a"}
+        assert winners(VotingRule.PLURALITY, prof, votes=()) == {"p", "a", "b"}
+
 
 class TestScores:
     def test_plurality_counts_tops(self):

@@ -21,6 +21,7 @@ from electctl import (
     verify_witness,
 )
 from electctl.oracle import _bipartitions, _candidate_witnesses, _k_partitions
+from electctl.two_stage import _public_witness
 
 PAB = tuple(Candidate(c) for c in ("p", "a", "b"))
 
@@ -93,6 +94,12 @@ def all_subsets(items):
     return [c for r in range(len(items) + 1) for c in combinations(items, r)]
 
 
+def witnesses(inst):
+    """The oracle's witnesses for ``inst``, in its order, as the objects it
+    would return."""
+    return [_public_witness(inst, w) for w in _candidate_witnesses(inst)]
+
+
 class TestEnumerationOrder:
     """The oracle's witness order is part of its output contract: it fixes
     the returned witness and the case counts."""
@@ -103,9 +110,9 @@ class TestEnumerationOrder:
 
     def test_voter_partitions(self):
         for n in range(6):
-            got = list(_candidate_witnesses(self.voter_instance(Problem.CCPV, n)))
+            got = witnesses(self.voter_instance(Problem.CCPV, n))
             assert got == [VoterPartition(parts) for parts in ref_bipartitions(n)], n
-            got = list(_candidate_witnesses(self.voter_instance(Problem.CCEPV, n)))
+            got = witnesses(self.voter_instance(Problem.CCEPV, n))
             assert got == [VoterPartition(parts) for parts in ref_equipartitions(n)], n
 
     def test_candidate_partitions(self):
@@ -118,7 +125,7 @@ class TestEnumerationOrder:
                                        profile=prof, p="p", tie=TieRule.TE)
                 want = [CandidatePartition({ids[i] for i in a}, {ids[i] for i in b})
                         for a, b in ref(m)]
-                assert list(_candidate_witnesses(inst)) == want, (problem, m)
+                assert witnesses(inst) == want, (problem, m)
 
     def test_k_partitions_follow_restricted_growth_strings(self):
         # Element i goes to part labels[i], for the lexicographically ordered
@@ -141,7 +148,7 @@ class TestEnumerationOrder:
                                    tie=TieRule.TE, groups=groups)
             labels = [lab for lab, _ in groups]
             want = [GroupSelection(c) for c in all_subsets(labels[1:])]
-            assert list(_candidate_witnesses(inst)) == want, n_groups
+            assert witnesses(inst) == want, n_groups
             if n_groups == 0:
                 assert want == [GroupSelection(frozenset())]
 
@@ -158,8 +165,8 @@ class TestEnumerationOrder:
                 problem=Problem.CCAVG, rule=VotingRule.PLURALITY,
                 profile=profile("a"), p="p", limit=limit, groups=groups,
                 pool=profile(*["p"] * 6))
-            assert list(_candidate_witnesses(deletion)) == want, limit
-            assert list(_candidate_witnesses(addition)) == want, limit
+            assert witnesses(deletion) == want, limit
+            assert witnesses(addition) == want, limit
 
 
 class TestOracle:

@@ -28,10 +28,26 @@ from electctl import (
     verify_witness,
     winners,
 )
-from electctl.elections import condorcet_winners_from_margins, pairwise_margins
+from electctl.elections import _mask_ids, condorcet_winners_from_margins, pairwise_margins
 from electctl.generate import random_instance
 from electctl.instance_io import instance_digest, parse_instance, serialize_instance
-from electctl.two_stage import FINAL_MEMO_SIZE, TAKES, final_round, finalists_voter_partition
+from electctl.oracle import (
+    DEFAULT_BUDGET,
+    _bipartitions,
+    _candidate_witnesses,
+    _k_partitions,
+    _subsets,
+    enumerate_equipartitions,
+    oracle_solve,
+)
+from electctl.two_stage import (
+    FINAL_MEMO_SIZE,
+    TAKES,
+    _public_witness,
+    _replay,
+    final_round,
+    finalists_voter_partition,
+)
 
 IDS = ("p", "a", "b", "c")
 
@@ -324,6 +340,60 @@ def test_replay_equals_naive_two_stage_evaluation(case):
     assert replay(inst, w) == naive_replay(inst, w)
 
 
+# ------------------------------------------- compiled oracle against a reference
+
+def reference_witnesses(inst):
+    """The oracle's witnesses in its order, each built as a witness object
+    from the enumerators (whose order ``test_oracle`` pins)."""
+    prob, prof = inst.problem, inst.profile
+    nv, ids = len(prof.ballots), prof.candidate_ids
+    if prob is Problem.CCPV:
+        return [VoterPartition(parts) for parts in _bipartitions(nv)]
+    if prob is Problem.CCEPV:
+        return [VoterPartition(parts) for parts in enumerate_equipartitions(nv)]
+    if prob is Problem.CCPKV:
+        return [VoterPartition(parts) for parts in _k_partitions(nv, inst.k)]
+    if prob in (Problem.CCRPC, Problem.CCREPC):
+        halves = (enumerate_equipartitions if prob is Problem.CCREPC else _bipartitions)(len(ids))
+        return [CandidatePartition({ids[i] for i in a}, {ids[i] for i in b}) for a, b in halves]
+    labels = [lab for lab, _ in inst.groups]
+    if prob is Problem.CCPVG:  # the first group stays in part one
+        return [GroupSelection({labels[1:][i] for i in chosen})
+                for chosen, _ in _subsets(len(labels[1:]))]
+    sizes = [len(idx) for _, idx in inst.groups]
+    return [GroupSelection({labels[i] for i in chosen}) for chosen, _ in _subsets(len(labels))
+            if sum(sizes[i] for i in chosen) <= inst.limit]
+
+
+def reference_solve(inst, budget):
+    """(answer, witness, cases) of the oracle's contract: each witness
+    object in order through ``verify_witness``."""
+    for cases, w in enumerate(reference_witnesses(inst), 1):
+        if cases > budget:
+            return "unknown", None, cases - 1
+        if verify_witness(inst, w):
+            return "yes", w, cases
+    return "no", None, len(reference_witnesses(inst))
+
+
+@settings(max_examples=250, deadline=None)
+@given(generated_instances(), st.one_of(st.integers(0, 6), st.just(DEFAULT_BUDGET)))
+def test_compiled_oracle_equals_reference_oracle(inst, budget):
+    d = oracle_solve(inst, budget)
+    assert (d.answer, d.witness, d.stats["cases"]) == reference_solve(inst, budget)
+    # Every compiled witness is its witness object, and the core replays it
+    # as the public replay and the naive evaluator replay that object.
+    prof = inst.profile
+    compiled = list(_candidate_witnesses(inst))
+    public = reference_witnesses(inst)
+    assert len(compiled) == len(public)
+    for cw, w in zip(compiled, public):
+        assert _public_witness(inst, cw) == w
+        finalists, won = _replay(inst, cw)
+        core = None if finalists is None else _mask_ids(prof, finalists), _mask_ids(prof, won)
+        assert core == replay(inst, w) == naive_replay(inst, w)
+
+
 def test_final_round_memo_tells_rules_apart():
     # One profile, the same finalists {p, a, b}, two rules: plurality elects
     # p and b (two first places each), Condorcet elects a (3 of 5 against
@@ -351,8 +421,10 @@ def test_final_round_memo_stays_bounded():
                    tuple(linear(*rng.sample(ids, len(ids))) for _ in range(5)))
     inst = ControlInstance(problem=Problem.CCPV, rule=VotingRule.PLURALITY, profile=prof,
                            p="c0", tie=TieRule.TP)
-    sets = [frozenset(ids[j] for j in range(9) if mask >> j & 1) for mask in range(1, 200)]
-    assert len(sets) > FINAL_MEMO_SIZE
-    for finalists in sets + sets[:10]:
-        assert final_round(inst, finalists) == winners(VotingRule.PLURALITY, prof, finalists)
+    masks = list(range(1, 200))
+    assert len(masks) > FINAL_MEMO_SIZE
+    for mask in masks + masks[:10]:
+        finalists = frozenset(ids[j] for j in range(9) if mask >> j & 1)
+        won = winners(VotingRule.PLURALITY, prof, finalists)
+        assert _mask_ids(prof, final_round(inst, mask)) == won
         assert len(inst._finals) <= FINAL_MEMO_SIZE

@@ -276,6 +276,8 @@ class TestVerifyWitness:
             verify_witness(inst, CandidatePartition({"p"}, {"a", "b"}))
         with pytest.raises(ValueError):
             verify_witness(inst, VoterPartition(((0,),)))
+        with pytest.raises(ValueError):  # a bare tuple is not a compiled witness
+            verify_witness(inst, ((0,), ()))
 
     def test_ccrepc_rejects_unbalanced_candidate_split(self):
         inst = ControlInstance(problem=Problem.CCREPC, rule=VotingRule.PLURALITY,
