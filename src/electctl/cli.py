@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -208,18 +209,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--solver", choices=("poly", "oracle"), default="poly")
     p_solve.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_solve.add_argument("--out")
-    p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="check a witness against an instance")
     p_verify.add_argument("instance")
     p_verify.add_argument("witness")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_reduce = sub.add_parser("reduce", help="generate a hardness-reduction instance")
     p_reduce.add_argument("kind", choices=("x3c", "cvc", "approval-e"))
     p_reduce.add_argument("source")
     p_reduce.add_argument("--out")
-    p_reduce.set_defaults(func=cmd_reduce)
 
     p_sweep = sub.add_parser("sweep", help="poly-vs-oracle agreement sweep")
     p_sweep.add_argument("family", help=f"one of {sorted(FAMILIES)}")
@@ -230,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_sweep.add_argument("--out")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_gen = sub.add_parser("gen", help="generate a random instance")
     p_gen.add_argument("--problem", required=True,
@@ -247,16 +244,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--pool-size", type=int)
     p_gen.add_argument("--specials", action="store_true")
     p_gen.add_argument("--out")
-    p_gen.set_defaults(func=cmd_gen)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process; parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        for name in ("budget", "count"):
+            if getattr(args, name, 0) < 0:
+                raise ValueError(f"--{name} must be at least 0, got {getattr(args, name)}")
+        # Looked up when called, so a replaced cmd_* attribute takes effect.
+        return globals()[f"cmd_{args.command}"](args)
     except (OSError, ValueError, KeyError) as exc:
         print(f"electctl: error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -109,10 +109,11 @@ class Profile:
         specials = [c.special_index for c in self.candidates if c.special_index is not None]
         if len(specials) != len(set(specials)):
             raise ValueError("duplicate special_index values")
-        kinds = {b.kind for b in self.ballots}
-        if len(kinds) > 1:
+        # A document's equal ballots are one object, checked once.
+        distinct = {id(b): b for b in self.ballots}.values()
+        if len({b.order is None for b in distinct}) > 1:
             raise ValueError("mixed ballot kinds in one profile")
-        for b in self.ballots:
+        for b in distinct:
             if b.order is not None:
                 if len(b.order) != len(ids) or frozenset(b.order) != idset:
                     raise ValueError(f"linear ballot {b.order} is not a permutation of {ids}")
@@ -142,10 +143,13 @@ class Profile:
     @cached_property
     def positions(self) -> tuple[tuple[int, ...], ...]:
         """Each ballot as candidate positions: a linear order in rank order,
-        an approval set in no particular order."""
+        an approval set in no particular order. Each ballot object is
+        compiled once, and its repeats share one tuple."""
         index = self.index
-        return tuple(tuple(map(index.__getitem__, b.order if b.order is not None
-                               else b.approvals)) for b in self.ballots)
+        distinct = {id(b): b for b in self.ballots}
+        compiled = {key: tuple(map(index.__getitem__, b.order if b.order is not None
+                                   else b.approvals)) for key, b in distinct.items()}
+        return tuple(map(compiled.__getitem__, map(id, self.ballots)))
 
     @cached_property
     def tops(self) -> tuple[int, ...]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from itertools import zip_longest
+from itertools import chain, repeat, zip_longest
 from typing import Any
 
 from .elections import Ballot, Candidate, Profile, VotingRule
@@ -92,13 +92,20 @@ def _candidate_from_dict(entry: Any) -> Candidate:
     return Candidate(entry["id"], special)
 
 
-def _ballot_entries(doc: dict, section: str) -> list[tuple[Ballot, int, str | None]]:
-    """A section's ballot entries, checked and built as (ballot, count,
-    group label); counts are left unexpanded."""
+def _ballot_entries(doc: dict, section: str,
+                    interned: tuple[dict, dict]) -> tuple[list, list, list]:
+    """A section's ballot entries, checked and built as three lists: the
+    ballots, their counts (left unexpanded) and their group labels. Equal
+    "approve" lists share one ``Ballot``, kept in ``interned[False]`` by
+    the tuple of their candidate ids for the whole document, and so do
+    equal "order" lists, in ``interned[True]``; so each distinct ballot is
+    checked and built once."""
     entries = doc.get(section, [])
     if not isinstance(entries, list):
         raise FormatError(f'"{section}" must be a list of ballot objects')
-    out = []
+    ballots: list[Ballot] = []
+    counts: list[int] = []
+    labels: list[str | None] = []
     for entry in entries:
         if not isinstance(entry, dict):
             raise FormatError("each ballot must be an object")
@@ -106,26 +113,36 @@ def _ballot_entries(doc: dict, section: str) -> list[tuple[Ballot, int, str | No
         if ranked == ("approve" in entry):
             raise FormatError('each ballot needs exactly one of "order" / "approve"')
         ids = entry["order"] if ranked else entry["approve"]
-        if not _is_str_list(ids):
+        if not isinstance(ids, list):
             raise FormatError('"order" / "approve" must be a list of candidate ids')
+        # Only checked lists of strings are interned, and a tuple equals one
+        # of strings only if it holds strings, so a hit skips just that check.
+        key = tuple(ids)
+        built = interned[ranked]
+        try:
+            ballot = built.get(key)
+        except TypeError:  # an unhashable element, so not a string
+            ballot = None
+        if ballot is None:
+            if not _is_str_list(ids):
+                raise FormatError('"order" / "approve" must be a list of candidate ids')
+            ballot = built[key] = Ballot(order=key) if ranked else Ballot(approvals=frozenset(key))
         group = entry.get("group")
         if group is not None and not isinstance(group, str):
             raise FormatError("a ballot's group label must be a string")
         count = entry.get("count", 1)
         if type(count) is not int or count < 1:  # _is_int, inlined in this hot loop
             raise FormatError("ballot count must be a positive integer")
-        ballot = Ballot(order=tuple(ids)) if ranked else Ballot(approvals=frozenset(ids))
-        out.append((ballot, count, group))
-    return out
+        ballots.append(ballot)
+        counts.append(count)
+        labels.append(group)
+    return ballots, counts, labels
 
 
-def _expand(entries: list) -> tuple[tuple[Ballot, ...], list[str | None]]:
-    ballots: list[Ballot] = []
-    labels: list[str | None] = []
-    for ballot, count, group in entries:
-        ballots += [ballot] * count
-        labels += [group] * count
-    return tuple(ballots), labels
+def _expand(ballots: list[Ballot], counts: list[int],
+            labels: list[str | None]) -> tuple[tuple[Ballot, ...], list[str | None]]:
+    return (tuple(chain.from_iterable(map(repeat, ballots, counts))),
+            list(chain.from_iterable(map(repeat, labels, counts))))
 
 
 def _groups_from_labels(problem: Problem, labels: dict[str, list[str | None]]):
@@ -136,7 +153,7 @@ def _groups_from_labels(problem: Problem, labels: dict[str, list[str | None]]):
     takes = TAKES[problem]
     grouped = ("pool" if "pool" in takes else "ballots") if "groups" in takes else None
     for section, labs in labels.items():
-        if section != grouped and any(lab is not None for lab in labs):
+        if section != grouped and labs.count(None) < len(labs):
             raise FormatError(f'{problem.value} takes no group labels on "{section}" ballots')
     if grouped is None:
         return None
@@ -148,13 +165,29 @@ def _groups_from_labels(problem: Problem, labels: dict[str, list[str | None]]):
     return tuple((lab, tuple(idx)) for lab, idx in groups.items())
 
 
-def _ballot_dicts(profile: Profile, labels) -> list[dict]:
+def _ballot_dicts(profile: Profile, labels, share: bool) -> list[dict]:
     """One section's ballot entries; ``labels`` gives each ballot's group
-    label, or is empty for a section without groups."""
-    return [_ballot_to_dict(b, lab) for b, lab in zip_longest(profile.ballots, labels)]
+    label, or is empty for a section without groups. With ``share``, the
+    entries of one ballot object under one label are one shared dict."""
+    if not share:
+        return [_ballot_to_dict(b, lab) for b, lab in zip_longest(profile.ballots, labels)]
+    by_id = {id(b): b for b in profile.ballots}
+    if labels:  # an entry per (ballot id, label)
+        keys = list(zip(map(id, profile.ballots), labels))
+        made = {key: _ballot_to_dict(by_id[key[0]], key[1]) for key in dict.fromkeys(keys)}
+    else:  # an entry per ballot id
+        keys = list(map(id, profile.ballots))
+        made = {key: _ballot_to_dict(b, None) for key, b in by_id.items()}
+    return list(map(made.__getitem__, keys))
 
 
 def instance_to_dict(instance: ControlInstance) -> dict:
+    return _document(instance, share=False)
+
+
+def _document(instance: ControlInstance, share: bool) -> dict:
+    """``instance_to_dict``; with ``share``, equal ballot entries are one
+    dict (see ``_ballot_dicts``), which only an encoder may read."""
     doc: dict[str, Any] = {
         "format": FORMAT,
         "problem": instance.problem.value,
@@ -173,13 +206,16 @@ def instance_to_dict(instance: ControlInstance) -> dict:
         for c in instance.profile.candidates
     ]
 
-    labels: list[str | None] = [None] * len(instance.grouped.ballots)
-    for lab, idx in instance.groups or ():
-        for i in idx:
-            labels[i] = lab
-    doc["ballots"] = _ballot_dicts(instance.profile, labels if instance.pool is None else ())
+    labels: list[str] = []  # empty unless the problem takes groups
+    if instance.groups is not None:
+        labels = [""] * len(instance.grouped.ballots)
+        for lab, idx in instance.groups:
+            for i in idx:
+                labels[i] = lab
+    doc["ballots"] = _ballot_dicts(instance.profile,
+                                   labels if instance.pool is None else (), share)
     if instance.pool is not None:
-        doc["pool"] = _ballot_dicts(instance.pool, labels)
+        doc["pool"] = _ballot_dicts(instance.pool, labels, share)
     return doc
 
 
@@ -201,12 +237,14 @@ def instance_from_dict(doc: dict) -> ControlInstance:
         raise FormatError(f"document lists {len(entries)} candidates; "
                           f"the limit is {MAX_CANDIDATES}")
     candidates = tuple(_candidate_from_dict(entry) for entry in entries)
-    main_entries, pool_entries = _ballot_entries(doc, "ballots"), _ballot_entries(doc, "pool")
-    total = sum(count for _, count, _ in main_entries + pool_entries)
+    interned: tuple[dict, dict] = ({}, {})
+    main_entries = _ballot_entries(doc, "ballots", interned)
+    pool_entries = _ballot_entries(doc, "pool", interned)
+    total = sum(main_entries[1]) + sum(pool_entries[1])
     if total > MAX_BALLOTS:
         raise FormatError(f"document holds {total} ballots; the limit is {MAX_BALLOTS}")
-    ballots, main_labels = _expand(main_entries)
-    pool_ballots, pool_labels = _expand(pool_entries)
+    ballots, main_labels = _expand(*main_entries)
+    pool_ballots, pool_labels = _expand(*pool_entries)
     groups = _groups_from_labels(problem, {"ballots": main_labels, "pool": pool_labels})
     profile = Profile(candidates, ballots)
     pool = Profile(candidates, pool_ballots) if "pool" in doc else None
@@ -317,6 +355,10 @@ def serialize_witness(witness: Witness) -> str:
 
 
 def instance_digest(instance: ControlInstance) -> str:
-    canonical = json.dumps(instance_to_dict(instance),
+    """The sha256 hex digest of the instance's canonical document: the
+    ``instance_to_dict`` document (one entry per ballot, counts expanded) as
+    compact JSON with sorted keys. The entries of equal ballots are built
+    once and shared, which the encoding does not see."""
+    canonical = json.dumps(_document(instance, share=True),
                            sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()

@@ -76,6 +76,17 @@ MALFORMED_INSTANCES = {
         ballots=[{"order": ["p", "a"], "group": "X"}, {"order": ["a", "p"]}],
         pool=[{"order": ["p", "a"], "group": "A"}]),
     "nested-too-deeply": NESTED_TOO_DEEPLY,
+    # Equal ballots share one checked Ballot: a bad entry that looks like
+    # an earlier valid one must still be caught.
+    "order-is-string-after-equal-list": plurality_doc(
+        ballots=[{"order": ["p", "a"]}, {"order": "pa"}]),
+    "order-is-object-after-equal-list": plurality_doc(
+        ballots=[{"order": ["p", "a"]}, {"order": {"p": 1, "a": 2}}]),
+    "approval-after-equal-order-under-plurality": plurality_doc(
+        ballots=[{"order": ["p", "a"]}, {"approve": ["p", "a"]}]),
+    "group-is-number-after-equal-ballot": plurality_doc(
+        problem="CCPVG", ballots=[{"order": ["p", "a"], "group": "A"},
+                                  {"order": ["p", "a"], "group": 5}]),
 }
 MALFORMED_WITNESSES = {
     "parts-is-number": voter_witness(5),
@@ -222,6 +233,8 @@ IMPOSSIBLE_SIZES = {
     "gen-no-groups": ("gen", "--problem", "CCPVG", "--rule", "plurality",
                       "--tie", "TE", "--groups", "0"),
     "sweep-negative-voters": ("sweep", "ccepv", "--voters", "-1", "--count", "1"),
+    "sweep-negative-budget": ("sweep", "ccepv", "--budget", "-1", "--count", "1"),
+    "sweep-negative-count": ("sweep", "ccepv", "--count", "-3"),
 }
 
 
@@ -259,6 +272,28 @@ class TestSolve:
                            "--budget", "0")
         assert code == EXIT_UNKNOWN
         assert json.loads(out)["answer"] == "unknown"
+
+    @pytest.mark.parametrize("solver", ["oracle", "poly"])
+    def test_negative_budget_exits_three(self, tmp_path, capsys, solver):
+        path = gen_instance(tmp_path, capsys, "inst.json")
+        code, out, err = run(capsys, "solve", str(path), "--solver", solver,
+                             "--budget", "-5")
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("electctl: error:") and err.count("\n") == 1
+        assert "--budget" in err
+
+    def test_calls_in_one_process_share_no_state(self, tmp_path, capsys):
+        # The parser is built once per process; each call still starts from
+        # the defaults.
+        path = gen_instance(tmp_path, capsys, "inst.json")
+        code, out, _ = run(capsys, "solve", str(path), "--solver", "oracle", "--budget", "0")
+        assert code == EXIT_UNKNOWN
+        code, out, _ = run(capsys, "solve", str(path))
+        assert json.loads(out)["solver"] == "poly"
+        code, out, _ = run(capsys, "solve", str(path), "--solver", "oracle")
+        record = json.loads(out)
+        assert record["solver"] == "oracle" and record["answer"] != "unknown"
 
     def test_deep_k_partition_enumeration_stops_at_the_budget(self, tmp_path, capsys):
         # 1,500 voters: far deeper than Python's recursion limit.

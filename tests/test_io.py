@@ -107,6 +107,75 @@ class TestRoundTrip:
         assert sorted(c["special"] for c in tagged) == [0, 1, 2, 3]
 
 
+PAB_DOC = [{"id": "p"}, {"id": "a"}, {"id": "b"}]
+# name: (document, the sha256 hex digest of its canonical form). Solve
+# records and sweep CSVs store digests, so a change to any of these changes
+# the format.
+GOLDEN_DIGESTS = {
+    "ranked-with-count": ({
+        "format": FORMAT, "problem": "CCEPV", "rule": "plurality", "tie": "TE",
+        "p": "p", "candidates": PAB_DOC,
+        "ballots": [{"order": ["p", "a", "b"], "count": 3}, {"order": ["a", "b", "p"]},
+                    {"order": ["b", "p", "a"], "count": 2}, {"order": ["p", "a", "b"]}]},
+        "ac66f04a9f380c5f8e3e3cfb72b30b2a8b7eff863ed0f54137e71d25b4fc9e43"),
+    "system-e-with-specials": ({
+        "format": FORMAT, "problem": "CCPV", "rule": "systemE", "tie": "TP", "p": "p",
+        "candidates": PAB_DOC + [{"id": f"s{i}", "special": i} for i in range(4)],
+        "ballots": [{"approve": ["p", "s0"]}, {"approve": ["a", "s1", "b"], "count": 2},
+                    {"approve": []}, {"approve": ["s3", "p"]}]},
+        "94fe32c64760343c495d6eda4572d440be63fd41f9031aac853e585a5ba4d872"),
+    "ccpvg-with-groups": ({
+        "format": FORMAT, "problem": "CCPVG", "rule": "plurality", "tie": "TE",
+        "p": "p", "candidates": PAB_DOC,
+        "ballots": [{"order": ["p", "a", "b"], "group": "g1", "count": 2},
+                    {"order": ["a", "p", "b"], "group": "g2"},
+                    {"order": ["p", "a", "b"], "group": "g2"},
+                    {"order": ["b", "a", "p"], "group": "g1"}]},
+        "622b0ef7937f7e91def5b276a916a1f77dfbfd0cc010ed208c2171964a174435"),
+    "ccavg-with-pool-labels": ({
+        "format": FORMAT, "problem": "CCAVG", "rule": "condorcet", "limit": 1,
+        "p": "p", "candidates": PAB_DOC,
+        "ballots": [{"order": ["a", "p", "b"], "count": 2}, {"order": ["b", "p", "a"]}],
+        "pool": [{"order": ["p", "a", "b"], "group": "h1", "count": 2},
+                 {"order": ["p", "b", "a"], "group": "h2"}]},
+        "b5cb2d02da21717f0332a8c552285bb95387276cc3e7e61bf192b001ef960954"),
+    "ccpkv-with-k": ({
+        "format": FORMAT, "problem": "CCPkV", "rule": "weakCondorcet", "tie": "TP",
+        "k": 3, "p": "p", "candidates": PAB_DOC,
+        "ballots": [{"order": ["p", "a", "b"]}, {"order": ["a", "b", "p"], "count": 3},
+                    {"order": ["b", "p", "a"]}]},
+        "db30935328bf4c1a35dcd0c4de0bc32a09d3bf2c69793b6d160ca086cec521fb"),
+    "ccdvg-with-limit": ({
+        "format": FORMAT, "problem": "CCDVG", "rule": "approval", "limit": 2,
+        "p": "p", "candidates": PAB_DOC,
+        "ballots": [{"approve": ["a", "b"], "group": "x", "count": 2},
+                    {"approve": ["p"], "group": "y"},
+                    {"approve": ["b", "a"], "group": "z"}]},
+        "89ef83b493862067911f3a82e748dcd3c22d66bbe315da78572a86f0b3c55a15"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_DIGESTS)
+def test_digest_is_pinned(name):
+    doc, digest = GOLDEN_DIGESTS[name]
+    inst = instance_from_dict(doc)
+    assert instance_digest(inst) == digest
+    assert instance_digest(parse_instance(serialize_instance(inst))) == digest
+
+
+def test_equal_ballots_share_one_object():
+    doc = {"format": FORMAT, "problem": "CCAVG", "rule": "plurality", "limit": 1,
+           "p": "p", "candidates": PAB_DOC,
+           "ballots": [{"order": ["p", "a", "b"], "count": 2}, {"order": ["a", "b", "p"]},
+                       {"order": ["p", "a", "b"]}],
+           "pool": [{"order": ["p", "a", "b"], "group": "h"}]}
+    inst = instance_from_dict(doc)
+    first = inst.profile.ballots[0]
+    assert all(b is first for b in inst.profile.ballots[1:2] + inst.profile.ballots[3:])
+    assert inst.pool.ballots[0] is first
+    assert inst.profile.positions[0] is inst.profile.positions[3]
+
+
 class TestErrors:
     def base_doc(self):
         return {

@@ -1,5 +1,8 @@
 """Property-based invariants over randomly drawn profiles and partitions."""
 
+import copy
+import hashlib
+import json
 import random
 
 import pytest
@@ -30,7 +33,13 @@ from electctl import (
 )
 from electctl.elections import _mask_ids, condorcet_winners_from_margins, pairwise_margins
 from electctl.generate import random_instance
-from electctl.instance_io import instance_digest, parse_instance, serialize_instance
+from electctl.instance_io import (
+    instance_digest,
+    instance_from_dict,
+    instance_to_dict,
+    parse_instance,
+    serialize_instance,
+)
 from electctl.oracle import (
     DEFAULT_BUDGET,
     _bipartitions,
@@ -189,6 +198,38 @@ def test_instance_serialization_round_trips(inst):
     back = parse_instance(serialize_instance(inst))
     assert back == inst
     assert instance_digest(back) == instance_digest(inst)
+
+
+def reference_digest(inst):
+    """The instance digest's definition: sha256 of the canonical document."""
+    canonical = json.dumps(instance_to_dict(inst), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+@settings(max_examples=300, deadline=None)
+@given(generated_instances())
+def test_digest_equals_its_definition(inst):
+    assert instance_digest(inst) == reference_digest(inst)
+    back = parse_instance(serialize_instance(inst))
+    assert instance_digest(back) == reference_digest(back) == reference_digest(inst)
+
+
+@settings(max_examples=100, deadline=None)
+@given(generated_instances(), st.data())
+def test_a_count_reads_as_that_many_copies(inst, data):
+    doc = instance_to_dict(inst)
+    sections = [key for key in ("ballots", "pool") if doc.get(key)]
+    if not sections:
+        return
+    key = data.draw(st.sampled_from(sections))
+    i = data.draw(st.integers(0, len(doc[key]) - 1))
+    counted, copied = copy.deepcopy(doc), copy.deepcopy(doc)
+    counted[key][i]["count"] = 3
+    copied[key][i + 1:i + 1] = [dict(doc[key][i]), dict(doc[key][i])]
+    a, b = instance_from_dict(counted), instance_from_dict(copied)
+    assert a == b
+    assert instance_digest(a) == instance_digest(b) == reference_digest(b)
+    assert oracle_solve(a).answer == oracle_solve(b).answer
 
 
 @st.composite
