@@ -16,6 +16,8 @@ Conventions for degenerate elections:
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -91,7 +93,8 @@ class Profile:
     subsets). Instances are immutable; derived tables are computed once, on
     first use, and live as long as the profile: candidate ids, positions and
     bitmasks, the ballot kind, each ballot as candidate positions and its
-    top choice, pairwise margins and the Condorcet family's standing masks.
+    top choice, the packed rank columns, pairwise margins and the Condorcet
+    family's standing masks.
     """
 
     candidates: tuple[Candidate, ...]
@@ -158,9 +161,16 @@ class Profile:
         return tuple(index[b.order[0]] for b in self.ballots)
 
     @cached_property
+    def columns(self) -> tuple[tuple[int, ...], int]:
+        """The rank columns of all linear ballots (see ``_rank_columns``).
+        Their rank rows are dropped once packed (kept, they held 0.9 MB on
+        the ``hardness`` benchmark's profiles)."""
+        return _rank_columns(_rank_rows(self.index, self.ballots), len(self.candidates))
+
+    @cached_property
     def _margins(self) -> Mapping[tuple[str, str], int]:
         """Pairwise majority margins; read them through ``pairwise_margins``."""
-        return _margin_table(self.candidate_ids, _pair_counts(self.positions))
+        return _margin_table(self.candidate_ids, _pair_counts(self.columns))
 
     @cached_property
     def bit(self) -> dict[str, int]:
@@ -189,13 +199,71 @@ class Profile:
         return {}
 
 
-def _pair_counts(orders: Iterable[tuple[int, ...]]) -> Counter:
-    """(a, c) -> how many of the linear ballots ``orders``, given as
-    candidate positions, rank a above c."""
-    return Counter(chain.from_iterable(combinations(order, 2) for order in orders))
+def _rank_rows(index: Mapping[str, int], ballots: Iterable[Ballot]) -> list[list[int]]:
+    """Per linear ballot, each candidate's rank on it (0 for its top
+    choice), by its position in ``index``. Each ballot object is read once,
+    and its repeats share one row."""
+    rows, made = [], {}
+    for b in ballots:
+        row = made.get(id(b))
+        if row is None:
+            row = made[id(b)] = [0] * len(index)
+            for rank, cid in enumerate(b.order):
+                row[index[cid]] = rank
+        rows.append(row)
+    return rows
 
 
-def _margin_table(ids: tuple[str, ...], above: Counter) -> dict[tuple[str, str], int]:
+def _field_code(m: int) -> str:
+    """The ``array`` type code of the narrowest field that holds every rank
+    of an m-candidate ballot, 0 to m - 1, below a clear top (guard) bit."""
+    return next(code for code in "BHIQ" if (m - 1).bit_length() < 8 * array(code).itemsize)
+
+
+def _pack(code: str, values: Iterable[int]) -> int:
+    """``values`` as one int, the i-th in the i-th field of ``code``'s width
+    (field 0 in the lowest bits)."""
+    if code == "B":  # bytes() fills one-byte fields about three times as fast
+        return int.from_bytes(bytes(values), "little")
+    fields = array(code, values)
+    if sys.byteorder == "big":
+        fields.byteswap()
+    return int.from_bytes(fields, "little")
+
+
+def _rank_columns(rows: Sequence[Sequence[int]], m: int) -> tuple[tuple[int, ...], int]:
+    """Packed rank columns of the ballots given as rank ``rows`` over m
+    candidates: per candidate, its rank on every ballot in one int, a field
+    per ballot, plus the guard, the int with the top bit of every field set.
+
+    No rank reaches a field's top bit, so ``((columns[c] | guard) -
+    columns[a]) & guard`` borrows within no field but those where c ranks
+    above a: it keeps the guard bit of exactly the ballots that rank a
+    above c, and ``bit_count`` counts them.
+    """
+    code = _field_code(m)
+    columns = tuple(_pack(code, ranks) for ranks in zip(*rows)) or (0,) * m
+    return columns, _pack(code, [1 << (8 * array(code).itemsize - 1)] * len(rows))
+
+
+def _above(columns: tuple[int, ...], guard: int, a: int, c: int) -> int:
+    """The guard bits of the ballots that rank a above c."""
+    return ((columns[c] | guard) - columns[a]) & guard
+
+
+def _pair_counts(packed: tuple[tuple[int, ...], int]) -> dict[tuple[int, int], int]:
+    """(a, c) -> how many of the linear ballots whose rank columns are
+    ``packed`` rank a above c, for every pair of distinct positions."""
+    columns, guard = packed
+    n = guard.bit_count()  # one guard bit per ballot
+    counts = {}
+    for a, c in combinations(range(len(columns)), 2):
+        counts[a, c] = above = _above(columns, guard, a, c).bit_count()
+        counts[c, a] = n - above
+    return counts
+
+
+def _margin_table(ids: tuple[str, ...], above: Mapping) -> dict[tuple[str, str], int]:
     """Pairwise majority margins over ``ids`` from the pair counts ``above``."""
     margins = {}
     for i, a in enumerate(ids):
@@ -206,7 +274,7 @@ def _margin_table(ids: tuple[str, ...], above: Counter) -> dict[tuple[str, str],
     return margins
 
 
-def _standing_masks(m: int, above: Counter, least: int) -> tuple[int, ...]:
+def _standing_masks(m: int, above: Mapping, least: int) -> tuple[int, ...]:
     """Per candidate position c, the bitmask of the positions a with
     margin(a, c) >= least, c's own bit included: the candidates c leaves
     standing. The Condorcet-family winners among the mask S are S and'ed
@@ -313,6 +381,15 @@ def _voting(table: tuple, votes: Sequence[int] | None) -> Iterable:
     return table if votes is None else map(table.__getitem__, votes)
 
 
+def _columns(profile: Profile, votes: Sequence[int] | None) -> tuple[tuple[int, ...], int]:
+    """The rank columns of the ballots that vote: cached on the profile for
+    all of them, built afresh for ``votes``."""
+    if votes is None:
+        return profile.columns
+    return _rank_columns(_rank_rows(profile.index, _voting(profile.ballots, votes)),
+                         len(profile.candidates))
+
+
 def _members(mask: int) -> list[int]:
     """The candidate positions in ``mask``, ascending."""
     out = []
@@ -373,16 +450,16 @@ def _elect(rule: VotingRule, profile: Profile, among: int,
     which the ballots ``votes`` vote. Neither the ballot kind nor the
     indices are checked; ``winners`` and ``two_stage`` check them first.
 
-    Plurality counts top choices (among fewer candidates, each ballot's
-    first choice in ``among``), approval and system E count ``positions``,
-    and the Condorcet family intersects ``among`` with the standing mask of
-    each of its members (cached for all ballots, counted from ``votes``
-    otherwise).
+    Plurality over all candidates tallies top choices; plurality among
+    fewer and the Condorcet family count on the rank columns of the voting
+    ballots (see ``_rank_columns``). Approval and system E count
+    ``positions``. The Condorcet family intersects ``among`` with the
+    standing mask of each of its members (cached for all ballots).
     """
     if rule is VotingRule.PLURALITY:
-        # Two counts, each the faster where it runs: a scan of the ballots
-        # for the finals and candidate-partition rounds, a tally of ``tops``
-        # for the voter parts (see README).
+        # Two counts, each the faster where it runs: a tally of ``tops`` for
+        # the voter parts, the rank columns for the finals and
+        # candidate-partition rounds (see README).
         if among == profile.everyone:
             counts = [0] * len(profile.candidates)
             for a in _voting(profile.tops, votes):
@@ -391,14 +468,14 @@ def _elect(rule: VotingRule, profile: Profile, among: int,
             if counts.count(top) == 1:
                 return 1 << counts.index(top)
             return _top(counts, range(len(counts)))
-        scores = dict.fromkeys(_ids(profile, among), 0)
-        for b in _voting(profile.ballots, votes):
-            for cid in b.order:  # the ballot's first choice in among
-                if cid in scores:
-                    scores[cid] += 1
-                    break
-        top = max(scores.values())
-        return sum(profile.bit[cid] for cid, score in scores.items() if score == top)
+        columns, guard = _columns(profile, votes)
+        members = _members(among)
+        first = dict.fromkeys(members, guard)  # the ballots whose first choice in among is a
+        for a, c in combinations(members, 2):
+            above = _above(columns, guard, a, c)
+            first[a] &= above
+            first[c] &= ~above
+        return _top({a: ballots.bit_count() for a, ballots in first.items()}, members)
     if rule is VotingRule.APPROVAL:
         counts = Counter(chain.from_iterable(_voting(profile.positions, votes)))
         return _top(counts, _members(among))
@@ -408,7 +485,7 @@ def _elect(rule: VotingRule, profile: Profile, among: int,
     cache = profile._standing if votes is None else {}  # only all ballots are cached
     standing = cache.get(least)
     if standing is None:
-        above = _pair_counts(_voting(profile.positions, votes))
+        above = _pair_counts(_columns(profile, votes))
         standing = cache[least] = _standing_masks(len(profile.candidates), above, least)
     won = rest = among
     while rest and won:

@@ -6,7 +6,7 @@ import random
 from typing import Sequence
 
 from .elections import LINEAR_RULES, SPECIAL_INDICES, Ballot, Candidate, Profile, VotingRule
-from .instance_io import MAX_CANDIDATES
+from .instance_io import MAX_BALLOTS, MAX_CANDIDATES
 from .two_stage import TAKES, ControlInstance, Problem, TieRule
 
 GROUP_PREFIX = "G"
@@ -62,6 +62,8 @@ def random_instance(
                                ("pool size", pool_size, 0), ("groups", n_groups, 1)):
         if value is not None and value < least:
             raise ValueError(f"{what} must be at least {least}, got {value}")
+    if k is not None and k > MAX_BALLOTS:
+        raise ValueError(f"k is {k}; the limit is {MAX_BALLOTS}")
     total = n_candidates + (len(SPECIAL_INDICES) if with_specials else 0)
     if total > MAX_CANDIDATES:
         raise ValueError(f"{total} candidates; the limit is {MAX_CANDIDATES}")

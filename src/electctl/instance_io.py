@@ -29,7 +29,7 @@ from .two_stage import (
 FORMAT = "electctl/1"
 
 # Total ballots (main and pool, counts expanded) one document may describe;
-# checked before any count is expanded.
+# checked before any count is expanded. It bounds a CCPkV "k" too.
 MAX_BALLOTS = 1_000_000
 # Candidates one document may list; checked before any is built. The margin
 # table has one entry per ordered pair, so this matches MAX_BALLOTS.
@@ -230,6 +230,8 @@ def instance_from_dict(doc: dict) -> ControlInstance:
     for key in ("k", "limit"):
         if key in doc and not _is_int(doc[key]):
             raise FormatError(f'"{key}" must be an integer')
+    if doc.get("k", 0) > MAX_BALLOTS:
+        raise FormatError(f'"k" is {doc["k"]}; the limit is {MAX_BALLOTS}')
     entries = doc.get("candidates", [])
     if not isinstance(entries, list):
         raise FormatError('"candidates" must be a list of candidate objects')

@@ -147,8 +147,11 @@ def _joined(groups: list[tuple[int, ...]], which: tuple[int, ...]) -> tuple[int,
 
 
 def oracle_solve(instance: ControlInstance, budget: int = DEFAULT_BUDGET) -> Decision:
-    """Decide the instance by exhaustive witness enumeration. Witnesses are
+    """Decide the instance by exhaustive witness enumeration, examining at
+    most ``budget`` witnesses (``ValueError`` if negative). Witnesses are
     enumerated and replayed compiled; only the one returned is built."""
+    if budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
     examined = 0
     for w in _candidate_witnesses(instance):
         examined += 1

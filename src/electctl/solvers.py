@@ -115,17 +115,18 @@ def solve_plurality_ccepv_te(instance: ControlInstance) -> Decision:
     others = [cid for cid in ids if cid != p]
 
     # Condition 1: V2 has a unique winner c and p beats c in the final.
+    # p is unique in V1 once score[c] - kc <= kp - 1, and c in V2 once
+    # score[p] - kp <= kc - 1; both hold from kc = start on. Each kc below
+    # start is a case that fails them, counted without a loop.
     for c in others:
         if winners(instance.rule, profile, (p, c)) != {p}:
             continue
+        free = [d for d in others if d != c]
         for kp in range(1, score[p] + 1):
-            for kc in range(1, score[c] + 1):
+            start = max(1, score[c] - kp + 1, score[p] - kp + 1)
+            cases += min(start, score[c] + 1) - 1
+            for kc in range(start, score[c] + 1):
                 cases += 1
-                if score[c] - kc > kp - 1:    # p not unique in V1
-                    continue
-                if score[p] - kp > kc - 1:    # c not unique in V2
-                    continue
-                free = [d for d in others if d != c]
                 parts = _extend_to_equipartition(
                     classes, score, free,
                     {p: kp, c: score[c] - kc}, kp, kc - 1, lo, hi)
@@ -140,16 +141,18 @@ def solve_plurality_ccepv_te(instance: ControlInstance) -> Decision:
         if parts:
             return yes(parts)
 
-    # Condition 3: V2 is tied between two candidates other than p.
+    # Condition 3: V2 is tied between two candidates other than p. p is
+    # unique in V1 once score[c] - kc and score[c2] - kc are at most kp - 1,
+    # and c, c2 win V2 once score[p] - kp <= kc; the kc below start are
+    # counted as in condition 1.
     for c, c2 in combinations(others, 2):
+        free = [d for d in others if d not in (c, c2)]
+        top = min(score[c], score[c2])
         for kp in range(1, score[p] + 1):
-            for kc in range(0, min(score[c], score[c2]) + 1):
+            start = max(0, score[c] - kp + 1, score[c2] - kp + 1, score[p] - kp)
+            cases += min(start, top + 1)
+            for kc in range(start, top + 1):
                 cases += 1
-                if score[c] - kc > kp - 1 or score[c2] - kc > kp - 1:
-                    continue
-                if score[p] - kp > kc:        # c, c2 would not win V2
-                    continue
-                free = [d for d in others if d not in (c, c2)]
                 parts = _extend_to_equipartition(
                     classes, score, free,
                     {p: kp, c: score[c] - kc, c2: score[c2] - kc}, kp, kc, lo, hi)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from electctl import Problem, TieRule, VotingRule
 from electctl.cli import EXIT_ERROR, EXIT_NO, EXIT_UNKNOWN, EXIT_YES, main
 from electctl.generate import random_instance
-from electctl.instance_io import FORMAT, instance_to_dict, parse_instance
+from electctl.instance_io import FORMAT, MAX_BALLOTS, instance_to_dict, parse_instance
 from electctl.two_stage import TAKES
 
 
@@ -235,6 +235,10 @@ IMPOSSIBLE_SIZES = {
     "sweep-negative-voters": ("sweep", "ccepv", "--voters", "-1", "--count", "1"),
     "sweep-negative-budget": ("sweep", "ccepv", "--budget", "-1", "--count", "1"),
     "sweep-negative-count": ("sweep", "ccepv", "--count", "-3"),
+    "gen-k-over-the-ballot-limit": ("gen", "--problem", "CCPkV", "--rule", "plurality",
+                                    "--tie", "TE", "--k", str(MAX_BALLOTS + 1)),
+    "sweep-k-over-the-ballot-limit": ("sweep", "ccpkv", "--k", str(MAX_BALLOTS + 1),
+                                      "--count", "1"),
 }
 
 
@@ -320,6 +324,19 @@ class TestSolve:
         code, out, err = run(capsys, "solve", str(path))
         assert code == EXIT_ERROR
         assert out == ""
+        assert "limit" in err
+
+    @pytest.mark.parametrize("k", [MAX_BALLOTS + 1, 10 ** 8])
+    @pytest.mark.parametrize("solver", ["oracle", "poly"])
+    def test_k_over_the_ballot_limit_exits_three(self, tmp_path, capsys, solver, k):
+        # Rejected on reading, before either solver builds a part.
+        path = tmp_path / "ccpkv.json"
+        path.write_text(json.dumps(plurality_doc(
+            problem="CCPkV", k=k, ballots=[{"order": ["p", "a"], "count": 3}])))
+        code, out, err = run(capsys, "solve", str(path), "--solver", solver)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("electctl: error:") and err.count("\n") == 1
         assert "limit" in err
 
     def test_bad_usage_exits_three(self, capsys):

@@ -240,6 +240,16 @@ class TestErrors:
         doc["ballots"] = []
         assert len(instance_from_dict(doc).profile.candidates) == MAX_CANDIDATES
 
+    def test_k_is_capped_per_document(self):
+        # A part per ballot at most: a larger k is rejected before any part
+        # is built, however few ballots the document holds.
+        doc = self.base_doc()
+        doc.update(problem="CCPkV", k=MAX_BALLOTS + 1)
+        with pytest.raises(FormatError, match="limit"):
+            instance_from_dict(doc)
+        doc["k"] = MAX_BALLOTS
+        assert instance_from_dict(doc).k == MAX_BALLOTS
+
     def test_partial_group_labels(self):
         doc = self.base_doc()
         doc["problem"] = "CCPVG"

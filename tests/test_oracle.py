@@ -203,6 +203,16 @@ class TestOracle:
         assert d.answer == "unknown"
         assert d.stats["budget"] == 5
 
+    def test_negative_budget_is_an_error(self):
+        prof = profile("p", "p", "a")
+        inst = ControlInstance(problem=Problem.CCEPV, rule=VotingRule.PLURALITY,
+                               profile=prof, p="p", tie=TieRule.TE)
+        with pytest.raises(ValueError, match="budget"):
+            oracle_solve(inst, budget=-5)
+        d = oracle_solve(inst, budget=0)  # no witness may be examined
+        assert (d.answer, d.stats["cases"]) == ("unknown", 0)
+        assert oracle_solve(inst).answer == "yes"
+
     def test_candidate_partition_problems(self):
         prof = Profile(PAB, (linear("a", "p", "b"), linear("a", "p", "b"),
                              linear("p", "b", "a"), linear("b", "p", "a"),

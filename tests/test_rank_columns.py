@@ -1,0 +1,136 @@
+"""The packed rank columns behind plurality among a candidate subset and the
+Condorcet family's pairwise counts, tested against the definitions."""
+
+from array import array
+from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from electctl import Candidate, Profile, VotingRule, linear, restrict_profile, score_plurality
+from electctl.elections import (
+    _above,
+    _columns,
+    _elect,
+    _field_code,
+    _id_mask,
+    _mask_ids,
+    _pack,
+    _pair_counts,
+    _rank_columns,
+    pairwise_margins,
+)
+
+IDS = ("p", "a", "b", "c", "d")
+
+
+@st.composite
+def profile_and_votes(draw, max_candidates=5):
+    """A linear profile of 0-8 ballots (equal ones often) and the ``votes``
+    of one election on it: None, distinct indices, indices with repeats,
+    or none at all."""
+    ids = IDS[:draw(st.integers(1, max_candidates))]
+    orders = draw(st.lists(st.permutations(ids), max_size=8))
+    prof = Profile(tuple(map(Candidate, ids)), tuple(linear(*o) for o in orders))
+    n = len(orders)
+    votes = draw(st.one_of(
+        st.none(),
+        st.lists(st.integers(0, n - 1), unique=True, max_size=n) if n else st.just([]),
+        st.lists(st.integers(0, n - 1), min_size=2, max_size=12) if n else st.just([]),
+        st.just([]),
+    ))
+    return prof, votes
+
+
+def voting_orders(prof, votes):
+    ballots = prof.ballots if votes is None else [prof.ballots[i] for i in votes]
+    return [b.order for b in ballots]
+
+
+def above_count(orders, a, c):
+    return sum(o.index(a) < o.index(c) for o in orders)
+
+
+def nonempty_subsets(ids):
+    return [s for r in range(1, len(ids) + 1) for s in combinations(ids, r)]
+
+
+@settings(max_examples=250, deadline=None)
+@given(profile_and_votes())
+def test_elect_among_every_subset_equals_the_definition(case):
+    prof, votes = case
+    orders = voting_orders(prof, votes)
+    voting = Profile(prof.candidates, tuple(linear(*o) for o in orders))
+    for among in nonempty_subsets(prof.candidate_ids):
+        mask = _id_mask(prof, among)
+        # Plurality: the top scorers of the restricted election.
+        scores = score_plurality(restrict_profile(voting, among))
+        top = max(scores.values())
+        expected = frozenset(cid for cid, score in scores.items() if score == top)
+        assert _mask_ids(prof, _elect(VotingRule.PLURALITY, prof, mask, votes)) == expected
+        # The Condorcet family: beaten by no other member of among.
+        for rule, least in ((VotingRule.CONDORCET, 1), (VotingRule.WEAK_CONDORCET, 0)):
+            expected = frozenset(
+                a for a in among
+                if all(above_count(orders, a, c) - above_count(orders, c, a) >= least
+                       for c in among if c != a))
+            assert _mask_ids(prof, _elect(rule, prof, mask, votes)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(profile_and_votes())
+def test_pair_counts_equal_the_definition(case):
+    prof, votes = case
+    orders = voting_orders(prof, votes)
+    ids = prof.candidate_ids
+    expected = {(a, c): above_count(orders, ids[a], ids[c])
+                for a in range(len(ids)) for c in range(len(ids)) if a != c}
+    assert _pair_counts(_columns(prof, votes)) == expected
+
+
+def field_widths():
+    """Each distinct field width, in bits, in the order ``_field_code``
+    tries them."""
+    return sorted({8 * array(code).itemsize for code in "BHIQ"})
+
+
+def test_each_field_width_holds_its_largest_rank():
+    for bits in field_widths():
+        top = 2 ** (bits - 1) - 1  # the largest rank below the guard bit
+        code = _field_code(top + 1)
+        assert 8 * array(code).itemsize == bits
+        if bits < field_widths()[-1]:
+            assert 8 * array(_field_code(top + 2)).itemsize > bits
+        assert _pack(code, [top, 0, top]) == top | top << 2 * bits
+        # Three ballots over two candidates, at the extreme ranks: ballot 0
+        # ranks 0 above 1 by the widest gap, ballot 1 ranks 1 above 0, and
+        # ballot 2 ranks 0 above 1 by one.
+        packed = _rank_columns([(0, top), (top, 0), (top - 1, top)], top + 1)
+        columns, guard = packed
+        assert guard == sum(1 << (i * bits + bits - 1) for i in range(3))
+        assert _above(columns, guard, 0, 1) == (1 << bits - 1) | (1 << 3 * bits - 1)
+        assert _above(columns, guard, 1, 0) == 1 << 2 * bits - 1
+        assert _pair_counts(packed) == {(0, 1): 2, (1, 0): 1}
+
+
+def test_no_ballots_pack_to_empty_columns():
+    assert _rank_columns([], 3) == ((0, 0, 0), 0)
+    assert _pair_counts(_rank_columns([], 2)) == {(0, 1): 0, (1, 0): 0}
+
+
+def test_a_profile_wider_than_one_byte_fields():
+    # 130 candidates need rank 129, which leaves no guard bit in a byte.
+    ids = tuple(f"c{i}" for i in range(130))
+    orders = (ids, ids[::-1], ids[1:] + ids[:1])
+    prof = Profile(tuple(map(Candidate, ids)), tuple(linear(*o) for o in orders))
+    assert _field_code(len(ids)) != "B"
+    margins = pairwise_margins(prof)
+    assert margins[("c129", "c0")] == 1 and margins[("c1", "c0")] == 1
+    assert margins[("c2", "c128")] == 1
+    # Among c0, c2: c0 tops ballot 0, c2 the others; among c0, c1, c129:
+    # one ballot each.
+    among = _id_mask(prof, ("c0", "c2"))
+    assert _mask_ids(prof, _elect(VotingRule.PLURALITY, prof, among, None)) == {"c2"}
+    among = _id_mask(prof, ("c0", "c1", "c129"))
+    assert (_mask_ids(prof, _elect(VotingRule.PLURALITY, prof, among, None))
+            == {"c0", "c1", "c129"})

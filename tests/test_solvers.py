@@ -100,6 +100,69 @@ class TestEquipartitionSolver:
             solve_plurality_ccepv_te(ccpkv(profile("p"), 2))
 
 
+def digit_profile(m, orders):
+    """Candidates p, c1, ..., c(m-1); each order a string of "p" and digits."""
+    ids = ("p",) + tuple(f"c{i}" for i in range(1, m))
+    return Profile(tuple(map(Candidate, ids)),
+                   tuple(linear(*(ids[0 if x == "p" else int(x)] for x in o)) for o in orders))
+
+
+def round_robin_no(m, p_tops, n):
+    """p tops ``p_tops`` ballots and is last on the rest, whose tops cycle
+    through c1, ..., c(m-1); every other candidate in position order."""
+    ids = ("p",) + tuple(f"c{i}" for i in range(1, m))
+    tops = ["p"] * p_tops + [ids[1 + i % (m - 1)] for i in range(n - p_tops)]
+    return Profile(tuple(map(Candidate, ids)), tuple(
+        linear(t, *(c for c in ids if c not in (t, "p")), *(() if t == "p" else ("p",)))
+        for t in tops))
+
+
+# (answer, V1, cases) of solve_plurality_ccepv_te, computed with a plain
+# loop over every kc (each case counted, each failing kc tested); the
+# closed-form skip of the failing kc must leave all three unchanged.
+CCEPV_GOLDEN = {
+    "yes-in-condition-1": (
+        digit_profile(4, ["p231", "23p1", "2p31", "3p12", "123p", "p123", "3p21", "132p",
+                          "21p3", "31p2", "32p1", "p231", "p123", "1p32", "p312", "p312",
+                          "p321", "32p1", "p132", "p231", "32p1", "p321", "p231", "32p1",
+                          "3p21", "p321", "32p1", "2p13", "p213"]),
+        ("yes", (0, 1, 2, 3, 4, 5, 7, 8, 11, 12, 13, 14, 15, 27), 144)),
+    "yes-in-condition-2": (
+        digit_profile(4, ["3p12", "32p1", "312p", "123p", "312p", "23p1", "p132", "p123",
+                          "p321", "p132", "3p12", "3p21", "p213", "p132", "23p1", "p123",
+                          "312p", "231p", "p132", "p123", "312p", "3p12", "312p", "213p",
+                          "p321", "p213", "p321", "13p2"]),
+        ("yes", (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 14, 17, 23), 77)),
+    "yes-in-condition-3": (
+        digit_profile(6, ["531p42", "p45123", "54132p", "421p53", "p52134", "p34521",
+                          "4p1253", "5432p1", "35p124", "543p12", "534p12", "25p341",
+                          "14325p", "53421p", "4p1532", "52431p", "p43512", "5p1234",
+                          "412p53", "2541p3", "51p342", "2351p4", "1542p3", "3p4152",
+                          "p25431", "21534p", "5p4123", "p34512", "4p3512"]),
+        ("yes", (0, 1, 2, 4, 5, 7, 8, 9, 10, 11, 16, 19, 23, 24, 27), 276)),
+    "no": (
+        digit_profile(6, ["5134p2", "3521p4", "45231p", "521p43", "5231p4", "542p31",
+                          "p24513", "25p431", "p32154", "p45213", "p23451", "5213p4",
+                          "p32415", "135p24", "3p2451", "1p2354", "p34215", "43p512",
+                          "5p1324", "5p3214", "3p1245", "p42315", "5p3124", "524p31",
+                          "51p342", "12p453", "p32541", "51432p", "5312p4", "23415p"]),
+        ("no", None, 352)),
+    "no-by-counting": (round_robin_no(8, 5, 100), ("no", None, 1505)),
+}
+
+
+@pytest.mark.parametrize("name", CCEPV_GOLDEN)
+def test_equipartition_solver_answer_witness_and_cases_are_pinned(name):
+    prof, (answer, v1, cases) = CCEPV_GOLDEN[name]
+    inst = ccepv(prof)
+    d = solve_plurality_ccepv_te(inst)
+    assert (d.answer, d.stats["cases"]) == (answer, cases)
+    if answer == "yes":
+        n = len(prof.ballots)
+        assert d.witness.parts == (v1, tuple(i for i in range(n) if i not in v1))
+        assert verify_witness(inst, d.witness)
+
+
 class TestKPartSolver:
     def test_frozen_cases(self):
         assert solve_plurality_ccpkv_te(ccpkv(profile("a", "a", "b", "p"), 2)).answer == "no"
