@@ -113,7 +113,9 @@ def _compiled_forms(instance: ControlInstance) -> Iterator[tuple]:
     elif prob is Problem.CCEPV:
         yield from enumerate_equipartitions(nv)
     elif prob is Problem.CCPKV:
-        yield from _k_partitions(nv, instance.k)
+        # No label reaches nv, so past nv + 1 parts every extra part is empty
+        # and elects what the one empty part kept here elects.
+        yield from _k_partitions(nv, min(instance.k, nv + 1))
     elif prob in (Problem.CCRPC, Problem.CCREPC):
         nc, everyone = len(profile.candidates), profile.everyone
         source = enumerate_equipartitions(nc) if prob is Problem.CCREPC else _bipartitions(nc)

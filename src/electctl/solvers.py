@@ -9,7 +9,7 @@ reproducible.
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 from .elections import Profile, VotingRule, winners
 from .two_stage import (
@@ -162,16 +162,73 @@ def solve_plurality_ccepv_te(instance: ControlInstance) -> Decision:
     return Decision(NO, stats={"cases": cases})
 
 
+# The most cases the CCPkV solver reports: its count is a closed form that
+# can run to a million digits, and past this no walk could have reached it.
+CASES_LIMIT = 2 ** 63 - 1
+
+
+def _multisets(kinds: int, size: int, cap: int) -> int:
+    """C(kinds + size - 1, size), the multisets of ``size`` items drawn from
+    ``kinds`` kinds, or ``cap + 1`` once that exceeds ``cap``. Each step of
+    the product at least doubles it, so it stops within about log2(cap)
+    steps however large ``size`` is."""
+    if kinds <= 0:
+        return int(size == 0)
+    top, j = kinds + size - 1, min(size, kinds - 1)
+    count = 1
+    for i in range(1, j + 1):
+        count = count * (top - j + i) // i
+        if count > cap:
+            return cap + 1
+    return count
+
+
+def _rank(runs: list[tuple[int, int]], kinds: int, size: int, cap: int) -> int:
+    """The position, from 0, of a multiset of ``size`` items among all of
+    them in ``combinations_with_replacement(range(kinds), size)`` order, or
+    ``cap + 1`` once that exceeds ``cap``. The multiset is given as runs of
+    (item, copies), items ascending."""
+    rank, prev, left = 0, 0, size
+    for item, copies in runs:
+        left -= 1
+        if item > prev:
+            # The multisets that agree up to this run's first place and hold
+            # an item in [prev, item) there; by the hockey-stick identity.
+            # The first of those terms is at least a kinds-th of ``above``.
+            above = _multisets(kinds - prev, left + 1, cap * kinds)
+            if above > cap * kinds:
+                return cap + 1
+            rank += above - _multisets(kinds - item, left + 1, cap * kinds)
+            if rank > cap:
+                return cap + 1
+        prev = item
+        left -= copies - 1
+    return rank
+
+
 def solve_plurality_ccpkv_te(instance: ControlInstance) -> Decision:
     """Plurality control by k-partition of voters, ties-eliminate.
 
-    Enumerates, per part, either a unique winner with its top-choice count
-    or an eliminating tied pair with its count (count 0 covering the empty
-    part), then checks that the guessed finalists make p the sole final
-    winner and that per-candidate top-choice counts can realize the guess.
-    Realizability decomposes per candidate: pinned exact counts must not
-    exceed the candidate's total, and the remainder must fit under the sum
-    of the other parts' caps.
+    Guesses, per part, either a unique winner with its top-choice count or
+    an eliminating tied pair with its count (count 0 covering the empty
+    part). p's own part comes first, with count s1 = 1, 2, ...; the other
+    k - 1 guesses form a multiset of ``options``, taken in
+    ``combinations_with_replacement`` order. The first multiset whose
+    finalists make p the sole final winner and whose per-candidate
+    top-choice counts can realize it is the answer. Realizability
+    decomposes per candidate: pinned exact counts must not exceed the
+    candidate's total, and the remainder must fit under the caps of the
+    parts that do not pin it.
+
+    The walk visits only multisets that can pass. Pinned counts only grow,
+    so a prefix that pins more than a score is cut. The last guess is
+    chosen per block of options sharing (kind, members): its feasible
+    counts form an interval, and one final round decides the block. The
+    empty guess pins nothing, so its copies are placed in closed form, and
+    a passing multiset holds at most n other guesses: the walk is bounded
+    by n and m, never by k. ``cases`` is the number of multisets the plain
+    enumeration would have examined, computed rather than counted, and
+    left out when it exceeds ``CASES_LIMIT``.
     """
     _require(instance, Problem.CCPKV, VotingRule.PLURALITY, TieRule.TE)
     profile, p, k = instance.profile, instance.p, instance.k
@@ -180,25 +237,30 @@ def solve_plurality_ccpkv_te(instance: ControlInstance) -> Decision:
     n = len(profile.ballots)
     classes = _top_classes(profile)
     score = {cid: len(cls) for cid, cls in classes.items()}
-    cases = 0
 
     if len(ids) == 1:
         parts = (tuple(range(n)),) + ((),) * (k - 1)
         return Decision(YES, VoterPartition(parts), {"cases": 1})
 
     # A guess per part: ("win", (c,), s) or ("elim", (d, e), s). The empty
-    # part is representable by any pair at count 0; keep a single copy.
+    # part is representable by any pair at count 0; keep a single copy, the
+    # first pair's. The options sharing (kind, members) form a block:
+    # (first index, last index, is win, member positions, first s).
+    slot = {cid: i for i, cid in enumerate(ids)}
     options: list[tuple[str, tuple[str, ...], int]] = []
+    blocks: list[tuple[int, int, bool, tuple[int, ...], int]] = []
     for c in ids:
+        if score[c]:
+            blocks.append((len(options), len(options) + score[c] - 1, True, (slot[c],), 1))
         for s in range(1, score[c] + 1):
             options.append(("win", (c,), s))
-    empty_seen = False
-    for d, e in combinations(ids, 2):
-        for s in range(0, min(score[d], score[e]) + 1):
-            if s == 0:
-                if empty_seen:
-                    continue
-                empty_seen = True
+    empty = len(options)
+    for i, (d, e) in enumerate(combinations(ids, 2)):
+        s0 = 0 if i == 0 else 1
+        top = min(score[d], score[e])
+        if top >= s0:
+            blocks.append((len(options), len(options) + top - s0, False, (slot[d], slot[e]), s0))
+        for s in range(s0, top + 1):
             options.append(("elim", (d, e), s))
 
     def build_parts(specs) -> tuple[tuple[int, ...], ...]:
@@ -225,34 +287,139 @@ def solve_plurality_ccpkv_te(instance: ControlInstance) -> Decision:
                 pos += a
         return tuple(tuple(sorted(part)) for part in kparts)
 
-    for s1 in range(1, score[p] + 1):
-        head = ("win", (p,), s1)
-        for combo in combinations_with_replacement(options, k - 1):
-            cases += 1
-            specs = (head,) + combo
-            finalists = {m for kind, members, _ in specs if kind == "win" for m in members}
-            if final_round(instance, sum(map(bit.__getitem__, finalists))) != bit[p]:
-                continue
-            base_cap = sum((s - 1) if kind == "win" else s for kind, _, s in specs)
-            exact = {cid: 0 for cid in ids}
-            capadj = {cid: 0 for cid in ids}
-            feasible = True
-            for kind, members, s in specs:
-                part_cap = s - 1 if kind == "win" else s
-                for m in members:
-                    exact[m] += s
-                    capadj[m] -= part_cap
-            for h in ids:
-                r = score[h] - exact[h]
-                if r < 0 or r > base_cap + capadj[h]:
-                    feasible = False
-                    break
-            if not feasible:
-                continue
-            return Decision(YES, VoterPartition(build_parts(specs)),
-                            {"cases": cases})
+    # Candidates by position. A walk state is (slack, room, finalists):
+    # slack[h] is h's top-choice count not yet pinned, room[h] the caps of
+    # the guessed parts that do not pin h, finalists a bitmask. A complete
+    # guess passes when slack[h] <= room[h] for every h and the final round
+    # leaves p alone.
+    cbit = [bit[cid] for cid in ids]
+    pbit, pi = bit[p], slot[p]
 
-    return Decision(NO, stats={"cases": cases})
+    def passes(slack, room, finalists) -> bool:
+        return (all(map(int.__le__, slack, room))
+                and final_round(instance, finalists) == pbit)
+
+    def add(state, index, copies):
+        slack, room, finalists = state
+        kind, members, s = options[index]
+        slack, pinned = slack[:], tuple(map(slot.get, members))
+        for h in pinned:
+            slack[h] -= s * copies
+        cap = (s - 1 if kind == "win" else s) * copies
+        room = [r if h in pinned else r + cap for h, r in enumerate(room)]
+        if kind == "win":
+            finalists |= cbit[pinned[0]]
+        return slack, room, finalists
+
+    def last_guess(state, lo):
+        """The first option at index lo or later that completes the guess."""
+        slack, room, finalists = state
+        need = list(map(int.__sub__, slack, room))
+        top = max(need)
+        alone = need.count(top) == 1
+        elim_final = None
+        for first, last, win, members, s0 in blocks:
+            if last < lo:
+                continue
+            lower = s0 + max(first, lo) - first
+            upper = s0 + last - first
+            if win:
+                c, = members
+                # A win at count s takes s from c's slack and adds s - 1 to
+                # every other room: c needs s >= need[c], any other h
+                # s >= need[h] + 1.
+                lower = max(lower, need[c] if alone and need[c] == top else top + 1)
+                if (lower <= min(upper, slack[c])
+                        and final_round(instance, finalists | cbit[c]) == pbit):
+                    return first + lower - s0
+            else:
+                # A pair at count s takes s from both members' slack and adds
+                # s to every other room: each h needs s >= need[h].
+                lower = max(lower, top)
+                if lower <= min(upper, *map(slack.__getitem__, members)):
+                    if elim_final is None:
+                        elim_final = final_round(instance, finalists) == pbit
+                    if elim_final:
+                        return first + lower - s0
+        return None
+
+    def extensions(state, lo, left):
+        """(run, state, lo, left) for each first run of a completion of
+        ``left`` >= 2 guesses from index ``lo`` on, in the enumeration's
+        order; left 0 marks a passing multiset."""
+        slack = state[0]
+        for first, last, win, members, s0 in blocks:
+            if last < lo:
+                continue
+            index = max(first, lo)
+            if index == empty:
+                # The empty guess's copies, then u >= 0 pair guesses, each
+                # pinning at least two ballots; fewer pairs come first.
+                if passes(*state):
+                    yield (empty, left), state, None, 0
+                for u in range(1, min(left - 1, sum(slack) // 2) + 1):
+                    yield (empty, left - u), state, empty + 1, u
+                index += 1
+            if not win and 2 * left > sum(slack):  # only pair guesses are left
+                return
+            for index in range(index, last + 1):
+                s = s0 + index - first
+                most = min(left, *(slack[h] // s for h in members))
+                if not most:
+                    break
+                for copies in range(most, 0, -1):
+                    after = add(state, index, copies)
+                    if copies < left:
+                        yield (index, copies), after, index + 1, left - copies
+                    elif passes(*after):
+                        yield (index, copies), after, None, 0
+
+    def first_passing(state, size):
+        """The first passing multiset of ``size`` guesses, as runs."""
+        if size == 1:
+            index = last_guess(state, 0)
+            return None if index is None else [(index, 1)]
+        path, stack = [], [extensions(state, 0, size)]
+        while stack:
+            for run, after, lo, left in stack[-1]:
+                if left == 0:
+                    return path + [run]
+                if left == 1:
+                    index = last_guess(after, lo)
+                    if index is not None:
+                        return path + [run, (index, 1)]
+                    continue
+                path.append(run)
+                stack.append(extensions(after, lo, left))
+                break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
+        return None
+
+    per_s1 = _multisets(len(options), k - 1, CASES_LIMIT)
+    for s1 in range(1, score[p] + 1):
+        slack = [score[cid] for cid in ids]
+        slack[pi] -= s1
+        room = [0 if h == pi else s1 - 1 for h in range(len(ids))]
+        runs = first_passing((slack, room, pbit), k - 1)
+        if runs is None:
+            continue
+        head = ("win", (p,), s1)
+        picked = [(options[i], c) for i, c in runs if i != empty]
+        built = build_parts([head] + [g for g, c in picked for _ in range(c)])
+        wins = 1 + sum(c for g, c in picked if g[0] == "win")
+        blanks = sum(c for i, c in runs if i == empty)
+        parts = built[:wins] + ((),) * blanks + built[wins:]
+        cases = (s1 - 1) * per_s1 + _rank(runs, len(options), k - 1, CASES_LIMIT) + 1
+        return Decision(YES, VoterPartition(parts), _cases(cases))
+
+    return Decision(NO, stats=_cases(score[p] * per_s1))
+
+
+def _cases(cases: int) -> dict:
+    return {"cases": cases} if cases <= CASES_LIMIT else {}
 
 
 def solve_weakcondorcet_ccrpc_tp(instance: ControlInstance) -> Decision:

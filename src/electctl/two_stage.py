@@ -391,7 +391,9 @@ def _public_witness(instance: ControlInstance, w: tuple) -> Witness:
     prob, profile = instance.problem, instance.profile
     if prob in _CANDIDATE_PROBLEMS:
         return CandidatePartition(*(_mask_ids(profile, side) for side in w))
-    if prob in (Problem.CCPV, Problem.CCEPV, Problem.CCPKV):
+    if prob is Problem.CCPKV:  # padded back to k parts with empty ones
+        return VoterPartition(w + ((),) * (instance.k - len(w)))
+    if prob in (Problem.CCPV, Problem.CCEPV):
         return VoterPartition(w)
     owner = {i: lab for lab, idx in instance.groups for i in idx}
     if prob is Problem.CCPVG:

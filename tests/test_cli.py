@@ -8,7 +8,9 @@ import contextlib
 import csv
 import io
 import json
+import math
 import random
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -338,6 +340,57 @@ class TestSolve:
         assert out == ""
         assert err.startswith("electctl: error:") and err.count("\n") == 1
         assert "limit" in err
+
+    @staticmethod
+    def three_ballots(tmp_path, k):
+        # p tops one ballot and a two: "no" at every k.
+        path = tmp_path / f"ccpkv-{k}.json"
+        path.write_text(json.dumps(plurality_doc(
+            problem="CCPkV", k=k,
+            ballots=[{"order": ["p", "a"]}, {"order": ["a", "p"], "count": 2}])))
+        return path
+
+    @pytest.mark.parametrize("solver", ["poly", "oracle"])
+    def test_a_million_parts_exit_no_within_a_second(self, tmp_path, capsys, solver):
+        path = self.three_ballots(tmp_path, 10 ** 6)
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "solve", str(path), "--solver", solver)
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_NO
+        # The oracle tries the 5 partitions of three ballots. Poly's count,
+        # C(10^6 + 3, 4) (see below), is past 2^63 - 1, so it is left out.
+        assert json.loads(out)["stats"] == ({"cases": 5} if solver == "oracle" else {})
+
+    @pytest.mark.parametrize("k", [2, 40, 30_000])
+    def test_poly_cases_are_the_closed_form_count(self, tmp_path, capsys, k):
+        # score[p] = 1 times the multisets of k - 1 among the 5 guesses (p
+        # wins 1, a wins 1 or 2, the empty part, p and a tie at 1).
+        code, out, _ = run(capsys, "solve", str(self.three_ballots(tmp_path, k)))
+        assert code == EXIT_NO
+        assert json.loads(out)["stats"] == {"cases": math.comb(k + 3, 4)}
+
+    def test_a_count_past_printable_ints_still_gives_a_record(self, tmp_path, capsys):
+        # p tops 1,200 of 2,000 ballots, so it wins every final. At k = 10^5
+        # the count has more digits than Python converts to a string by
+        # default (4,300), so it is left out of the record.
+        k, others = 10 ** 5, ["c1", "c2", "c3", "c4"]
+        ballots = [{"order": ["p", *others], "count": 1200}] + [
+            {"order": [c, "p", *(d for d in others if d != c)], "count": 200} for c in others]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(plurality_doc(
+            problem="CCPkV", k=k, candidates=[{"id": c} for c in ["p", *others]],
+            ballots=ballots)))
+        # 2,000 wins, the empty part and 2,000 ties are 4,001 guesses per part.
+        assert math.comb(4001 + k - 2, k - 1).bit_length() > 4300 * math.log2(10)
+        code, out, _ = run(capsys, "solve", str(path))
+        assert code == EXIT_YES
+        record = json.loads(out)
+        assert record["answer"] == "yes" and "cases" not in record["stats"]
+        assert len(record["witness"]["parts"]) == k
+        witness = tmp_path / "witness.json"
+        witness.write_text(json.dumps({"format": FORMAT, "witness": record["witness"]}))
+        code, out, _ = run(capsys, "verify", str(path), str(witness))
+        assert (code, out.splitlines()[-1]) == (EXIT_YES, "accepted")
 
     def test_bad_usage_exits_three(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -266,3 +266,26 @@ class TestOracle:
             d = oracle_solve(inst)
             if d.answer == "yes":
                 assert verify_witness(inst, d.witness), inst.problem
+
+    @pytest.mark.parametrize("tie", list(TieRule))
+    @pytest.mark.parametrize("rule", [VotingRule.PLURALITY, VotingRule.WEAK_CONDORCET])
+    def test_k_partitions_past_the_ballot_count(self, rule, tie):
+        # Past n parts the oracle keeps one empty part for all the empty
+        # ones. Under weakCondorcet-TP it promotes every candidate: on the
+        # last profile p beats every other ballot's top but loses to a,
+        # which tops none, so with that part every witness fails. The
+        # answer, witness and cases are those of the k-part witnesses.
+        pabc = tuple(map(Candidate, "pabc"))
+        profiles = [profile(*tops) for n in range(4) for tops in product("pab", repeat=n)]
+        profiles.append(Profile(pabc, tuple(linear(*o) for o in ("capb", "pbca", "bapc"))))
+        for prof in profiles:
+            n = len(prof.ballots)
+            for k in (max(n + 1, 2), n + 3):
+                inst = ControlInstance(problem=Problem.CCPKV, rule=rule,
+                                       profile=prof, p="p", tie=tie, k=k)
+                parts = [VoterPartition(w) for w in _k_partitions(n, k)]
+                first = next((i for i, w in enumerate(parts, 1)
+                              if verify_witness(inst, w)), None)
+                d = oracle_solve(inst)
+                assert d.stats["cases"] == (first or len(parts)), (prof, k)
+                assert d.witness == (first and parts[first - 1]), (prof, k)

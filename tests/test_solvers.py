@@ -1,6 +1,7 @@
 """Unit tests for the polynomial-time control solvers."""
 
 import itertools
+import random
 
 import pytest
 
@@ -23,6 +24,7 @@ from electctl import (
     solve_weakcondorcet_ccrpc_tp,
     verify_witness,
 )
+from electctl.solvers import CASES_LIMIT, _multisets, _rank
 
 PAB = tuple(Candidate(c) for c in ("p", "a", "b"))
 
@@ -193,6 +195,93 @@ class TestKPartSolver:
     def test_k_exceeding_voter_count(self):
         inst = ccpkv(profile("a", "p"), 4)
         assert solve_plurality_ccpkv_te(inst).answer == oracle_solve(inst).answer
+
+
+def poly_large_shaped(seed, kind):
+    """Five candidates and 1,000 ballots, as in the benchmark's CCPkV slots:
+    for "no", c1 tops a majority and p five ballots; for "yes", p tops a
+    majority. The other tops are drawn at random and the rest of each
+    ballot shuffled."""
+    rng = random.Random(seed)
+    ids = ("p", "c1", "c2", "c3", "c4")
+    if kind == "no":
+        firsts, pool = ["c1"] * 501 + ["p"] * 5, ids[2:]
+    else:
+        firsts, pool = ["p"] * 501, ids[1:]
+    firsts += [rng.choice(pool) for _ in range(1000 - len(firsts))]
+    ballots = []
+    for top in firsts:
+        rest = [c for c in ids if c != top]
+        rng.shuffle(rest)
+        ballots.append(linear(top, *rest))
+    rng.shuffle(ballots)
+    return Profile(tuple(map(Candidate, ids)), tuple(ballots))
+
+
+# (answer, witness parts, cases) of solve_plurality_ccpkv_te at k, computed
+# with a loop that checks every multiset of guesses in order; the pruned
+# walk and the closed-form count must leave all three unchanged.
+CCPKV_GOLDEN = {
+    "yes": (
+        digit_profile(4, ["13p2", "p312", "23p1", "312p", "13p2", "3p12", "23p1"]), 5,
+        ("yes", ((1,), (0,), (4,), (), (2, 3, 5, 6)), 1060)),
+    "no": (
+        digit_profile(4, ["132p", "132p", "p213", "p321", "132p", "p123", "p312", "123p"]), 4,
+        ("no", None, 1820)),
+    "yes-k-over-n": (
+        digit_profile(4, ["321p", "3p12", "2p31", "p213", "1p32", "1p23", "3p12"]), 9,
+        ("yes", ((3,), (0,), (1,), (), (), (), (), (2, 4), (5, 6)), 282332)),
+    "no-k-over-n": (
+        digit_profile(4, ["p312", "1p23", "p123", "1p23", "23p1", "12p3"]), 8,
+        ("no", None, 38896)),
+    "yes-empty-parts-before-a-tie": (
+        digit_profile(4, ["231p", "p321", "1p32", "13p2", "2p13"]), 4,
+        ("yes", ((1,), (), (), (0, 2, 3, 4)), 190)),
+    "benchmark-shaped-no": (poly_large_shaped(1, "no"), 2, ("no", None, 9965)),
+    "benchmark-shaped-yes": (
+        poly_large_shaped(2, "yes"), 2, ("yes", ((0,), tuple(range(1, 1000))), 500)),
+}
+
+
+@pytest.mark.parametrize("name", CCPKV_GOLDEN)
+def test_k_part_solver_answer_witness_and_cases_are_pinned(name):
+    prof, k, (answer, parts, cases) = CCPKV_GOLDEN[name]
+    inst = ccpkv(prof, k)
+    d = solve_plurality_ccpkv_te(inst)
+    assert (d.answer, d.stats["cases"]) == (answer, cases)
+    assert (d.witness and d.witness.parts) == parts
+    if answer == "yes":
+        assert verify_witness(inst, d.witness)
+
+
+def test_k_part_solver_agrees_with_the_oracle_on_random_instances():
+    # k from 2 to 6 and past the ballot count, where parts must stay empty.
+    rng = random.Random(7)
+    for _ in range(40):
+        m, n = rng.randint(2, 4), rng.randint(0, 7)
+        prof = digit_profile(m, ["".join(rng.sample("p123"[:m], m)) for _ in range(n)])
+        for k in sorted({2, 3, 4, 5, 6, n + 1, n + 3} - {0, 1}):
+            inst = ccpkv(prof, k)
+            d = solve_plurality_ccpkv_te(inst)
+            assert d.answer == oracle_solve(inst).answer, (prof, k)
+            if d.answer == "yes":
+                assert verify_witness(inst, d.witness), (prof, k)
+
+
+def test_multiset_counts_and_ranks_follow_the_enumeration():
+    for kinds in range(0, 6):
+        for size in range(0, 5):
+            combos = list(itertools.combinations_with_replacement(range(kinds), size))
+            assert _multisets(kinds, size, CASES_LIMIT) == len(combos)
+            assert _multisets(kinds, size, 6) == min(len(combos), 7)
+            for rank, combo in enumerate(combos):
+                runs = [(i, combo.count(i)) for i in sorted(set(combo))]
+                assert _rank(runs, kinds, size, CASES_LIMIT) == rank
+                assert _rank(runs, kinds, size, 6) == min(rank, 7)
+    # A million items: the capped product stops within a few dozen steps.
+    assert _multisets(5, 10 ** 6, CASES_LIMIT) == CASES_LIMIT + 1
+    assert _rank([(0, 10 ** 6 - 1), (3, 1)], 5, 10 ** 6, CASES_LIMIT) == 3
+    assert _rank([(1, 10 ** 6)], 5, 10 ** 6, CASES_LIMIT) == CASES_LIMIT + 1
 
 
 class TestTrivialPartitionSolver:
