@@ -8,6 +8,7 @@ at the instance level.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 from itertools import chain, repeat, zip_longest
@@ -141,6 +142,8 @@ def _ballot_entries(doc: dict, section: str,
 
 def _expand(ballots: list[Ballot], counts: list[int],
             labels: list[str | None]) -> tuple[tuple[Ballot, ...], list[str | None]]:
+    if counts.count(1) == len(counts):  # nothing to expand
+        return tuple(ballots), labels
     return (tuple(chain.from_iterable(map(repeat, ballots, counts))),
             list(chain.from_iterable(map(repeat, labels, counts))))
 
@@ -165,29 +168,35 @@ def _groups_from_labels(problem: Problem, labels: dict[str, list[str | None]]):
     return tuple((lab, tuple(idx)) for lab, idx in groups.items())
 
 
-def _ballot_dicts(profile: Profile, labels, share: bool) -> list[dict]:
-    """One section's ballot entries; ``labels`` gives each ballot's group
-    label, or is empty for a section without groups. With ``share``, the
-    entries of one ballot object under one label are one shared dict."""
-    if not share:
-        return [_ballot_to_dict(b, lab) for b, lab in zip_longest(profile.ballots, labels)]
-    by_id = {id(b): b for b in profile.ballots}
-    if labels:  # an entry per (ballot id, label)
-        keys = list(zip(map(id, profile.ballots), labels))
-        made = {key: _ballot_to_dict(by_id[key[0]], key[1]) for key in dict.fromkeys(keys)}
-    else:  # an entry per ballot id
-        keys = list(map(id, profile.ballots))
-        made = {key: _ballot_to_dict(b, None) for key, b in by_id.items()}
-    return list(map(made.__getitem__, keys))
+def _sections(instance: ControlInstance) -> list[tuple[str, Profile, list[str]]]:
+    """Each ballot section's key, profile and group labels: a label per
+    ballot in the section ``ControlInstance.grouped`` names, none elsewhere."""
+    labels: list[str] = []
+    if instance.groups is not None:
+        labels = [""] * len(instance.grouped.ballots)
+        for lab, idx in instance.groups:
+            for i in idx:
+                labels[i] = lab
+    if instance.pool is None:
+        return [("ballots", instance.profile, labels)]
+    return [("ballots", instance.profile, []), ("pool", instance.pool, labels)]
 
 
 def instance_to_dict(instance: ControlInstance) -> dict:
-    return _document(instance, share=False)
+    doc = _head(instance)
+    doc["candidates"] = [
+        {"id": c.id} if c.special_index is None
+        else {"id": c.id, "special": c.special_index}
+        for c in instance.profile.candidates
+    ]
+    for key, profile, labels in _sections(instance):
+        doc[key] = [_ballot_to_dict(b, lab) for b, lab in zip_longest(profile.ballots, labels)]
+    return doc
 
 
-def _document(instance: ControlInstance, share: bool) -> dict:
-    """``instance_to_dict``; with ``share``, equal ballot entries are one
-    dict (see ``_ballot_dicts``), which only an encoder may read."""
+def _head(instance: ControlInstance) -> dict:
+    """The ``instance_to_dict`` document's single values: all but its
+    candidates and ballot sections."""
     doc: dict[str, Any] = {
         "format": FORMAT,
         "problem": instance.problem.value,
@@ -200,22 +209,6 @@ def _document(instance: ControlInstance, share: bool) -> dict:
         doc["k"] = instance.k
     if instance.limit is not None:
         doc["limit"] = instance.limit
-    doc["candidates"] = [
-        {"id": c.id} if c.special_index is None
-        else {"id": c.id, "special": c.special_index}
-        for c in instance.profile.candidates
-    ]
-
-    labels: list[str] = []  # empty unless the problem takes groups
-    if instance.groups is not None:
-        labels = [""] * len(instance.grouped.ballots)
-        for lab, idx in instance.groups:
-            for i in idx:
-                labels[i] = lab
-    doc["ballots"] = _ballot_dicts(instance.profile,
-                                   labels if instance.pool is None else (), share)
-    if instance.pool is not None:
-        doc["pool"] = _ballot_dicts(instance.pool, labels, share)
     return doc
 
 
@@ -340,8 +333,24 @@ def cubic_vc_from_dict(doc: dict) -> CubicGraphVC:
                          tuple(frozenset(e) for e in edges), doc["k"])
 
 
+def _read(build, text: str):
+    """``build(load_document(text))`` with the cyclic collector paused, and
+    left enabled or disabled as it was found, also when either raises.
+    Reading a document allocates many containers and makes no cycles, so
+    reference counting frees all of them as before; the pause only keeps
+    the allocations from setting off collections. The collector is
+    process-wide, so the pause is too."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return build(load_document(text))
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def parse_instance(text: str) -> ControlInstance:
-    return instance_from_dict(load_document(text))
+    return _read(instance_from_dict, text)
 
 
 def serialize_instance(instance: ControlInstance) -> str:
@@ -349,18 +358,59 @@ def serialize_instance(instance: ControlInstance) -> str:
 
 
 def parse_witness(text: str) -> Witness:
-    return witness_from_dict(load_document(text))
+    return _read(witness_from_dict, text)
 
 
 def serialize_witness(witness: Witness) -> str:
     return json.dumps(witness_to_dict(witness), indent=1) + "\n"
 
 
+# The canonical encoding: json.dumps(..., sort_keys=True, separators=(",", ":")).
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _section_text(profile: Profile, labels: list[str], ids: dict[str, str]) -> str:
+    """The canonical text of one section's ``instance_to_dict`` entries.
+    ``labels`` gives each ballot's group label, or is empty for a section
+    without groups; ``ids`` maps each candidate id to its encoded text. The
+    text of each distinct (ballot, label) entry is built once, keys in sorted
+    order ("approve" < "group" < "order"), and the entries are looked up and
+    joined at C level, so no entry allocates a container that the cyclic
+    collector tracks."""
+    ballots = profile.ballots
+    if not ballots:
+        return "[]"
+    ranked = profile.kind == "linear"
+    by_id = dict(zip(map(id, ballots), ballots))
+    lists = {key: "[" + ",".join(map(ids.__getitem__, b.order if ranked
+                                     else sorted(b.approvals))) + "]"
+             for key, b in by_id.items()}
+    if not labels:  # every entry is head + its list + "}"
+        head = '{"order":' if ranked else '{"approve":'
+        return "[" + head + ("}," + head).join(map(lists.__getitem__, map(id, ballots))) + "}]"
+    groups = {lab: _encode(lab) for lab in set(labels)}
+    made: dict[str, dict[int, str]] = {lab: {} for lab in groups}  # label -> ballot id -> text
+    for key, lab in dict.fromkeys(zip(map(id, ballots), labels)):
+        made[lab][key] = ('{"group":' + groups[lab] + ',"order":' + lists[key] + "}" if ranked
+                          else '{"approve":' + lists[key] + ',"group":' + groups[lab] + "}")
+    return "[" + ",".join(map(dict.__getitem__, map(made.__getitem__, labels),
+                              map(id, ballots))) + "]"
+
+
 def instance_digest(instance: ControlInstance) -> str:
     """The sha256 hex digest of the instance's canonical document: the
     ``instance_to_dict`` document (one entry per ballot, counts expanded) as
-    compact JSON with sorted keys. The entries of equal ballots are built
-    once and shared, which the encoding does not see."""
-    canonical = json.dumps(_document(instance, share=True),
-                           sort_keys=True, separators=(",", ":"))
+    compact JSON with sorted keys. The text is assembled here without
+    building that document: each candidate id is encoded once, each
+    section's entries come from ``_section_text``, and the keys and the
+    single values go through the same encoder."""
+    ids = {cid: _encode(cid) for cid in instance.profile.candidate_ids}
+    texts = {key: _encode(value) for key, value in _head(instance).items()}
+    texts["candidates"] = "[" + ",".join(
+        '{"id":' + ids[c.id] + ("}" if c.special_index is None
+                                else ',"special":' + _encode(c.special_index) + "}")
+        for c in instance.profile.candidates) + "]"
+    for key, profile, labels in _sections(instance):
+        texts[key] = _section_text(profile, labels, ids)
+    canonical = "{" + ",".join(_encode(key) + ":" + texts[key] for key in sorted(texts)) + "}"
     return hashlib.sha256(canonical.encode()).hexdigest()

@@ -66,8 +66,9 @@ class VoterPartition:
     parts: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        # Empty parts skip the sort: a CCPkV witness may have up to k = 10^6.
         object.__setattr__(
-            self, "parts", tuple(tuple(sorted(p)) for p in self.parts)
+            self, "parts", tuple(tuple(sorted(p)) if p else () for p in self.parts)
         )
 
 

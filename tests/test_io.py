@@ -1,5 +1,6 @@
 """Unit tests for the JSON instance/witness document format."""
 
+import gc
 import json
 
 import pytest
@@ -108,6 +109,7 @@ class TestRoundTrip:
 
 
 PAB_DOC = [{"id": "p"}, {"id": "a"}, {"id": "b"}]
+ESC_DOC = [{"id": c} for c in ("p", "é", "日本", "\U0001F600", 'q"\\z')]
 # name: (document, the sha256 hex digest of its canonical form). Solve
 # records and sweep CSVs store digests, so a change to any of these changes
 # the format.
@@ -152,6 +154,28 @@ GOLDEN_DIGESTS = {
                     {"approve": ["p"], "group": "y"},
                     {"approve": ["b", "a"], "group": "z"}]},
         "89ef83b493862067911f3a82e748dcd3c22d66bbe315da78572a86f0b3c55a15"),
+    # Ids and labels that JSON escapes: non-ASCII ones, one outside the BMP
+    # (written as a surrogate pair), a control character, a quote and a
+    # backslash; ranked and approval ballots with labels on the pool.
+    "ccavg-ranked-escaping": ({
+        "format": FORMAT, "problem": "CCAVG", "rule": "condorcet", "limit": 1,
+        "p": "p", "candidates": ESC_DOC,
+        "ballots": [{"order": ["é", "p", "日本", "\U0001F600", 'q"\\z'], "count": 2},
+                    {"order": ['q"\\z', "\U0001F600", "日本", "é", "p"]}],
+        "pool": [{"order": ["p", "é", "日本", "\U0001F600", 'q"\\z'], "group": "grüppe",
+                  "count": 2},
+                 {"order": ["\U0001F600", "p", 'q"\\z', "é", "日本"], "group": "\U0001D11E\t"},
+                 {"order": ["p", "é", "日本", "\U0001F600", 'q"\\z'], "group": "\U0001D11E\t"}]},
+        "4a389da8ce6773ebb45375e200ff074d009b30bb006aee83f0f62460baab19e0"),
+    "ccavg-approval-escaping": ({
+        "format": FORMAT, "problem": "CCAVG", "rule": "approval", "limit": 2,
+        "p": "p", "candidates": ESC_DOC,
+        "ballots": [{"approve": ['q"\\z', "日本", "é"], "count": 2}, {"approve": []},
+                    {"approve": ["\U0001F600", "p"]}],
+        "pool": [{"approve": ["p", "\U0001F600"], "group": "\U0001D11E\t", "count": 2},
+                 {"approve": ["日本", 'q"\\z'], "group": "grüppe"},
+                 {"approve": ["\U0001F600", "p"], "group": "grüppe"}]},
+        "8a7305de5ca6c4fd03c88c3afa4136459db4f7cda236be8d7945c3e757f54939"),
 }
 
 
@@ -174,6 +198,39 @@ def test_equal_ballots_share_one_object():
     assert all(b is first for b in inst.profile.ballots[1:2] + inst.profile.ballots[3:])
     assert inst.pool.ballots[0] is first
     assert inst.profile.positions[0] is inst.profile.positions[3]
+
+
+class TestCollectorState:
+    """Reading a document pauses the cyclic collector and leaves it as it
+    found it, enabled or disabled, whether the read succeeds or raises."""
+
+    GOOD_INSTANCE = json.dumps(GOLDEN_DIGESTS["ccpvg-with-groups"][0])
+    GOOD_WITNESS = serialize_witness(VoterPartition(((0, 2), (1,))))
+    BAD = {
+        "bad JSON": "{nope",
+        "nested too deeply": "[" * 100_000 + "]" * 100_000,
+        "bad ballot": GOOD_INSTANCE.replace('"order": ["b", "a", "p"]', '"order": ["b", 1]'),
+    }
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def test_state_kept_after_a_parse(self, collector):
+        assert parse_instance(self.GOOD_INSTANCE).problem is Problem.CCPVG
+        assert gc.isenabled() is collector
+        assert parse_witness(self.GOOD_WITNESS) == VoterPartition(((0, 2), (1,)))
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_state_kept_after_a_failed_parse(self, collector, bad):
+        for parse in (parse_instance, parse_witness):
+            with pytest.raises(FormatError):
+                parse(self.BAD[bad])
+            assert gc.isenabled() is collector
 
 
 class TestErrors:

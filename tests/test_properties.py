@@ -214,6 +214,36 @@ def test_digest_equals_its_definition(inst):
     assert instance_digest(back) == reference_digest(back) == reference_digest(inst)
 
 
+@st.composite
+def instances_with_any_ids(draw):
+    """A CCAVG instance whose candidate ids and pool group labels are any
+    strings (what JSON escapes included), ranked or approval ballots."""
+    ids = draw(st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True))
+    labels = draw(st.lists(st.text(max_size=4), min_size=1, max_size=3))
+    ranked = draw(st.booleans())
+    cands = tuple(Candidate(c) for c in ids)
+    ballot = (st.permutations(ids).map(lambda order: linear(*order)) if ranked
+              else st.sets(st.sampled_from(ids)).map(approval))
+    main = draw(st.lists(ballot, max_size=4))
+    pool = draw(st.lists(ballot, max_size=5))
+    groups: dict[str, list[int]] = {}
+    for i in range(len(pool)):
+        groups.setdefault(draw(st.sampled_from(labels)), []).append(i)
+    return ControlInstance(
+        problem=Problem.CCAVG,
+        rule=VotingRule.CONDORCET if ranked else VotingRule.APPROVAL,
+        profile=Profile(cands, tuple(main)), p=ids[0], limit=1,
+        groups=tuple((lab, tuple(idx)) for lab, idx in groups.items()),
+        pool=Profile(cands, tuple(pool)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances_with_any_ids())
+def test_digest_equals_its_definition_for_any_ids_and_labels(inst):
+    assert instance_digest(inst) == reference_digest(inst)
+    assert instance_digest(parse_instance(serialize_instance(inst))) == reference_digest(inst)
+
+
 @settings(max_examples=100, deadline=None)
 @given(generated_instances(), st.data())
 def test_a_count_reads_as_that_many_copies(inst, data):

@@ -19,7 +19,7 @@ from electctl import (
     run_two_stage_voter_partition,
     verify_witness,
 )
-from electctl.instance_io import parse_instance, serialize_instance
+from electctl.instance_io import parse_instance, serialize_instance, witness_to_dict
 from electctl.oracle import oracle_solve
 
 PAB = tuple(Candidate(c) for c in ("p", "a", "b"))
@@ -165,6 +165,17 @@ def test_instance_needs_exactly_the_fields_its_problem_takes(problem, field):
         else:
             with pytest.raises(ValueError):
                 build()
+
+
+def test_voter_partition_normalizes_its_parts():
+    # Each part becomes a sorted tuple, an empty one the empty tuple, and the
+    # parts keep their order, empty ones included.
+    w = VoterPartition(([3, 1, 2], (), (5, 4), [], (0,)))
+    assert w.parts == ((1, 2, 3), (), (4, 5), (), (0,))
+    assert all(type(part) is tuple for part in w.parts)
+    assert w == VoterPartition(((1, 2, 3), [], [4, 5], (), [0]))
+    assert w != VoterPartition(((1, 2, 3), (4, 5), (), (), (0,)))
+    assert witness_to_dict(w)["witness"]["parts"] == [[1, 2, 3], [], [4, 5], [], [0]]
 
 
 class TestVoterPartitionStages:
