@@ -22,6 +22,8 @@ from .elections import VotingRule
 from .generate import FAMILIES, family_instance, random_instance
 from .instance_io import (
     FORMAT,
+    MAX_BALLOTS,
+    MAX_CANDIDATES,
     FormatError,
     cubic_vc_from_dict,
     instance_digest,
@@ -110,15 +112,28 @@ def cmd_verify(args) -> int:
     return EXIT_YES if accepted else EXIT_NO
 
 
+# Per reduction: its source reader, the reduction, and the (candidates,
+# ballots) of the election it builds from a source.
+REDUCTIONS = {
+    "x3c": (x3c_from_dict, x3c_to_plurality_ccpvg_te,
+            lambda x: (4 + 3 * x.m, 9 * x.n + 6 * x.n * x.m + 8 * x.m + 3)),
+    "cvc": (cubic_vc_from_dict, cubic_vc_to_weakcondorcet_ccrepc_tp,
+            lambda g: (3 * len(g.vertices) + 2 * g.k, 12 * len(g.vertices) + 4 * g.k - 2)),
+    "approval-e": (instance_from_dict, approval_ccpv_te_to_e_ccpv_tp,
+                   lambda src: (len(src.profile.candidates) + 4,
+                                len(src.profile.ballots) + 2 - len(src.profile.ballots) % 2)),
+}
+
+
 def cmd_reduce(args) -> int:
     source_text = Path(args.source).read_text()
-    doc = load_document(source_text)
-    if args.kind == "x3c":
-        instance = x3c_to_plurality_ccpvg_te(x3c_from_dict(doc))
-    elif args.kind == "cvc":
-        instance = cubic_vc_to_weakcondorcet_ccrepc_tp(cubic_vc_from_dict(doc))
-    else:
-        instance = approval_ccpv_te_to_e_ccpv_tp(instance_from_dict(doc))
+    read, reduce, sizes = REDUCTIONS[args.kind]
+    source = read(load_document(source_text))
+    candidates, ballots = sizes(source)
+    if candidates > MAX_CANDIDATES or ballots > MAX_BALLOTS:
+        raise FormatError(f"the {args.kind} reduction would hold {candidates} candidates and "
+                          f"{ballots} ballots; the limits are {MAX_CANDIDATES} and {MAX_BALLOTS}")
+    instance = reduce(source)
     out_doc = instance_to_dict(instance)
     out_doc["provenance"] = {
         "reduction": args.kind,
@@ -215,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("witness")
 
     p_reduce = sub.add_parser("reduce", help="generate a hardness-reduction instance")
-    p_reduce.add_argument("kind", choices=("x3c", "cvc", "approval-e"))
+    p_reduce.add_argument("kind", choices=tuple(REDUCTIONS))
     p_reduce.add_argument("source")
     p_reduce.add_argument("--out")
 

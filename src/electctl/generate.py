@@ -16,21 +16,17 @@ def default_candidate_ids(n: int) -> tuple[str, ...]:
     return ("p",) + tuple(f"c{i}" for i in range(1, n))
 
 
-def linear_profile(rng: random.Random, ids: Sequence[str], n_voters: int) -> Profile:
-    cands = tuple(Candidate(cid) for cid in ids)
-    ballots = tuple(
+def linear_ballots(rng: random.Random, ids: Sequence[str], n_voters: int) -> tuple[Ballot, ...]:
+    return tuple(
         Ballot(order=tuple(rng.sample(list(ids), len(ids)))) for _ in range(n_voters)
     )
-    return Profile(cands, ballots)
 
 
-def approval_profile(rng: random.Random, ids: Sequence[str], n_voters: int) -> Profile:
-    cands = tuple(Candidate(cid) for cid in ids)
-    ballots = tuple(
+def approval_ballots(rng: random.Random, ids: Sequence[str], n_voters: int) -> tuple[Ballot, ...]:
+    return tuple(
         Ballot(approvals=frozenset(cid for cid in ids if rng.random() < 0.5))
         for _ in range(n_voters)
     )
-    return Profile(cands, ballots)
 
 
 def random_groups(rng: random.Random, n_ballots: int, n_groups: int):
@@ -57,7 +53,9 @@ def random_instance(
     with_specials: bool = False,
 ) -> ControlInstance:
     """One random instance; reproducible given the rng state. The groups
-    and the pool are drawn only for a problem that takes them."""
+    and the pool are drawn only for a problem that takes them. Its sizes
+    are checked against the document bounds before anything is drawn, so
+    every instance it returns can be written and read back."""
     for what, value, least in (("candidates", n_candidates, 1), ("voters", n_voters, 0),
                                ("pool size", pool_size, 0), ("groups", n_groups, 1)):
         if value is not None and value < least:
@@ -67,25 +65,23 @@ def random_instance(
     total = n_candidates + (len(SPECIAL_INDICES) if with_specials else 0)
     if total > MAX_CANDIDATES:
         raise ValueError(f"{total} candidates; the limit is {MAX_CANDIDATES}")
-    ids = default_candidate_ids(n_candidates)
-    make = linear_profile if rule in LINEAR_RULES else approval_profile
-
-    if with_specials:
-        cands = tuple(Candidate(cid) for cid in ids) + tuple(
-            Candidate(f"s{i}", special_index=i) for i in SPECIAL_INDICES
-        )
-        all_ids = tuple(c.id for c in cands)
-        base = make(rng, all_ids, n_voters)
-        profile = Profile(cands, base.ballots)
-    else:
-        profile = make(rng, ids, n_voters)
-
     takes = TAKES[problem]
+    # The ballot count the groups partition: the pool's, if there is one.
+    grouped = pool_size if "pool" in takes and pool_size is not None else n_voters
+    held = n_voters + (grouped if "pool" in takes else 0)
+    if held > MAX_BALLOTS:
+        raise ValueError(f"{held} ballots; the limit is {MAX_BALLOTS}")
+
+    cands = tuple(map(Candidate, default_candidate_ids(n_candidates)))
+    if with_specials:
+        cands += tuple(Candidate(f"s{i}", special_index=i) for i in SPECIAL_INDICES)
+    ids = tuple(c.id for c in cands)
+    draw = linear_ballots if rule in LINEAR_RULES else approval_ballots
+    profile = Profile(cands, draw(rng, ids, n_voters))
+
     pool = None
-    grouped = n_voters  # the ballot count the groups partition
     if "pool" in takes:  # drawn before the groups, which then partition it
-        grouped = pool_size if pool_size is not None else n_voters
-        pool = Profile(profile.candidates, make(rng, profile.candidate_ids, grouped).ballots)
+        pool = Profile(cands, draw(rng, ids, grouped))
     groups = None
     if "groups" in takes:
         groups = random_groups(rng, grouped, n_groups or max(1, grouped // 2))

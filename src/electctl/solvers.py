@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .elections import Profile, VotingRule, winners
+from .elections import Profile, VotingRule
 from .two_stage import (
     NO,
     YES,
@@ -22,7 +22,7 @@ from .two_stage import (
     TieRule,
     VoterPartition,
     final_round,
-    run_two_stage_candidate_partition,
+    verify_witness,
 )
 
 
@@ -40,10 +40,11 @@ def _require(instance: ControlInstance, problem: Problem,
         )
 
 
-def _top_classes(profile: Profile) -> dict[str, list[int]]:
-    classes: dict[str, list[int]] = {cid: [] for cid in profile.candidate_ids}
-    for i, b in enumerate(profile.ballots):
-        classes[b.order[0]].append(i)
+def _top_classes(profile: Profile) -> list[list[int]]:
+    """Per candidate position, the indices of the ballots it tops."""
+    classes: list[list[int]] = [[] for _ in profile.candidates]
+    for i, a in enumerate(profile.tops):
+        classes[a].append(i)
     return classes
 
 
@@ -58,12 +59,9 @@ def _extend_to_equipartition(classes, score, free, pinned_v1, kp_cap, cap2, lo, 
     Returns the two index parts, or None.
     """
     v1 = dict(pinned_v1)
-    v2 = {cid: score[cid] - cnt for cid, cnt in pinned_v1.items()}
     for d in free:
-        a = min(score[d], kp_cap - 1)
-        v1[d] = a
-        v2[d] = score[d] - a
-        if v2[d] > cap2:
+        v1[d] = min(score[d], kp_cap - 1)
+        if score[d] - v1[d] > cap2:
             return None
     size1 = sum(v1.values())
     if size1 < lo:
@@ -72,15 +70,14 @@ def _extend_to_equipartition(classes, score, free, pinned_v1, kp_cap, cap2, lo, 
     for d in free:
         if excess <= 0:
             break
-        move = min(v1[d], cap2 - v2[d], excess)
+        move = min(v1[d], cap2 - (score[d] - v1[d]), excess)
         v1[d] -= move
-        v2[d] += move
         excess -= move
     if excess > 0:
         return None
     part1, part2 = [], []
-    for cid, cls in classes.items():
-        take = v1.get(cid, 0)
+    for c, cls in enumerate(classes):
+        take = v1[c]
         part1.extend(cls[:take])
         part2.extend(cls[take:])
     return tuple(sorted(part1)), tuple(sorted(part2))
@@ -97,41 +94,54 @@ def solve_plurality_ccepv_te(instance: ControlInstance) -> Decision:
     greedily extending to an equipartition.
     """
     _require(instance, Problem.CCEPV, VotingRule.PLURALITY, TieRule.TE)
-    profile, p = instance.profile, instance.p
-    ids = profile.candidate_ids
+    profile = instance.profile
+    p = profile.index[instance.p]
     n = len(profile.ballots)
     lo, hi = n // 2, (n + 1) // 2
     classes = _top_classes(profile)
-    score = {cid: len(cls) for cid, cls in classes.items()}
+    score = list(map(len, classes))
     cases = 0
 
     def yes(parts):
         return Decision(YES, VoterPartition(parts), {"cases": cases})
 
-    if len(ids) == 1:
+    if len(classes) == 1:
         cases = 1
         return yes((tuple(range(hi)), tuple(range(hi, n))))
 
-    others = [cid for cid in ids if cid != p]
+    others = [c for c in range(len(classes)) if c != p]
+
+    def pinned_rivals(rivals, tie):
+        """Conditions 1 (``tie`` 0: one rival wins V2 alone) and 3 (``tie``
+        1: two rivals tie in V2) pin each rival at kc top choices in V2. p
+        is unique in V1 once every score[r] - kc <= kp - 1, and the rivals
+        win V2 once score[p] - kp <= kc - 1 + tie: both hold from kc = start
+        on, and the kc below start are cases counted without a loop."""
+        nonlocal cases
+        free = [d for d in others if d not in rivals]
+        counts = [score[r] for r in rivals]
+        top, high = min(counts), max(counts)
+        least = 1 - tie
+        for kp in range(1, score[p] + 1):
+            start = max(least, score[p] - kp + 1 - tie, high - kp + 1)
+            cases += min(start, top + 1) - least
+            pinned = {p: kp}
+            for kc in range(start, top + 1):
+                cases += 1
+                for r in rivals:
+                    pinned[r] = score[r] - kc
+                parts = _extend_to_equipartition(
+                    classes, score, free, pinned, kp, kc - 1 + tie, lo, hi)
+                if parts:
+                    return parts
+        return None
 
     # Condition 1: V2 has a unique winner c and p beats c in the final.
-    # p is unique in V1 once score[c] - kc <= kp - 1, and c in V2 once
-    # score[p] - kp <= kc - 1; both hold from kc = start on. Each kc below
-    # start is a case that fails them, counted without a loop.
     for c in others:
-        if winners(instance.rule, profile, (p, c)) != {p}:
-            continue
-        free = [d for d in others if d != c]
-        for kp in range(1, score[p] + 1):
-            start = max(1, score[c] - kp + 1, score[p] - kp + 1)
-            cases += min(start, score[c] + 1) - 1
-            for kc in range(start, score[c] + 1):
-                cases += 1
-                parts = _extend_to_equipartition(
-                    classes, score, free,
-                    {p: kp, c: score[c] - kc}, kp, kc - 1, lo, hi)
-                if parts:
-                    return yes(parts)
+        if final_round(instance, 1 << p | 1 << c) == 1 << p:
+            parts = pinned_rivals((c,), 0)
+            if parts:
+                return yes(parts)
 
     # Condition 2: p is among the winners of V2.
     for kp in range(1, score[p] + 1):
@@ -141,23 +151,11 @@ def solve_plurality_ccepv_te(instance: ControlInstance) -> Decision:
         if parts:
             return yes(parts)
 
-    # Condition 3: V2 is tied between two candidates other than p. p is
-    # unique in V1 once score[c] - kc and score[c2] - kc are at most kp - 1,
-    # and c, c2 win V2 once score[p] - kp <= kc; the kc below start are
-    # counted as in condition 1.
-    for c, c2 in combinations(others, 2):
-        free = [d for d in others if d not in (c, c2)]
-        top = min(score[c], score[c2])
-        for kp in range(1, score[p] + 1):
-            start = max(0, score[c] - kp + 1, score[c2] - kp + 1, score[p] - kp)
-            cases += min(start, top + 1)
-            for kc in range(start, top + 1):
-                cases += 1
-                parts = _extend_to_equipartition(
-                    classes, score, free,
-                    {p: kp, c: score[c] - kc, c2: score[c2] - kc}, kp, kc, lo, hi)
-                if parts:
-                    return yes(parts)
+    # Condition 3: V2 is tied between two candidates other than p.
+    for pair in combinations(others, 2):
+        parts = pinned_rivals(pair, 1)
+        if parts:
+            return yes(parts)
 
     return Decision(NO, stats={"cases": cases})
 
@@ -222,7 +220,7 @@ def solve_plurality_ccpkv_te(instance: ControlInstance) -> Decision:
 
     The walk visits only multisets that can pass. Pinned counts only grow,
     so a prefix that pins more than a score is cut. The last guess is
-    chosen per block of options sharing (kind, members): its feasible
+    chosen per block of options sharing (win, members): its feasible
     counts form an interval, and one final round decides the block. The
     empty guess pins nothing, so its copies are placed in closed form, and
     a passing multiset holds at most n other guesses: the walk is bounded
@@ -231,52 +229,51 @@ def solve_plurality_ccpkv_te(instance: ControlInstance) -> Decision:
     left out when it exceeds ``CASES_LIMIT``.
     """
     _require(instance, Problem.CCPKV, VotingRule.PLURALITY, TieRule.TE)
-    profile, p, k = instance.profile, instance.p, instance.k
-    bit = profile.bit
-    ids = profile.candidate_ids
+    profile, k = instance.profile, instance.k
+    p = profile.index[instance.p]
     n = len(profile.ballots)
     classes = _top_classes(profile)
-    score = {cid: len(cls) for cid, cls in classes.items()}
+    score = list(map(len, classes))
+    m = len(classes)
 
-    if len(ids) == 1:
+    if m == 1:
         parts = (tuple(range(n)),) + ((),) * (k - 1)
         return Decision(YES, VoterPartition(parts), {"cases": 1})
 
-    # A guess per part: ("win", (c,), s) or ("elim", (d, e), s). The empty
-    # part is representable by any pair at count 0; keep a single copy, the
-    # first pair's. The options sharing (kind, members) form a block:
-    # (first index, last index, is win, member positions, first s).
-    slot = {cid: i for i, cid in enumerate(ids)}
-    options: list[tuple[str, tuple[str, ...], int]] = []
-    blocks: list[tuple[int, int, bool, tuple[int, ...], int]] = []
-    for c in ids:
+    # A guess per part, (win, member positions, s): a unique winner (c,) or
+    # an eliminating tied pair (d, e) at count s. The empty part is
+    # representable by any pair at count 0; keep a single copy, the first
+    # pair's. The options sharing (win, members) form a block, kept as its
+    # (first index, last index).
+    options: list[tuple[bool, tuple[int, ...], int]] = []
+    blocks: list[tuple[int, int]] = []
+    for c in range(m):
         if score[c]:
-            blocks.append((len(options), len(options) + score[c] - 1, True, (slot[c],), 1))
+            blocks.append((len(options), len(options) + score[c] - 1))
         for s in range(1, score[c] + 1):
-            options.append(("win", (c,), s))
+            options.append((True, (c,), s))
     empty = len(options)
-    for i, (d, e) in enumerate(combinations(ids, 2)):
+    for i, pair in enumerate(combinations(range(m), 2)):
         s0 = 0 if i == 0 else 1
-        top = min(score[d], score[e])
+        top = min(score[h] for h in pair)
         if top >= s0:
-            blocks.append((len(options), len(options) + top - s0, False, (slot[d], slot[e]), s0))
+            blocks.append((len(options), len(options) + top - s0))
         for s in range(s0, top + 1):
-            options.append(("elim", (d, e), s))
+            options.append((False, pair, s))
 
     def build_parts(specs) -> tuple[tuple[int, ...], ...]:
         kparts: list[list[int]] = [[] for _ in specs]
-        for h in ids:
-            cls = classes[h]
+        for h, cls in enumerate(classes):
             alloc, caps = [], []
             r = score[h]
-            for kind, members, s in specs:
+            for win, members, s in specs:
                 if h in members:
                     alloc.append(s)
                     caps.append(0)
                     r -= s
                 else:
                     alloc.append(0)
-                    caps.append(s - 1 if kind == "win" else s)
+                    caps.append(s - 1 if win else s)
             for i, cap in enumerate(caps):
                 take = min(r, cap)
                 alloc[i] += take
@@ -292,8 +289,7 @@ def solve_plurality_ccpkv_te(instance: ControlInstance) -> Decision:
     # the guessed parts that do not pin h, finalists a bitmask. A complete
     # guess passes when slack[h] <= room[h] for every h and the final round
     # leaves p alone.
-    cbit = [bit[cid] for cid in ids]
-    pbit, pi = bit[p], slot[p]
+    pbit = 1 << p
 
     def passes(slack, room, finalists) -> bool:
         return (all(map(int.__le__, slack, room))
@@ -301,14 +297,14 @@ def solve_plurality_ccpkv_te(instance: ControlInstance) -> Decision:
 
     def add(state, index, copies):
         slack, room, finalists = state
-        kind, members, s = options[index]
-        slack, pinned = slack[:], tuple(map(slot.get, members))
-        for h in pinned:
+        win, members, s = options[index]
+        slack = slack[:]
+        for h in members:
             slack[h] -= s * copies
-        cap = (s - 1 if kind == "win" else s) * copies
-        room = [r if h in pinned else r + cap for h, r in enumerate(room)]
-        if kind == "win":
-            finalists |= cbit[pinned[0]]
+        cap = (s - 1 if win else s) * copies
+        room = [r if h in members else r + cap for h, r in enumerate(room)]
+        if win:
+            finalists |= 1 << members[0]
         return slack, room, finalists
 
     def last_guess(state, lo):
@@ -318,9 +314,10 @@ def solve_plurality_ccpkv_te(instance: ControlInstance) -> Decision:
         top = max(need)
         alone = need.count(top) == 1
         elim_final = None
-        for first, last, win, members, s0 in blocks:
+        for first, last in blocks:
             if last < lo:
                 continue
+            win, members, s0 = options[first]
             lower = s0 + max(first, lo) - first
             upper = s0 + last - first
             if win:
@@ -330,7 +327,7 @@ def solve_plurality_ccpkv_te(instance: ControlInstance) -> Decision:
                 # s >= need[h] + 1.
                 lower = max(lower, need[c] if alone and need[c] == top else top + 1)
                 if (lower <= min(upper, slack[c])
-                        and final_round(instance, finalists | cbit[c]) == pbit):
+                        and final_round(instance, finalists | 1 << c) == pbit):
                     return first + lower - s0
             else:
                 # A pair at count s takes s from both members' slack and adds
@@ -348,9 +345,10 @@ def solve_plurality_ccpkv_te(instance: ControlInstance) -> Decision:
         ``left`` >= 2 guesses from index ``lo`` on, in the enumeration's
         order; left 0 marks a passing multiset."""
         slack = state[0]
-        for first, last, win, members, s0 in blocks:
+        for first, last in blocks:
             if last < lo:
                 continue
+            win, members, s0 = options[first]
             index = max(first, lo)
             if index == empty:
                 # The empty guess's copies, then u >= 0 pair guesses, each
@@ -400,16 +398,16 @@ def solve_plurality_ccpkv_te(instance: ControlInstance) -> Decision:
 
     per_s1 = _multisets(len(options), k - 1, CASES_LIMIT)
     for s1 in range(1, score[p] + 1):
-        slack = [score[cid] for cid in ids]
-        slack[pi] -= s1
-        room = [0 if h == pi else s1 - 1 for h in range(len(ids))]
+        slack = score[:]
+        slack[p] -= s1
+        room = [0 if h == p else s1 - 1 for h in range(m)]
         runs = first_passing((slack, room, pbit), k - 1)
         if runs is None:
             continue
-        head = ("win", (p,), s1)
+        head = (True, (p,), s1)
         picked = [(options[i], c) for i, c in runs if i != empty]
         built = build_parts([head] + [g for g, c in picked for _ in range(c)])
-        wins = 1 + sum(c for g, c in picked if g[0] == "win")
+        wins = 1 + sum(c for g, c in picked if g[0])
         blanks = sum(c for i, c in runs if i == empty)
         parts = built[:wins] + ((),) * blanks + built[wins:]
         cases = (s1 - 1) * per_s1 + _rank(runs, len(options), k - 1, CASES_LIMIT) + 1
@@ -430,13 +428,10 @@ def solve_weakcondorcet_ccrpc_tp(instance: ControlInstance) -> Decision:
     candidate partition under TP, so no other split can do better.
     """
     _require(instance, Problem.CCRPC, VotingRule.WEAK_CONDORCET, TieRule.TP)
-    profile, p = instance.profile, instance.p
-    c1 = frozenset({p})
-    c2 = frozenset(profile.candidate_ids) - c1
-    result = run_two_stage_candidate_partition(
-        instance.rule, instance.tie, profile, c1, c2)
-    if result == frozenset({p}):
-        return Decision(YES, CandidatePartition(c1, c2), {"cases": 1})
+    p = instance.p
+    witness = CandidatePartition({p}, instance.profile.candidate_id_set - {p})
+    if verify_witness(instance, witness):
+        return Decision(YES, witness, {"cases": 1})
     return Decision(NO, stats={"cases": 1})
 
 

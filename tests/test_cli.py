@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from electctl import Problem, TieRule, VotingRule
-from electctl.cli import EXIT_ERROR, EXIT_NO, EXIT_UNKNOWN, EXIT_YES, main
+from electctl.cli import EXIT_ERROR, EXIT_NO, EXIT_UNKNOWN, EXIT_YES, REDUCTIONS, main
 from electctl.generate import random_instance
 from electctl.instance_io import FORMAT, MAX_BALLOTS, instance_to_dict, parse_instance
 from electctl.two_stage import TAKES
@@ -241,16 +241,66 @@ IMPOSSIBLE_SIZES = {
                                     "--tie", "TE", "--k", str(MAX_BALLOTS + 1)),
     "sweep-k-over-the-ballot-limit": ("sweep", "ccpkv", "--k", str(MAX_BALLOTS + 1),
                                       "--count", "1"),
+    # The reader would reject these documents; none is drawn.
+    "gen-voters-over-the-ballot-limit": ("gen", "--problem", "CCPV", "--rule", "plurality",
+                                         "--tie", "TE", "--candidates", "2",
+                                         "--voters", str(MAX_BALLOTS + 1)),
+    "gen-pool-over-the-ballot-limit": ("gen", "--problem", "CCAVG", "--rule", "plurality",
+                                       "--limit", "1", "--voters", str(MAX_BALLOTS // 2),
+                                       "--pool-size", str(MAX_BALLOTS // 2 + 1)),
+    "sweep-voters-over-the-ballot-limit": ("sweep", "ccepv", "--voters", str(MAX_BALLOTS + 1),
+                                           "--count", "1"),
 }
 
 
 @pytest.mark.parametrize("name", IMPOSSIBLE_SIZES)
 def test_impossible_sizes_exit_three(tmp_path, capsys, name):
     out_path = tmp_path / "out"
+    start = time.perf_counter()
     code, out, err = run(capsys, *IMPOSSIBLE_SIZES[name], "--out", str(out_path))
+    assert time.perf_counter() - start < 1.0
     assert code == EXIT_ERROR
     assert out == ""
     assert err.startswith("electctl: error:") and err.count("\n") == 1
+    assert not out_path.exists()
+
+
+def prism(n):
+    """The n-prism: two n-cycles joined by a matching, a cubic graph on 2n
+    vertices."""
+    edges = [[f"{side}{i}", f"{side}{(i + 1) % n}"] for side in "ab" for i in range(n)]
+    edges += [[f"a{i}", f"b{i}"] for i in range(n)]
+    return {"format": FORMAT, "vertices": [f"{side}{i}" for side in "ab" for i in range(n)],
+            "edges": edges, "k": 1}
+
+
+def x3c_chain(size, count):
+    """A base of ``size`` elements and ``count`` triples of consecutive ones."""
+    base = [f"b{i}" for i in range(size)]
+    return {"format": FORMAT, "base": base,
+            "triples": [[base[(i + j) % size] for j in range(3)] for i in range(count)]}
+
+
+# Sources whose reductions would list more than MAX_CANDIDATES candidates:
+# 3 * 334 + 2 for the cubic graph, 4 + 999 for the exact cover.
+OVERSIZED_SOURCES = {
+    "cvc-334-vertices": ("cvc", prism(167)),
+    "x3c-999-elements": ("x3c", x3c_chain(999, 335)),
+}
+
+
+@pytest.mark.parametrize("name", OVERSIZED_SOURCES)
+def test_oversized_reduction_exits_three(tmp_path, capsys, name):
+    kind, doc = OVERSIZED_SOURCES[name]
+    src, out_path = tmp_path / "source.json", tmp_path / "out.json"
+    src.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "reduce", kind, str(src), "--out", str(out_path))
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.startswith("electctl: error:") and err.count("\n") == 1
+    assert "candidates" in err
     assert not out_path.exists()
 
 
@@ -473,6 +523,25 @@ class TestReduce:
         doc = json.loads(out)
         assert doc["rule"] == "systemE"
         assert len(doc["ballots"]) == 6
+
+    @pytest.mark.parametrize("kind,doc", [
+        *(("cvc", cvc_source(k=k)) for k in (1, 3, 4)),
+        *(("cvc", dict(prism(n), k=k)) for n, k in ((3, 1), (3, 6), (4, 5))),
+        ("x3c", x3c_source()),
+        *(("x3c", x3c_chain(size, count)) for size, count in ((6, 4), (9, 5), (12, 9))),
+        *(("approval-e", plurality_doc(problem="CCPV", rule="approval", ballots=[
+            {"approve": ["p"], "count": voters}])) for voters in (1, 2, 5, 8)),
+    ])
+    def test_size_bound_matches_the_reduction(self, tmp_path, capsys, kind, doc):
+        # The sizes checked before a reduction runs are those it builds.
+        src, out_path = tmp_path / "source.json", tmp_path / "out.json"
+        src.write_text(json.dumps(doc))
+        code, _, _ = run(capsys, "reduce", kind, str(src), "--out", str(out_path))
+        assert code == EXIT_YES
+        reduced = parse_instance(out_path.read_text())
+        read, _, sizes = REDUCTIONS[kind]
+        assert sizes(read(doc)) == (len(reduced.profile.candidates),
+                                    len(reduced.profile.ballots))
 
     def test_malformed_source(self, tmp_path, capsys):
         src = tmp_path / "bad.json"

@@ -1,9 +1,12 @@
 """Unit tests for the polynomial-time control solvers."""
 
+import dataclasses
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from electctl import (
     Candidate,
@@ -24,7 +27,8 @@ from electctl import (
     solve_weakcondorcet_ccrpc_tp,
     verify_witness,
 )
-from electctl.solvers import CASES_LIMIT, _multisets, _rank
+from electctl.generate import FAMILIES, family_instance
+from electctl.solvers import CASES_LIMIT, POLY_SOLVERS, _multisets, _rank
 
 PAB = tuple(Candidate(c) for c in ("p", "a", "b"))
 
@@ -46,6 +50,11 @@ def ccepv(prof):
 def ccpkv(prof, k):
     return ControlInstance(problem=Problem.CCPKV, rule=VotingRule.PLURALITY,
                            profile=prof, p="p", tie=TieRule.TE, k=k)
+
+
+def reversed_candidates(prof):
+    """The same election with its candidate list reversed, so p comes last."""
+    return Profile(tuple(reversed(prof.candidates)), prof.ballots)
 
 
 class TestEquipartitionSolver:
@@ -82,7 +91,7 @@ class TestEquipartitionSolver:
         assert d.answer == oracle_solve(inst).answer == "no"
 
     def test_final_is_a_plurality_election_not_a_margin_lookup(self):
-        # The p-versus-c final goes through winners(); the Condorcet
+        # The p-versus-c final goes through final_round(); the Condorcet
         # family's margin table is never built for a plurality instance.
         for tops in (("p", "p", "a", "a", "b"), ("p", "a", "a", "b")):
             inst = ccepv(profile(*tops))
@@ -96,6 +105,19 @@ class TestEquipartitionSolver:
             assert d.answer == oracle_solve(inst).answer, tops
             if d.answer == "yes":
                 assert verify_witness(inst, d.witness), tops
+
+    def test_agrees_with_oracle_on_random_instances(self):
+        # Up to five candidates, so that conditions 1 and 3 meet free rivals
+        # that V2 may tie; p is last in half of the candidate lists.
+        rng = random.Random(11)
+        for i in range(150):
+            inst = family_instance(rng, "ccepv", rng.randint(3, 5), rng.randint(2, 8))
+            if i % 2:
+                inst = ccepv(reversed_candidates(inst.profile))
+            d = solve_plurality_ccepv_te(inst)
+            assert d.answer == oracle_solve(inst).answer, inst
+            if d.answer == "yes":
+                assert verify_witness(inst, d.witness), inst
 
     def test_rejects_other_instances(self):
         with pytest.raises(UnsupportedInstance):
@@ -153,9 +175,20 @@ CCEPV_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", CCEPV_GOLDEN)
-def test_equipartition_solver_answer_witness_and_cases_are_pinned(name):
-    prof, (answer, v1, cases) = CCEPV_GOLDEN[name]
+# (answer, V1, cases) of solve_plurality_ccepv_te on each CCEPV_GOLDEN
+# election with its candidates reversed, computed with the solver that
+# keyed candidates by id: a solver that mixes up positions and ids passes
+# the goldens above, where p is first, but not these.
+CCEPV_REVERSED_GOLDEN = {
+    "yes-in-condition-1": ("yes", (0, 1, 2, 3, 4, 5, 7, 8, 11, 12, 13, 14, 15, 27), 53),
+    "yes-in-condition-2": ("yes", (0, 1, 2, 3, 5, 6, 7, 8, 9, 12, 14, 17, 23, 27), 77),
+    "yes-in-condition-3": ("yes", (0, 1, 2, 4, 5, 7, 9, 10, 11, 12, 16, 19, 22, 24, 27), 90),
+    "no": ("no", None, 352),
+    "no-by-counting": ("no", None, 1505),
+}
+
+
+def check_equipartition_golden(prof, answer, v1, cases):
     inst = ccepv(prof)
     d = solve_plurality_ccepv_te(inst)
     assert (d.answer, d.stats["cases"]) == (answer, cases)
@@ -163,6 +196,18 @@ def test_equipartition_solver_answer_witness_and_cases_are_pinned(name):
         n = len(prof.ballots)
         assert d.witness.parts == (v1, tuple(i for i in range(n) if i not in v1))
         assert verify_witness(inst, d.witness)
+
+
+@pytest.mark.parametrize("name", CCEPV_GOLDEN)
+def test_equipartition_solver_answer_witness_and_cases_are_pinned(name):
+    prof, golden = CCEPV_GOLDEN[name]
+    check_equipartition_golden(prof, *golden)
+
+
+@pytest.mark.parametrize("name", CCEPV_REVERSED_GOLDEN)
+def test_equipartition_solver_is_pinned_with_p_last(name):
+    prof = reversed_candidates(CCEPV_GOLDEN[name][0])
+    check_equipartition_golden(prof, *CCEPV_REVERSED_GOLDEN[name])
 
 
 class TestKPartSolver:
@@ -243,15 +288,38 @@ CCPKV_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", CCPKV_GOLDEN)
-def test_k_part_solver_answer_witness_and_cases_are_pinned(name):
-    prof, k, (answer, parts, cases) = CCPKV_GOLDEN[name]
+# (answer, witness parts, cases) on each CCPKV_GOLDEN election with its
+# candidates reversed, computed as CCEPV_REVERSED_GOLDEN was.
+CCPKV_REVERSED_GOLDEN = {
+    "yes": ("yes", ((1,), (2,), (6,), (), (0, 3, 4, 5)), 1855),
+    "no": ("no", None, 1820),
+    "yes-k-over-n": ("yes", ((3,), (0,), (1,), (), (), (), (), (4, 6), (2, 5)), 37063),
+    "no-k-over-n": ("no", None, 38896),
+    "yes-empty-parts-before-a-tie": ("yes", ((1,), (), (), (0, 2, 3, 4)), 188),
+    "benchmark-shaped-no": ("no", None, 9965),
+    "benchmark-shaped-yes": ("yes", ((0,), tuple(range(1, 1000))), 999),
+}
+
+
+def check_k_part_golden(prof, k, answer, parts, cases):
     inst = ccpkv(prof, k)
     d = solve_plurality_ccpkv_te(inst)
     assert (d.answer, d.stats["cases"]) == (answer, cases)
     assert (d.witness and d.witness.parts) == parts
     if answer == "yes":
         assert verify_witness(inst, d.witness)
+
+
+@pytest.mark.parametrize("name", CCPKV_GOLDEN)
+def test_k_part_solver_answer_witness_and_cases_are_pinned(name):
+    prof, k, golden = CCPKV_GOLDEN[name]
+    check_k_part_golden(prof, k, *golden)
+
+
+@pytest.mark.parametrize("name", CCPKV_REVERSED_GOLDEN)
+def test_k_part_solver_is_pinned_with_p_last(name):
+    prof, k, _ = CCPKV_GOLDEN[name]
+    check_k_part_golden(reversed_candidates(prof), k, *CCPKV_REVERSED_GOLDEN[name])
 
 
 def test_k_part_solver_agrees_with_the_oracle_on_random_instances():
@@ -282,6 +350,28 @@ def test_multiset_counts_and_ranks_follow_the_enumeration():
     assert _multisets(5, 10 ** 6, CASES_LIMIT) == CASES_LIMIT + 1
     assert _rank([(0, 10 ** 6 - 1), (3, 1)], 5, 10 ** 6, CASES_LIMIT) == 3
     assert _rank([(1, 10 ** 6)], 5, 10 ** 6, CASES_LIMIT) == CASES_LIMIT + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(sorted(FAMILIES)), seed=st.integers(0, 10 ** 6),
+       m=st.integers(1, 4), n=st.integers(0, 7), k=st.integers(2, 4), data=st.data())
+def test_permuting_the_candidates_leaves_every_poly_answer_unchanged(family, seed, m, n, k,
+                                                                      data):
+    # The symmetry relation: a solver's answer depends on the election, not
+    # on where p and its rivals stand in the candidate list.
+    inst = family_instance(random.Random(seed), family, m, n, k=k)
+    assert (inst.problem, inst.rule, inst.tie) in POLY_SOLVERS
+    cands = inst.profile.candidates
+    order = data.draw(st.permutations(range(len(cands))))
+    moved = dataclasses.replace(inst, profile=Profile(
+        tuple(cands[i] for i in order), inst.profile.ballots))
+    answers = []
+    for case in (inst, moved):
+        d = solve_poly(case)
+        answers.append(d.answer)
+        if d.answer == "yes":
+            assert verify_witness(case, d.witness)
+    assert answers[0] == answers[1]
 
 
 class TestTrivialPartitionSolver:
