@@ -35,6 +35,10 @@ MAX_BALLOTS = 1_000_000
 # Candidates one document may list; checked before any is built. The margin
 # table has one entry per ordered pair, so this matches MAX_BALLOTS.
 MAX_CANDIDATES = 1_000
+# Ballot entries (candidates times ballots) that `gen` and `sweep` may draw,
+# checked before any is (10^6 take `gen` 1.4 s and 116 MB on a 2-core Xeon).
+# The reader does not check it: by then json.loads has allocated them all.
+MAX_ENTRIES = 10_000_000
 
 
 class FormatError(ValueError):
@@ -213,6 +217,12 @@ def _head(instance: ControlInstance) -> dict:
 
 
 def instance_from_dict(doc: dict) -> ControlInstance:
+    """The instance a document describes. Every malformed document raises
+    FormatError, also one that only the model's own checks reject."""
+    return _build_source(_instance_from_doc, doc)
+
+
+def _instance_from_doc(doc: dict) -> ControlInstance:
     _require_format(doc)
     try:
         problem = Problem(doc["problem"])
@@ -243,20 +253,17 @@ def instance_from_dict(doc: dict) -> ControlInstance:
     groups = _groups_from_labels(problem, {"ballots": main_labels, "pool": pool_labels})
     profile = Profile(candidates, ballots)
     pool = Profile(candidates, pool_ballots) if "pool" in doc else None
-    try:
-        return ControlInstance(
-            problem=problem,
-            rule=rule,
-            profile=profile,
-            p=doc.get("p"),
-            tie=tie,
-            k=doc.get("k"),
-            limit=doc.get("limit"),
-            groups=groups,
-            pool=pool,
-        )
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    return ControlInstance(
+        problem=problem,
+        rule=rule,
+        profile=profile,
+        p=doc.get("p"),
+        tie=tie,
+        k=doc.get("k"),
+        limit=doc.get("limit"),
+        groups=groups,
+        pool=pool,
+    )
 
 
 def witness_to_dict(witness: Witness) -> dict:
@@ -306,7 +313,9 @@ def _id_lists(doc: dict, key: str) -> list[list[str]]:
 def _build_source(make, *fields):
     try:
         return make(*fields)
-    except ValueError as exc:
+    except FormatError:
+        raise
+    except ValueError as exc:  # from the model's own checks
         raise FormatError(str(exc)) from exc
 
 

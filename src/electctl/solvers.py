@@ -80,7 +80,7 @@ def _extend_to_equipartition(classes, score, free, pinned_v1, kp_cap, cap2, lo, 
         take = v1[c]
         part1.extend(cls[:take])
         part2.extend(cls[take:])
-    return tuple(sorted(part1)), tuple(sorted(part2))
+    return tuple(part1), tuple(part2)
 
 
 def solve_plurality_ccepv_te(instance: ControlInstance) -> Decision:
@@ -210,7 +210,7 @@ def solve_plurality_ccpkv_te(instance: ControlInstance) -> Decision:
     Guesses, per part, either a unique winner with its top-choice count or
     an eliminating tied pair with its count (count 0 covering the empty
     part). p's own part comes first, with count s1 = 1, 2, ...; the other
-    k - 1 guesses form a multiset of ``options``, taken in
+    k - 1 guesses form a multiset of the numbered guesses, taken in
     ``combinations_with_replacement`` order. The first multiset whose
     finalists make p the sole final winner and whose per-candidate
     top-choice counts can realize it is the answer. Realizability
@@ -220,7 +220,7 @@ def solve_plurality_ccpkv_te(instance: ControlInstance) -> Decision:
 
     The walk visits only multisets that can pass. Pinned counts only grow,
     so a prefix that pins more than a score is cut. The last guess is
-    chosen per block of options sharing (win, members): its feasible
+    chosen per block of guesses sharing (win, members): its feasible
     counts form an interval, and one final round decides the block. The
     empty guess pins nothing, so its copies are placed in closed form, and
     a passing multiset holds at most n other guesses: the walk is bounded
@@ -243,23 +243,18 @@ def solve_plurality_ccpkv_te(instance: ControlInstance) -> Decision:
     # A guess per part, (win, member positions, s): a unique winner (c,) or
     # an eliminating tied pair (d, e) at count s. The empty part is
     # representable by any pair at count 0; keep a single copy, the first
-    # pair's. The options sharing (win, members) form a block, kept as its
-    # (first index, last index).
-    options: list[tuple[bool, tuple[int, ...], int]] = []
-    blocks: list[tuple[int, int]] = []
-    for c in range(m):
-        if score[c]:
-            blocks.append((len(options), len(options) + score[c] - 1))
-        for s in range(1, score[c] + 1):
-            options.append((True, (c,), s))
-    empty = len(options)
-    for i, pair in enumerate(combinations(range(m), 2)):
-        s0 = 0 if i == 0 else 1
-        top = min(score[h] for h in pair)
+    # pair's. The guesses are numbered in enumeration order, the n wins
+    # first, so the empty guess is number n. Those sharing (win, members)
+    # form a block (first, last, win, members, s0): guess i of it is
+    # (win, members, s0 + i - first).
+    blocks, guesses, empty = [], 0, n
+    pairs = enumerate(combinations(range(m), 2))
+    for win, members, s0 in [(True, (c,), 1) for c in range(m)] + [
+            (False, pair, 0 if i == 0 else 1) for i, pair in pairs]:
+        top = min(score[h] for h in members)
         if top >= s0:
-            blocks.append((len(options), len(options) + top - s0))
-        for s in range(s0, top + 1):
-            options.append((False, pair, s))
+            blocks.append((guesses, guesses + top - s0, win, members, s0))
+            guesses += top - s0 + 1
 
     def build_parts(specs) -> tuple[tuple[int, ...], ...]:
         kparts: list[list[int]] = [[] for _ in specs]
@@ -282,22 +277,22 @@ def solve_plurality_ccpkv_te(instance: ControlInstance) -> Decision:
             for i, a in enumerate(alloc):
                 kparts[i].extend(cls[pos:pos + a])
                 pos += a
-        return tuple(tuple(sorted(part)) for part in kparts)
+        return tuple(map(tuple, kparts))
 
     # Candidates by position. A walk state is (slack, room, finalists):
     # slack[h] is h's top-choice count not yet pinned, room[h] the caps of
     # the guessed parts that do not pin h, finalists a bitmask. A complete
     # guess passes when slack[h] <= room[h] for every h and the final round
-    # leaves p alone.
+    # leaves p alone. A run of the walk is (number, copies, guess).
     pbit = 1 << p
 
     def passes(slack, room, finalists) -> bool:
         return (all(map(int.__le__, slack, room))
                 and final_round(instance, finalists) == pbit)
 
-    def add(state, index, copies):
+    def add(state, guess, copies):
         slack, room, finalists = state
-        win, members, s = options[index]
+        win, members, s = guess
         slack = slack[:]
         for h in members:
             slack[h] -= s * copies
@@ -308,16 +303,15 @@ def solve_plurality_ccpkv_te(instance: ControlInstance) -> Decision:
         return slack, room, finalists
 
     def last_guess(state, lo):
-        """The first option at index lo or later that completes the guess."""
+        """The run of the first guess from number lo on that ends the multiset."""
         slack, room, finalists = state
         need = list(map(int.__sub__, slack, room))
         top = max(need)
         alone = need.count(top) == 1
         elim_final = None
-        for first, last in blocks:
+        for first, last, win, members, s0 in blocks:
             if last < lo:
                 continue
-            win, members, s0 = options[first]
             lower = s0 + max(first, lo) - first
             upper = s0 + last - first
             if win:
@@ -328,7 +322,7 @@ def solve_plurality_ccpkv_te(instance: ControlInstance) -> Decision:
                 lower = max(lower, need[c] if alone and need[c] == top else top + 1)
                 if (lower <= min(upper, slack[c])
                         and final_round(instance, finalists | 1 << c) == pbit):
-                    return first + lower - s0
+                    return first + lower - s0, 1, (win, members, lower)
             else:
                 # A pair at count s takes s from both members' slack and adds
                 # s to every other room: each h needs s >= need[h].
@@ -337,26 +331,31 @@ def solve_plurality_ccpkv_te(instance: ControlInstance) -> Decision:
                     if elim_final is None:
                         elim_final = final_round(instance, finalists) == pbit
                     if elim_final:
-                        return first + lower - s0
+                        return first + lower - s0, 1, (win, members, lower)
         return None
 
     def extensions(state, lo, left):
         """(run, state, lo, left) for each first run of a completion of
-        ``left`` >= 2 guesses from index ``lo`` on, in the enumeration's
-        order; left 0 marks a passing multiset."""
+        ``left`` guesses from number ``lo`` on, in the enumeration's order;
+        left 0 marks a passing multiset."""
+        if left == 1:
+            run = last_guess(state, lo)
+            if run:
+                yield run, state, None, 0
+            return
         slack = state[0]
-        for first, last in blocks:
+        for first, last, win, members, s0 in blocks:
             if last < lo:
                 continue
-            win, members, s0 = options[first]
             index = max(first, lo)
             if index == empty:
                 # The empty guess's copies, then u >= 0 pair guesses, each
                 # pinning at least two ballots; fewer pairs come first.
+                guess = (win, members, 0)
                 if passes(*state):
-                    yield (empty, left), state, None, 0
+                    yield (empty, left, guess), state, None, 0
                 for u in range(1, min(left - 1, sum(slack) // 2) + 1):
-                    yield (empty, left - u), state, empty + 1, u
+                    yield (empty, left - u, guess), state, empty + 1, u
                 index += 1
             if not win and 2 * left > sum(slack):  # only pair guesses are left
                 return
@@ -365,38 +364,30 @@ def solve_plurality_ccpkv_te(instance: ControlInstance) -> Decision:
                 most = min(left, *(slack[h] // s for h in members))
                 if not most:
                     break
+                guess = (win, members, s)
                 for copies in range(most, 0, -1):
-                    after = add(state, index, copies)
+                    after = add(state, guess, copies)
                     if copies < left:
-                        yield (index, copies), after, index + 1, left - copies
+                        yield (index, copies, guess), after, index + 1, left - copies
                     elif passes(*after):
-                        yield (index, copies), after, None, 0
+                        yield (index, copies, guess), after, None, 0
 
     def first_passing(state, size):
-        """The first passing multiset of ``size`` guesses, as runs."""
-        if size == 1:
-            index = last_guess(state, 0)
-            return None if index is None else [(index, 1)]
-        path, stack = [], [extensions(state, 0, size)]
+        """The first passing multiset of ``size`` guesses, as runs. The stack
+        holds each run of the prefix with the walk on from it, and is
+        explicit: a multiset can hold more runs than the recursion limit."""
+        stack = [(None, extensions(state, 0, size))]
         while stack:
-            for run, after, lo, left in stack[-1]:
+            for run, after, lo, left in stack[-1][1]:
                 if left == 0:
-                    return path + [run]
-                if left == 1:
-                    index = last_guess(after, lo)
-                    if index is not None:
-                        return path + [run, (index, 1)]
-                    continue
-                path.append(run)
-                stack.append(extensions(after, lo, left))
+                    return [prefix for prefix, _ in stack[1:]] + [run]
+                stack.append((run, extensions(after, lo, left)))
                 break
             else:
                 stack.pop()
-                if path:
-                    path.pop()
         return None
 
-    per_s1 = _multisets(len(options), k - 1, CASES_LIMIT)
+    per_s1 = _multisets(guesses, k - 1, CASES_LIMIT)
     for s1 in range(1, score[p] + 1):
         slack = score[:]
         slack[p] -= s1
@@ -404,13 +395,12 @@ def solve_plurality_ccpkv_te(instance: ControlInstance) -> Decision:
         runs = first_passing((slack, room, pbit), k - 1)
         if runs is None:
             continue
-        head = (True, (p,), s1)
-        picked = [(options[i], c) for i, c in runs if i != empty]
-        built = build_parts([head] + [g for g, c in picked for _ in range(c)])
-        wins = 1 + sum(c for g, c in picked if g[0])
-        blanks = sum(c for i, c in runs if i == empty)
-        parts = built[:wins] + ((),) * blanks + built[wins:]
-        cases = (s1 - 1) * per_s1 + _rank(runs, len(options), k - 1, CASES_LIMIT) + 1
+        # The empty guess is the one at count 0; its copies are the blank parts.
+        specs = [(True, (p,), s1)] + [g for _, c, g in runs if g[2] for _ in range(c)]
+        built = build_parts(specs)
+        wins = sum(g[0] for g in specs)
+        parts = built[:wins] + ((),) * (k - len(specs)) + built[wins:]
+        cases = (s1 - 1) * per_s1 + _rank([r[:2] for r in runs], guesses, k - 1, CASES_LIMIT) + 1
         return Decision(YES, VoterPartition(parts), _cases(cases))
 
     return Decision(NO, stats=_cases(score[p] * per_s1))

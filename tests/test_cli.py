@@ -19,7 +19,15 @@ from hypothesis import strategies as st
 from electctl import Problem, TieRule, VotingRule
 from electctl.cli import EXIT_ERROR, EXIT_NO, EXIT_UNKNOWN, EXIT_YES, REDUCTIONS, main
 from electctl.generate import random_instance
-from electctl.instance_io import FORMAT, MAX_BALLOTS, instance_to_dict, parse_instance
+from electctl.instance_io import (
+    FORMAT,
+    MAX_BALLOTS,
+    MAX_ENTRIES,
+    FormatError,
+    instance_to_dict,
+    parse_instance,
+    parse_witness,
+)
 from electctl.two_stage import TAKES
 
 
@@ -89,6 +97,14 @@ MALFORMED_INSTANCES = {
     "group-is-number-after-equal-ballot": plurality_doc(
         problem="CCPVG", ballots=[{"order": ["p", "a"], "group": "A"},
                                   {"order": ["p", "a"], "group": 5}]),
+    # Documents that only the model's own checks reject: TieRule, Candidate
+    # and Profile raise ValueError, which the reader turns into FormatError.
+    "bad-tie": plurality_doc(tie="TX"),
+    "special-out-of-range": plurality_doc(candidates=[{"id": "p"}, {"id": "a", "special": 4}]),
+    "duplicate-candidate-ids": plurality_doc(candidates=[{"id": "p"}, {"id": "a"}, {"id": "a"}]),
+    "order-not-a-permutation": plurality_doc(ballots=[{"order": ["p", "p"]}]),
+    "mixed-ballot-kinds": plurality_doc(ballots=[{"order": ["p", "a"]}, {"approve": ["p"]}]),
+    "no-candidates": plurality_doc(candidates=[], ballots=[]),
 }
 MALFORMED_WITNESSES = {
     "parts-is-number": voter_witness(5),
@@ -105,16 +121,22 @@ MALFORMED_WITNESSES = {
 @pytest.mark.parametrize("name", [*MALFORMED_INSTANCES, *MALFORMED_WITNESSES])
 def test_malformed_document_exits_three(tmp_path, capsys, name):
     # A malformed document is an error (exit 3, one line on stderr), never
-    # a traceback or a "no".
+    # a traceback or a "no"; in process, reading it raises FormatError.
     inst_path, wit_path = tmp_path / "inst.json", tmp_path / "witness.json"
     # The oracle takes every problem, so no instance exits 3 for want of a
     # polynomial solver.
     if name in MALFORMED_INSTANCES:
-        inst_path.write_text(document_text(MALFORMED_INSTANCES[name]))
+        text = document_text(MALFORMED_INSTANCES[name])
+        with pytest.raises(FormatError):
+            parse_instance(text)
+        inst_path.write_text(text)
         argv = ("solve", "--solver", "oracle", str(inst_path))
     else:
+        text = document_text(MALFORMED_WITNESSES[name])
+        with pytest.raises(FormatError):
+            parse_witness(text)
         inst_path.write_text(json.dumps(plurality_doc()))
-        wit_path.write_text(document_text(MALFORMED_WITNESSES[name]))
+        wit_path.write_text(text)
         argv = ("verify", str(inst_path), str(wit_path))
     code, out, err = run(capsys, *argv)
     assert code == EXIT_ERROR
@@ -250,6 +272,19 @@ IMPOSSIBLE_SIZES = {
                                        "--pool-size", str(MAX_BALLOTS // 2 + 1)),
     "sweep-voters-over-the-ballot-limit": ("sweep", "ccepv", "--voters", str(MAX_BALLOTS + 1),
                                            "--count", "1"),
+    # Candidates times held ballots over MAX_ENTRIES, though each is within
+    # its own bound: 1,000 x 10,001 entries.
+    "gen-entries-over-the-limit": GEN_CCEPV + ("--candidates", "1000",
+                                               "--voters", str(MAX_ENTRIES // 1000 + 1)),
+    "sweep-entries-over-the-limit": ("sweep", "ccepv", "--candidates", "1000",
+                                     "--voters", str(MAX_ENTRIES // 1000 + 1), "--count", "1"),
+    "gen-pool-pushes-entries-over-the-limit": (
+        "gen", "--problem", "CCAVG", "--rule", "plurality", "--limit", "1",
+        "--candidates", "1000", "--voters", str(MAX_ENTRIES // 2000),
+        "--pool-size", str(MAX_ENTRIES // 2000 + 1)),
+    "gen-specials-push-entries-over-the-limit": (
+        "gen", "--problem", "CCEPV", "--rule", "systemE", "--tie", "TP", "--specials",
+        "--candidates", "996", "--voters", str(MAX_ENTRIES // 1000 + 1)),
 }
 
 

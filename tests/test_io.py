@@ -259,7 +259,7 @@ class TestErrors:
         for key, value in (("problem", "CCXYZ"), ("rule", "borda")):
             doc = self.base_doc()
             doc[key] = value
-            with pytest.raises(FormatError):
+            with pytest.raises(FormatError, match="bad problem/rule"):
                 instance_from_dict(doc)
 
     def test_ballot_with_both_kinds(self):

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -334,6 +335,26 @@ def test_k_part_solver_agrees_with_the_oracle_on_random_instances():
             assert d.answer == oracle_solve(inst).answer, (prof, k)
             if d.answer == "yes":
                 assert verify_witness(inst, d.witness), (prof, k)
+
+
+def test_k_part_solver_memory_does_not_grow_with_the_counts():
+    # 60 candidates, each topping 100 copies of one rotation (shared Ballot
+    # objects, so the profile builds fast) give 183,001 guesses. Kept as a
+    # tuple each, they took 15 MB; numbered, they are one block per
+    # candidate and per pair.
+    ids = ["p"] + [f"c{i}" for i in range(1, 60)]
+    rotations = [linear(*ids[i:], *ids[:i]) for i in range(60)]
+    prof = Profile(tuple(map(Candidate, ids)), tuple(b for b in rotations for _ in range(100)))
+    inst = ccpkv(prof, 3)
+    tracemalloc.start()
+    try:
+        d = solve_plurality_ccpkv_te(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    assert (d.answer, d.stats["cases"]) == ("yes", 12001)
+    assert verify_witness(inst, d.witness)
 
 
 def test_multiset_counts_and_ranks_follow_the_enumeration():
