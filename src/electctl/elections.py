@@ -421,6 +421,16 @@ def _top(counts, members: Sequence[int]) -> int:
     return sum(1 << a for a in members if counts[a] == top)
 
 
+def _plurality(counts: Sequence[int]) -> int:
+    """The plurality winners among all candidates, as a position bitmask,
+    of the election whose first places per position are ``counts``: every
+    candidate with the most, so everyone when nobody votes."""
+    top = max(counts)
+    if counts.count(top) == 1:
+        return 1 << counts.index(top)
+    return _top(counts, range(len(counts)))
+
+
 def _system_e(profile: Profile, among: int, votes: Sequence[int] | None) -> int:
     s0, s1, s2, s3 = specials = profile.special_bits
     present = among & (s0 | s1 | s2 | s3)
@@ -450,9 +460,10 @@ def _elect(rule: VotingRule, profile: Profile, among: int,
     which the ballots ``votes`` vote. Neither the ballot kind nor the
     indices are checked; ``winners`` and ``two_stage`` check them first.
 
-    Plurality over all candidates tallies top choices; plurality among
-    fewer and the Condorcet family count on the rank columns of the voting
-    ballots (see ``_rank_columns``). Approval and system E count
+    Plurality over all candidates tallies top choices, and ``_plurality``
+    turns the tally into winners; plurality among fewer and the Condorcet
+    family count on the rank columns of the voting ballots (see
+    ``_rank_columns``). Approval and system E count
     ``positions``. The Condorcet family intersects ``among`` with the
     standing mask of each of its members (cached for all ballots).
     """
@@ -464,10 +475,7 @@ def _elect(rule: VotingRule, profile: Profile, among: int,
             counts = [0] * len(profile.candidates)
             for a in _voting(profile.tops, votes):
                 counts[a] += 1
-            top = max(counts)
-            if counts.count(top) == 1:
-                return 1 << counts.index(top)
-            return _top(counts, range(len(counts)))
+            return _plurality(counts)
         columns, guard = _columns(profile, votes)
         members = _members(among)
         first = dict.fromkeys(members, guard)  # the ballots whose first choice in among is a

@@ -11,7 +11,7 @@ never a silent "no".
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import combinations, filterfalse
 from typing import Iterator
 
 from .two_stage import (
@@ -30,25 +30,26 @@ DEFAULT_BUDGET = 10_000_000
 
 
 def _subsets(
-    n: int, pin: bool = False, size: int | None = None
+    n: int, pin: bool = False, size: int | None = None, start: int = 0
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Subsets of range(n), each with its complement, smallest first.
 
     Subsets of one size come in ``itertools.combinations`` order. With
     ``pin`` (and n > 0) every subset holds element 0, so each unordered
-    bipartition appears once. With ``size``, only subsets of that size
-    (counting a pinned element) are yielded. This order is what fixes the
-    oracle's witnesses and case counts.
+    bipartition appears once. With ``start``, no subset holds an element
+    below it. With ``size``, only subsets of that size (counting a pinned
+    element) are yielded. This order is what fixes the oracle's witnesses
+    and case counts.
     """
     pinned = (0,) if pin and n else ()
-    free = range(len(pinned), n)
+    free = range(max(len(pinned), start), n)
+    everything = range(n)
     for r in range(len(free) + 1):
         if size is not None and r + len(pinned) != size:
             continue
         for rest in combinations(free, r):
             first = pinned + rest
-            inside = set(first)
-            yield first, tuple(i for i in range(n) if i not in inside)
+            yield first, tuple(filterfalse(set(first).__contains__, everything))
 
 
 def enumerate_equipartitions(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -99,7 +100,8 @@ def _k_partitions(n: int, k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
 def _candidate_witnesses(instance: ControlInstance) -> Iterator[Compiled]:
     """The instance's witnesses in the oracle's order, compiled for
     ``two_stage._replay``: candidate sides as bitmasks, voter parts as
-    index tuples, a group selection as its groups' indices, concatenated."""
+    ballot index tuples, the group problems' witnesses as group index
+    tuples."""
     return map(Compiled, _compiled_forms(instance))
 
 
@@ -124,28 +126,22 @@ def _compiled_forms(instance: ControlInstance) -> Iterator[tuple]:
             side = sum(map(bits.__getitem__, a))
             yield side, everyone ^ side
     elif prob is Problem.CCPVG:
-        # Unordered bipartition of groups: the first group stays in part one.
-        first, *rest = [idx for _, idx in instance.groups] or [()]
-        for chosen, others in _subsets(len(rest)):
-            yield (first + _joined(rest, others), _joined(rest, chosen))
+        # Unordered bipartition of groups: group 0 stays in part one, and
+        # part two is each subset of the others.
+        for chosen, others in _subsets(len(instance.groups), start=1):
+            yield others, chosen
     elif prob in (Problem.CCDVG, Problem.CCAVG):
-        groups = [idx for _, idx in instance.groups]
-        if prob is Problem.CCAVG:  # the pool's ballots follow the election's
-            groups = [tuple(nv + i for i in idx) for idx in groups]
-        sizes = [len(idx) for idx in groups]
-        voters = tuple(range(nv))
-        for chosen, others in _subsets(len(groups)):
+        # A deletion keeps the groups it does not choose; an addition adds
+        # the ones it does.
+        sizes = [len(idx) for _, idx in instance.groups]
+        deleting = prob is Problem.CCDVG
+        for chosen, others in _subsets(len(sizes)):
+            if len(chosen) > instance.limit:
+                return  # every group holds a ballot, so no larger subset fits
             if sum(map(sizes.__getitem__, chosen)) <= instance.limit:
-                if prob is Problem.CCDVG:
-                    yield _joined(groups, others)
-                else:
-                    yield voters + _joined(groups, chosen)
+                yield others if deleting else chosen
     else:
         raise ValueError(f"unsupported problem {prob}")
-
-
-def _joined(groups: list[tuple[int, ...]], which: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(chain.from_iterable(map(groups.__getitem__, which)))
 
 
 def oracle_solve(instance: ControlInstance, budget: int = DEFAULT_BUDGET) -> Decision:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain
+from operator import add, sub
 from typing import Iterable, Mapping, Sequence, Union
 
 from .elections import (
@@ -24,6 +25,7 @@ from .elections import (
     _elect,
     _id_mask,
     _mask_ids,
+    _plurality,
 )
 
 
@@ -178,6 +180,28 @@ class ControlInstance:
         return dict(self.groups or ())
 
     @cached_property
+    def _group_tops(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per group, the first places of its ballots (plurality only) as
+        (position, count) pairs, one per position that tops one of them: a
+        table that grows with the ballots, not with groups times candidates."""
+        tops, table = self.grouped.tops, []
+        for _, idx in self.groups:
+            counts: dict[int, int] = {}
+            for i in idx:
+                counts[tops[i]] = counts.get(tops[i], 0) + 1
+            table.append(tuple(counts.items()))
+        return tuple(table)
+
+    @cached_property
+    def _first_places(self) -> tuple[int, ...]:
+        """Per candidate position, how many of the election's ballots rank
+        it first (plurality only)."""
+        counts = [0] * len(self.profile.candidates)
+        for a in self.profile.tops:
+            counts[a] += 1
+        return tuple(counts)
+
+    @cached_property
     def _finals(self) -> dict[int, int]:
         """Memo of the final round: finalist mask -> final winners' mask."""
         return {}
@@ -209,10 +233,13 @@ def _candidate_sides(profile: Profile, c1: Iterable[str], c2: Iterable[str]) -> 
     return _id_mask(profile, s1), _id_mask(profile, s2)
 
 
-# The compiled core. Candidates are position bitmasks and voters ballot
-# indices, checked before they get here: stage one elects per voter part
-# (all candidates running) or per nonempty candidate side (all voters
-# voting); TE keeps a subelection's winners only when there is one.
+# The compiled core. Candidates are position bitmasks, voters ballot
+# indices and groups their indices in ``groups``, checked before they get
+# here: stage one elects per voter part or group part (all candidates
+# running) or per nonempty candidate side (all voters voting); TE keeps a
+# subelection's winners only when there is one. Each kind of part has its
+# own loop: a shared one over a generator of winners cost the oracle about
+# 10% on small voter and candidate partitions.
 
 def _voter_finalists(rule: VotingRule, tie: TieRule, profile: Profile,
                      parts: Iterable[Sequence[int]]) -> int:
@@ -235,6 +262,59 @@ def _candidate_finalists(rule: VotingRule, tie: TieRule, profile: Profile,
             if not (te and won & (won - 1)):
                 finalists |= won
     return finalists
+
+
+def _group_finalists(instance: ControlInstance, parts: Iterable[Sequence[int]]) -> int:
+    te = instance.tie is TieRule.TE
+    finalists = 0
+    for part in parts:
+        won = _group_winners(instance, part)
+        if not (te and won & (won - 1)):
+            finalists |= won
+    return finalists
+
+
+def _group_counts(instance: ControlInstance, groups: Iterable[int]) -> list[int]:
+    """Per candidate position, how many ballots of ``groups`` rank it first."""
+    counts = [0] * len(instance.profile.candidates)
+    tops = instance._group_tops
+    for g in groups:
+        for a, n in tops[g]:
+            counts[a] += n
+    return counts
+
+
+def _group_votes(instance: ControlInstance, groups: Iterable[int]) -> tuple[int, ...]:
+    """The indices of the ballots of ``groups``."""
+    return tuple(chain.from_iterable(instance.groups[g][1] for g in groups))
+
+
+def _group_winners(instance: ControlInstance, groups: Iterable[int]) -> int:
+    """The winners among all candidates when the ballots of ``groups`` of
+    the election vote: under plurality from the groups' first places, under
+    any other rule from their ballots."""
+    rule, profile = instance.rule, instance.profile
+    if rule is VotingRule.PLURALITY:
+        return _plurality(_group_counts(instance, groups))
+    return _elect(rule, profile, profile.everyone, _group_votes(instance, groups))
+
+
+def _changed_winners(instance: ControlInstance, w: tuple[int, ...]) -> int:
+    """The winners of the election after a CCDVG deletion that keeps the
+    groups ``w`` or a CCAVG addition of the pool groups ``w``. Plurality
+    takes the deleted groups' first places from the election's, or adds
+    the added ones to them."""
+    rule, profile = instance.rule, instance.profile
+    if instance.problem is Problem.CCDVG:
+        if rule is not VotingRule.PLURALITY:
+            return _group_winners(instance, w)
+        deleted = _group_counts(instance, set(range(len(instance.groups))).difference(w))
+        return _plurality(list(map(sub, instance._first_places, deleted)))
+    if rule is VotingRule.PLURALITY:
+        return _plurality(list(map(add, instance._first_places, _group_counts(instance, w))))
+    n = len(profile.ballots)
+    return _elect(rule, instance.electorate, profile.everyone,
+                  (*range(n), *(n + i for i in _group_votes(instance, w))))
 
 
 # The most finals one instance remembers; a full memo is emptied. Under TP
@@ -268,16 +348,17 @@ _GROUP_VOTE_PROBLEMS = (Problem.CCDVG, Problem.CCAVG)
 def _replay(instance: ControlInstance, w: tuple) -> tuple[int | None, int]:
     """(finalists, final winners) as bitmasks, finalists None for CCDVG and
     CCAVG, of the compiled witness ``w``: for a candidate partition its two
-    side masks; for a voter partition its parts, and for a CCPVG group
-    selection its unselected and selected groups' ballots, each part as a
-    tuple of indices; for CCDVG and CCAVG the indices of the ballots that
-    vote, into the election's ballots or the ``electorate``'s."""
+    side masks; for a voter partition its parts, each a tuple of ballot
+    indices; for the group problems tuples of group indices: a CCPVG
+    split's two parts, the groups a CCDVG deletion keeps, the pool groups
+    a CCAVG addition adds."""
     prob, rule, profile = instance.problem, instance.rule, instance.profile
     if prob in _CANDIDATE_PROBLEMS:
         finalists = _candidate_finalists(rule, instance.tie, profile, w)
+    elif prob is Problem.CCPVG:
+        finalists = _group_finalists(instance, w)
     elif prob in _GROUP_VOTE_PROBLEMS:
-        electorate = profile if prob is Problem.CCDVG else instance.electorate
-        return None, _elect(rule, electorate, profile.everyone, w)
+        return None, _changed_winners(instance, w)
     else:
         finalists = _voter_finalists(rule, instance.tie, profile, w)
     return finalists, final_round(instance, finalists)
@@ -330,16 +411,17 @@ def run_two_stage_candidate_partition(
     return _one_shot_final(rule, profile, _candidate_finalists(rule, tie, profile, sides))
 
 
-def _group_parts(
+def _group_split(
     instance: ControlInstance, selected: frozenset[str]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    gmap = instance.group_map
-    unknown = [lab for lab in selected if lab not in gmap]
+    """The indices of the groups outside and inside ``selected``."""
+    unknown = selected.difference(instance.group_map)
     if unknown:
         raise ValueError(f"unknown group labels: {sorted(unknown)}")
-    chosen = tuple(chain.from_iterable(map(gmap.__getitem__, selected)))
-    rest = tuple(chain.from_iterable(idx for lab, idx in instance.groups if lab not in selected))
-    return rest, chosen
+    split: tuple[list[int], list[int]] = ([], [])
+    for g, (lab, _) in enumerate(instance.groups):
+        split[lab in selected].append(g)
+    return tuple(split[0]), tuple(split[1])
 
 
 def _groups_atomic(instance: ControlInstance, part: frozenset[int]) -> bool:
@@ -357,16 +439,21 @@ def _compile(instance: ControlInstance, w: Witness) -> tuple | None:
 
     if prob in (Problem.CCPV, Problem.CCEPV, Problem.CCPKV, Problem.CCPVG):
         if prob is Problem.CCPVG and isinstance(w, GroupSelection):
-            return _group_parts(instance, w.labels)
+            return _group_split(instance, w.labels)
         size = instance.k if prob is Problem.CCPKV else 2
         if not isinstance(w, VoterPartition) or len(w.parts) != size:
             raise ValueError(f"{prob.value} needs a {size}-part voter partition witness")
         if prob is Problem.CCEPV and abs(len(w.parts[0]) - len(w.parts[1])) > 1:
             return None
-        if prob is Problem.CCPVG and not all(_groups_atomic(instance, frozenset(p))
-                                             for p in w.parts):
+        if prob is not Problem.CCPVG:
+            return _check_parts(len(profile.ballots), w.parts)
+        sides = list(map(frozenset, w.parts))
+        if not all(_groups_atomic(instance, side) for side in sides):
             return None
-        return _check_parts(len(profile.ballots), w.parts)
+        _check_parts(len(profile.ballots), w.parts)
+        # Each group lies within one part: the part of its first ballot.
+        return tuple(tuple(g for g, (_, idx) in enumerate(instance.groups) if idx[0] in side)
+                     for side in sides)
     if prob in _CANDIDATE_PROBLEMS:
         if not isinstance(w, CandidatePartition):
             raise ValueError(f"{prob.value} needs a candidate partition witness")
@@ -376,13 +463,10 @@ def _compile(instance: ControlInstance, w: Witness) -> tuple | None:
     if prob in _GROUP_VOTE_PROBLEMS:
         if not isinstance(w, GroupSelection):
             raise ValueError(f"{prob.value} needs a group selection witness")
-        rest, chosen = _group_parts(instance, w.labels)
-        if len(chosen) > instance.limit:
+        rest, chosen = _group_split(instance, w.labels)
+        if sum(len(instance.groups[g][1]) for g in chosen) > instance.limit:
             return None
-        if prob is Problem.CCDVG:
-            return rest
-        n = len(profile.ballots)
-        return (*range(n), *(n + i for i in chosen))
+        return rest if prob is Problem.CCDVG else chosen
     raise ValueError(f"unsupported problem {prob}")
 
 
@@ -396,13 +480,12 @@ def _public_witness(instance: ControlInstance, w: tuple) -> Witness:
         return VoterPartition(w + ((),) * (instance.k - len(w)))
     if prob in (Problem.CCPV, Problem.CCEPV):
         return VoterPartition(w)
-    owner = {i: lab for lab, idx in instance.groups for i in idx}
+    labels = [lab for lab, _ in instance.groups]
     if prob is Problem.CCPVG:
-        return GroupSelection(frozenset(map(owner.__getitem__, w[1])))
+        return GroupSelection(map(labels.__getitem__, w[1]))
     if prob is Problem.CCDVG:
-        return GroupSelection(frozenset(owner.values()) - frozenset(map(owner.__getitem__, w)))
-    n = len(profile.ballots)
-    return GroupSelection(frozenset(owner[i - n] for i in w[n:]))
+        return GroupSelection(frozenset(labels).difference(map(labels.__getitem__, w)))
+    return GroupSelection(map(labels.__getitem__, w))
 
 
 def replay(
