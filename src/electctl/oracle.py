@@ -136,8 +136,6 @@ def _compiled_forms(instance: ControlInstance) -> Iterator[tuple]:
         sizes = [len(idx) for _, idx in instance.groups]
         deleting = prob is Problem.CCDVG
         for chosen, others in _subsets(len(sizes)):
-            if len(chosen) > instance.limit:
-                return  # every group holds a ballot, so no larger subset fits
             if sum(map(sizes.__getitem__, chosen)) <= instance.limit:
                 yield others if deleting else chosen
     else:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain
-from operator import add, sub
 from typing import Iterable, Mapping, Sequence, Union
 
 from .elections import (
@@ -193,15 +192,6 @@ class ControlInstance:
         return tuple(table)
 
     @cached_property
-    def _first_places(self) -> tuple[int, ...]:
-        """Per candidate position, how many of the election's ballots rank
-        it first (plurality only)."""
-        counts = [0] * len(self.profile.candidates)
-        for a in self.profile.tops:
-            counts[a] += 1
-        return tuple(counts)
-
-    @cached_property
     def _finals(self) -> dict[int, int]:
         """Memo of the final round: finalist mask -> final winners' mask."""
         return {}
@@ -299,24 +289,6 @@ def _group_winners(instance: ControlInstance, groups: Iterable[int]) -> int:
     return _elect(rule, profile, profile.everyone, _group_votes(instance, groups))
 
 
-def _changed_winners(instance: ControlInstance, w: tuple[int, ...]) -> int:
-    """The winners of the election after a CCDVG deletion that keeps the
-    groups ``w`` or a CCAVG addition of the pool groups ``w``. Plurality
-    takes the deleted groups' first places from the election's, or adds
-    the added ones to them."""
-    rule, profile = instance.rule, instance.profile
-    if instance.problem is Problem.CCDVG:
-        if rule is not VotingRule.PLURALITY:
-            return _group_winners(instance, w)
-        deleted = _group_counts(instance, set(range(len(instance.groups))).difference(w))
-        return _plurality(list(map(sub, instance._first_places, deleted)))
-    if rule is VotingRule.PLURALITY:
-        return _plurality(list(map(add, instance._first_places, _group_counts(instance, w))))
-    n = len(profile.ballots)
-    return _elect(rule, instance.electorate, profile.everyone,
-                  (*range(n), *(n + i for i in _group_votes(instance, w))))
-
-
 # The most finals one instance remembers; a full memo is emptied. Under TP
 # one enumeration can meet tens of thousands of finalist sets (80,555 on
 # the weakCondorcet K_{3,3}, k=2 reduction), but it meets them close
@@ -343,6 +315,7 @@ def final_round(instance: ControlInstance, finalists: int) -> int:
 
 _CANDIDATE_PROBLEMS = (Problem.CCRPC, Problem.CCREPC)
 _GROUP_VOTE_PROBLEMS = (Problem.CCDVG, Problem.CCAVG)
+_GROUP_PROBLEMS = (Problem.CCPVG, *_GROUP_VOTE_PROBLEMS)
 
 
 def _replay(instance: ControlInstance, w: tuple) -> tuple[int | None, int]:
@@ -355,10 +328,14 @@ def _replay(instance: ControlInstance, w: tuple) -> tuple[int | None, int]:
     prob, rule, profile = instance.problem, instance.rule, instance.profile
     if prob in _CANDIDATE_PROBLEMS:
         finalists = _candidate_finalists(rule, instance.tie, profile, w)
-    elif prob is Problem.CCPVG:
+    elif prob in _GROUP_PROBLEMS:
+        if prob is Problem.CCDVG:
+            return None, _group_winners(instance, w)
+        if prob is Problem.CCAVG:
+            n = len(profile.ballots)
+            votes = (*range(n), *(n + i for i in _group_votes(instance, w)))
+            return None, _elect(rule, instance.electorate, profile.everyone, votes)
         finalists = _group_finalists(instance, w)
-    elif prob in _GROUP_VOTE_PROBLEMS:
-        return None, _changed_winners(instance, w)
     else:
         finalists = _voter_finalists(rule, instance.tie, profile, w)
     return finalists, final_round(instance, finalists)

@@ -181,23 +181,6 @@ def test_plurality_group_elections_by_hand():
     assert replay(av, GroupSelection({"g2"})) == (None, {"a"})
 
 
-def test_oracle_stops_at_subsets_larger_than_the_limit():
-    # Every group holds a ballot, so no subset of more than ``limit`` groups
-    # fits the budget: the oracle examines 1 + 30 + C(30, 2) selections of
-    # 30 groups, not all 2^30 subsets.
-    cands = tuple(map(Candidate, ("p", "a", "b")))
-    ballots = tuple(linear("a", "b", "p") for _ in range(30))
-    groups = tuple((f"g{i}", (i,)) for i in range(30))
-    dv = ControlInstance(problem=Problem.CCDVG, rule=VotingRule.PLURALITY,
-                         profile=Profile(cands, ballots), p="p", limit=2, groups=groups)
-    av = ControlInstance(problem=Problem.CCAVG, rule=VotingRule.PLURALITY,
-                         profile=Profile(cands, ballots), p="p", limit=2, groups=groups,
-                         pool=Profile(cands, ballots))
-    for inst in (dv, av):
-        d = oracle_solve(inst)
-        assert (d.answer, d.stats["cases"]) == ("no", 466)
-
-
 # ----------------------------------------------------- the oracle's goldens
 
 X3C_BASE = tuple(f"b{i}" for i in range(1, 7))
