@@ -93,8 +93,8 @@ class Profile:
     subsets). Instances are immutable; derived tables are computed once, on
     first use, and live as long as the profile: candidate ids, positions and
     bitmasks, the ballot kind, each ballot as candidate positions and its
-    top choice, the packed rank columns, pairwise margins and the Condorcet
-    family's standing masks.
+    top choice, the packed rank columns and the Condorcet family's standing
+    masks. Pairwise margins are not cached: ``pairwise_margins`` derives them.
     """
 
     candidates: tuple[Candidate, ...]
@@ -166,11 +166,6 @@ class Profile:
         Their rank rows are dropped once packed (kept, they held 0.9 MB on
         the ``hardness`` benchmark's profiles)."""
         return _rank_columns(_rank_rows(self.index, self.ballots), len(self.candidates))
-
-    @cached_property
-    def _margins(self) -> Mapping[tuple[str, str], int]:
-        """Pairwise majority margins; read them through ``pairwise_margins``."""
-        return _margin_table(self.candidate_ids, _pair_counts(self.columns))
 
     @cached_property
     def bit(self) -> dict[str, int]:
@@ -263,17 +258,6 @@ def _pair_counts(packed: tuple[tuple[int, ...], int]) -> dict[tuple[int, int], i
     return counts
 
 
-def _margin_table(ids: tuple[str, ...], above: Mapping) -> dict[tuple[str, str], int]:
-    """Pairwise majority margins over ``ids`` from the pair counts ``above``."""
-    margins = {}
-    for i, a in enumerate(ids):
-        for j in range(i + 1, len(ids)):
-            m = above[(i, j)] - above[(j, i)]
-            margins[(a, ids[j])] = m
-            margins[(ids[j], a)] = -m
-    return margins
-
-
 def _standing_masks(m: int, above: Mapping, least: int) -> tuple[int, ...]:
     """Per candidate position c, the bitmask of the positions a with
     margin(a, c) >= least, c's own bit included: the candidates c leaves
@@ -348,13 +332,17 @@ def majority_margin(profile: Profile, a: str, b: str) -> int:
     """(#ballots ranking a above b) - (#ballots ranking b above a)."""
     if a == b:
         raise ValueError("majority_margin needs two distinct candidates")
-    return pairwise_margins(profile)[(a, b)]
+    _check_kind(VotingRule.CONDORCET, profile)
+    columns, guard = profile.columns
+    above = _above(columns, guard, profile.index[a], profile.index[b]).bit_count()
+    return 2 * above - guard.bit_count()  # one guard bit per ballot
 
 
 def pairwise_margins(profile: Profile) -> Mapping[tuple[str, str], int]:
-    """All pairwise majority margins, computed once and cached on the profile."""
+    """All pairwise majority margins, derived from the rank columns on each call."""
     _check_kind(VotingRule.CONDORCET, profile)
-    return profile._margins
+    ids, above = profile.candidate_ids, _pair_counts(profile.columns)
+    return {(ids[a], ids[c]): n - above[c, a] for (a, c), n in above.items()}
 
 
 def condorcet_winners_from_margins(
@@ -400,14 +388,10 @@ def _members(mask: int) -> list[int]:
     return out
 
 
-def _ids(profile: Profile, mask: int) -> Iterable[str]:
-    """The candidate ids of the positions in ``mask``, in candidate order."""
-    # bin(mask) read backwards from its last digit is bit 0, bit 1, ...
-    return compress(profile.candidate_ids, map("1".__eq__, bin(mask)[:1:-1]))
-
-
 def _mask_ids(profile: Profile, mask: int) -> frozenset[str]:
-    return frozenset(_ids(profile, mask))
+    """The candidate ids of the positions in ``mask``."""
+    # bin(mask) read backwards from its last digit is bit 0, bit 1, ...
+    return frozenset(compress(profile.candidate_ids, map("1".__eq__, bin(mask)[:1:-1])))
 
 
 def _id_mask(profile: Profile, ids: Iterable[str]) -> int:

@@ -132,10 +132,13 @@ def _compiled_forms(instance: ControlInstance) -> Iterator[tuple]:
             yield others, chosen
     elif prob in (Problem.CCDVG, Problem.CCAVG):
         # A deletion keeps the groups it does not choose; an addition adds
-        # the ones it does.
+        # the ones it does. Every group holds a ballot and smaller subsets
+        # come first, so past ``limit`` groups no subset is within budget.
         sizes = [len(idx) for _, idx in instance.groups]
         deleting = prob is Problem.CCDVG
         for chosen, others in _subsets(len(sizes)):
+            if len(chosen) > instance.limit:
+                return
             if sum(map(sizes.__getitem__, chosen)) <= instance.limit:
                 yield others if deleting else chosen
     else:

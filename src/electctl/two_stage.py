@@ -25,6 +25,7 @@ from .elections import (
     _id_mask,
     _mask_ids,
     _plurality,
+    winners,
 )
 
 
@@ -173,10 +174,6 @@ class ControlInstance:
         """The profile whose ballots the groups partition: the adder pool if
         there is one, otherwise the election."""
         return self.pool if self.pool is not None else self.profile
-
-    @cached_property
-    def group_map(self) -> dict[str, tuple[int, ...]]:
-        return dict(self.groups or ())
 
     @cached_property
     def _group_tops(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -355,10 +352,6 @@ def finalists_voter_partition(
     return _mask_ids(profile, _voter_finalists(rule, tie, profile, parts))
 
 
-def _one_shot_final(rule: VotingRule, profile: Profile, finalists: int) -> frozenset[str]:
-    return _mask_ids(profile, _elect(rule, profile, finalists, None) if finalists else 0)
-
-
 def run_two_stage_voter_partition(
     rule: VotingRule,
     tie: TieRule,
@@ -366,9 +359,8 @@ def run_two_stage_voter_partition(
     parts: Sequence[Iterable[int]],
 ) -> frozenset[str]:
     """Final winner set after partitioning the voters into ``parts``."""
-    _check_kind(rule, profile)
-    parts = _check_parts(len(profile.ballots), parts)
-    return _one_shot_final(rule, profile, _voter_finalists(rule, tie, profile, parts))
+    finalists = finalists_voter_partition(rule, tie, profile, parts)
+    return winners(rule, profile, finalists) if finalists else finalists
 
 
 def run_two_stage_candidate_partition(
@@ -385,14 +377,15 @@ def run_two_stage_candidate_partition(
     """
     _check_kind(rule, profile)
     sides = _candidate_sides(profile, c1, c2)
-    return _one_shot_final(rule, profile, _candidate_finalists(rule, tie, profile, sides))
+    finalists = _mask_ids(profile, _candidate_finalists(rule, tie, profile, sides))
+    return winners(rule, profile, finalists) if finalists else finalists
 
 
 def _group_split(
     instance: ControlInstance, selected: frozenset[str]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The indices of the groups outside and inside ``selected``."""
-    unknown = selected.difference(instance.group_map)
+    unknown = selected.difference(lab for lab, _ in instance.groups)
     if unknown:
         raise ValueError(f"unknown group labels: {sorted(unknown)}")
     split: tuple[list[int], list[int]] = ([], [])

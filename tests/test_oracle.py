@@ -1,5 +1,6 @@
 """Unit tests for the exhaustive-enumeration oracle."""
 
+import signal
 from itertools import combinations, product
 from math import comb
 
@@ -247,6 +248,33 @@ class TestOracle:
         d = oracle_solve(add)
         assert d.answer == "yes"
         assert d.witness.labels == frozenset({"h2"})
+
+    @pytest.mark.parametrize("problem", [Problem.CCDVG, Problem.CCAVG])
+    def test_group_walk_stops_past_the_limit(self, problem):
+        # 30 singleton groups hold 2^30 subsets, but only those of at most
+        # one group fit the limit. The alarm fails a walk past them instead
+        # of letting it run on.
+        n, limit = 30, 1
+        groups = tuple((f"g{i}", (i,)) for i in range(n))
+        if problem is Problem.CCDVG:  # deleting one "a" ballot of 30 leaves 29
+            extra = {"profile": profile(*["a"] * n)}
+        else:  # adding one "p" ballot to two "a" ballots is not enough
+            extra = {"profile": profile("a", "a"), "pool": profile(*["p"] * n)}
+        inst = ControlInstance(problem=problem, rule=VotingRule.PLURALITY, p="p",
+                               limit=limit, groups=groups, **extra)
+
+        def stop(signum, frame):
+            raise TimeoutError("the group walk ran past the limit")
+
+        previous = signal.signal(signal.SIGALRM, stop)
+        signal.alarm(5)
+        try:
+            d = oracle_solve(inst)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert d.answer == "no"
+        assert d.stats["cases"] == sum(comb(n, r) for r in range(limit + 1))
 
     def test_every_returned_witness_verifies(self):
         # spot-check one instance per problem family

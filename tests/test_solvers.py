@@ -93,11 +93,11 @@ class TestEquipartitionSolver:
 
     def test_final_is_a_plurality_election_not_a_margin_lookup(self):
         # The p-versus-c final goes through final_round(); the Condorcet
-        # family's margin table is never built for a plurality instance.
+        # family's standing masks are never built for a plurality instance.
         for tops in (("p", "p", "a", "a", "b"), ("p", "a", "a", "b")):
             inst = ccepv(profile(*tops))
             solve_plurality_ccepv_te(inst)
-            assert "_margins" not in inst.profile.__dict__
+            assert "_standing" not in inst.profile.__dict__
 
     def test_agrees_with_oracle_on_all_four_voter_profiles(self):
         for tops in itertools.product("pab", repeat=4):

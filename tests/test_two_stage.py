@@ -103,7 +103,7 @@ class TestInstanceValidation:
         inst = ControlInstance(problem=Problem.CCDVG, rule=VotingRule.PLURALITY,
                                profile=profile("p", "a"), p="p", limit=1,
                                groups={"g": (0,), "h": (1,)})
-        assert inst.group_map == {"g": (0,), "h": (1,)}
+        assert inst.groups == (("g", (0,)), ("h", (1,)))
 
     def test_groups_must_not_be_empty(self):
         # No document can express an empty group: it has no ballot to label.
