@@ -22,9 +22,8 @@ from .elections import VotingRule
 from .generate import FAMILIES, family_instance, random_instance
 from .instance_io import (
     FORMAT,
-    MAX_BALLOTS,
-    MAX_CANDIDATES,
     FormatError,
+    check_sizes,
     cubic_vc_from_dict,
     instance_digest,
     instance_from_dict,
@@ -129,10 +128,7 @@ def cmd_reduce(args) -> int:
     source_text = Path(args.source).read_text()
     read, reduce, sizes = REDUCTIONS[args.kind]
     source = read(load_document(source_text))
-    candidates, ballots = sizes(source)
-    if candidates > MAX_CANDIDATES or ballots > MAX_BALLOTS:
-        raise FormatError(f"the {args.kind} reduction would hold {candidates} candidates and "
-                          f"{ballots} ballots; the limits are {MAX_CANDIDATES} and {MAX_BALLOTS}")
+    check_sizes(*sizes(source))
     instance = reduce(source)
     out_doc = instance_to_dict(instance)
     out_doc["provenance"] = {

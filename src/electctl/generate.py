@@ -6,7 +6,7 @@ import random
 from typing import Sequence
 
 from .elections import LINEAR_RULES, SPECIAL_INDICES, Ballot, Candidate, Profile, VotingRule
-from .instance_io import MAX_BALLOTS, MAX_CANDIDATES, MAX_ENTRIES
+from .instance_io import check_sizes
 from .two_stage import TAKES, ControlInstance, Problem, TieRule
 
 GROUP_PREFIX = "G"
@@ -54,24 +54,17 @@ def random_instance(
 ) -> ControlInstance:
     """One random instance; reproducible given the rng state. The groups
     and the pool are drawn only for a problem that takes them. Its sizes
-    are checked against the bounds in instance_io before anything is
-    drawn, so every instance it returns can be written and read back."""
+    pass ``instance_io.check_sizes`` before anything is drawn, so every
+    instance it returns can be written and read back."""
     for what, value, least in (("candidates", n_candidates, 1), ("voters", n_voters, 0),
                                ("pool size", pool_size, 0), ("groups", n_groups, 1)):
         if value is not None and value < least:
             raise ValueError(f"{what} must be at least {least}, got {value}")
-    if k is not None and k > MAX_BALLOTS:
-        raise ValueError(f"k is {k}; the limit is {MAX_BALLOTS}")
     takes = TAKES[problem]
     # The ballot count the groups partition: the pool's, if there is one.
     grouped = pool_size if "pool" in takes and pool_size is not None else n_voters
-    total = n_candidates + (len(SPECIAL_INDICES) if with_specials else 0)
-    held = n_voters + (grouped if "pool" in takes else 0)
-    for what, value, bound in (("candidates", total, MAX_CANDIDATES),
-                               ("ballots", held, MAX_BALLOTS),
-                               ("ballot entries", total * held, MAX_ENTRIES)):
-        if value > bound:
-            raise ValueError(f"{value} {what}; the limit is {bound}")
+    check_sizes(n_candidates + (len(SPECIAL_INDICES) if with_specials else 0),
+                n_voters + (grouped if "pool" in takes else 0), k)
 
     cands = tuple(map(Candidate, default_candidate_ids(n_candidates)))
     if with_specials:

@@ -29,20 +29,33 @@ from .two_stage import (
 
 FORMAT = "electctl/1"
 
-# Total ballots (main and pool, counts expanded) one document may describe;
-# checked before any count is expanded. It bounds a CCPkV "k" too.
+# Total ballots (main and pool, counts expanded) one instance may hold. It
+# bounds a CCPkV "k" too: a part per ballot at most.
 MAX_BALLOTS = 1_000_000
-# Candidates one document may list; checked before any is built. The margin
-# table has one entry per ordered pair, so this matches MAX_BALLOTS.
+# Candidates one instance may list. The Condorcet family's pair counts have
+# an entry per ordered pair of candidates, so 10^6 at most.
 MAX_CANDIDATES = 1_000
-# Ballot entries (candidates times ballots) that `gen` and `sweep` may draw,
-# checked before any is (10^6 take `gen` 1.4 s and 116 MB on a 2-core Xeon).
-# The reader does not check it: by then json.loads has allocated them all.
+# Ballot entries (candidates times ballots) one instance may hold: what its
+# profile, document and digest grow with (10^6 take `gen` 1.4 s and 116 MB on
+# a 2-core Xeon), however few entries a document with "count"s lists.
 MAX_ENTRIES = 10_000_000
 
 
 class FormatError(ValueError):
     pass
+
+
+def check_sizes(candidates: int, ballots: int, k: int | None = None) -> None:
+    """Refuse an instance of these sizes past the bounds above: the one size
+    check of the reader, the generator and ``reduce``, each of which calls
+    it before it builds anything of that size."""
+    for what, value, bound in (("candidates", candidates, MAX_CANDIDATES),
+                               ("ballots", ballots, MAX_BALLOTS),
+                               ("ballot entries (candidates x ballots)",
+                                candidates * ballots, MAX_ENTRIES),
+                               ('parts ("k")', k or 0, MAX_BALLOTS)):
+        if value > bound:
+            raise FormatError(f"too many {what}: {value}; the limit is {bound}")
 
 
 def _require_format(doc: Any) -> None:
@@ -233,21 +246,14 @@ def _instance_from_doc(doc: dict) -> ControlInstance:
     for key in ("k", "limit"):
         if key in doc and not _is_int(doc[key]):
             raise FormatError(f'"{key}" must be an integer')
-    if doc.get("k", 0) > MAX_BALLOTS:
-        raise FormatError(f'"k" is {doc["k"]}; the limit is {MAX_BALLOTS}')
     entries = doc.get("candidates", [])
     if not isinstance(entries, list):
         raise FormatError('"candidates" must be a list of candidate objects')
-    if len(entries) > MAX_CANDIDATES:
-        raise FormatError(f"document lists {len(entries)} candidates; "
-                          f"the limit is {MAX_CANDIDATES}")
-    candidates = tuple(_candidate_from_dict(entry) for entry in entries)
     interned: tuple[dict, dict] = ({}, {})
     main_entries = _ballot_entries(doc, "ballots", interned)
     pool_entries = _ballot_entries(doc, "pool", interned)
-    total = sum(main_entries[1]) + sum(pool_entries[1])
-    if total > MAX_BALLOTS:
-        raise FormatError(f"document holds {total} ballots; the limit is {MAX_BALLOTS}")
+    check_sizes(len(entries), sum(main_entries[1]) + sum(pool_entries[1]), doc.get("k"))
+    candidates = tuple(_candidate_from_dict(entry) for entry in entries)
     ballots, main_labels = _expand(*main_entries)
     pool_ballots, pool_labels = _expand(*pool_entries)
     groups = _groups_from_labels(problem, {"ballots": main_labels, "pool": pool_labels})

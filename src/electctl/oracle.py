@@ -130,7 +130,7 @@ def _compiled_forms(instance: ControlInstance) -> Iterator[tuple]:
         # part two is each subset of the others.
         for chosen, others in _subsets(len(instance.groups), start=1):
             yield others, chosen
-    elif prob in (Problem.CCDVG, Problem.CCAVG):
+    else:  # CCDVG or CCAVG
         # A deletion keeps the groups it does not choose; an addition adds
         # the ones it does. Every group holds a ballot and smaller subsets
         # come first, so past ``limit`` groups no subset is within budget.
@@ -141,8 +141,6 @@ def _compiled_forms(instance: ControlInstance) -> Iterator[tuple]:
                 return
             if sum(map(sizes.__getitem__, chosen)) <= instance.limit:
                 yield others if deleting else chosen
-    else:
-        raise ValueError(f"unsupported problem {prob}")
 
 
 def oracle_solve(instance: ControlInstance, budget: int = DEFAULT_BUDGET) -> Decision:

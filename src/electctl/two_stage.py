@@ -139,10 +139,6 @@ class ControlInstance:
         if self.p not in self.profile.candidate_ids:
             raise ValueError(f"distinguished candidate {self.p!r} not in the election")
         _check_kind(self.rule, self.profile)
-        if self.groups is not None:
-            items = self.groups.items() if isinstance(self.groups, Mapping) else self.groups
-            object.__setattr__(self, "groups", tuple((lab, tuple(idx)) for lab, idx in items))
-
         takes = TAKES[self.problem]
         for name in ("tie", "k", "limit", "groups", "pool"):
             given = getattr(self, name) is not None
@@ -158,16 +154,19 @@ class ControlInstance:
                 raise ValueError("pool must share the election's candidate set")
             _check_kind(self.rule, self.pool)
         if self.groups is not None:
-            if not all(idx for _, idx in self.groups):
+            items = self.groups.items() if isinstance(self.groups, Mapping) else self.groups
+            # An empty group sorts first by its [:1] and is refused below.
+            groups = tuple(sorted(((lab, tuple(sorted(idx))) for lab, idx in items),
+                                  key=lambda g: g[1][:1]))
+            object.__setattr__(self, "groups", groups)
+            if not all(idx for _, idx in groups):
                 raise ValueError("every group needs a ballot")
-            seen = sorted(i for _, idx in self.groups for i in idx)
+            seen = sorted(i for _, idx in groups for i in idx)
             if seen != list(range(len(self.grouped.ballots))):
                 raise ValueError("groups must partition the vote multiset exactly once")
-            labels = [lab for lab, _ in self.groups]
+            labels = [lab for lab, _ in groups]
             if len(set(labels)) != len(labels):
                 raise ValueError("duplicate group labels")
-            groups = ((lab, tuple(sorted(idx))) for lab, idx in self.groups)
-            object.__setattr__(self, "groups", tuple(sorted(groups, key=lambda g: g[1][0])))
 
     @property
     def grouped(self) -> Profile:
@@ -430,14 +429,12 @@ def _compile(instance: ControlInstance, w: Witness) -> tuple | None:
         if prob is Problem.CCREPC and abs(len(w.c1) - len(w.c2)) > 1:
             return None
         return _candidate_sides(profile, w.c1, w.c2)
-    if prob in _GROUP_VOTE_PROBLEMS:
-        if not isinstance(w, GroupSelection):
-            raise ValueError(f"{prob.value} needs a group selection witness")
-        rest, chosen = _group_split(instance, w.labels)
-        if sum(len(instance.groups[g][1]) for g in chosen) > instance.limit:
-            return None
-        return rest if prob is Problem.CCDVG else chosen
-    raise ValueError(f"unsupported problem {prob}")
+    if not isinstance(w, GroupSelection):  # CCDVG or CCAVG
+        raise ValueError(f"{prob.value} needs a group selection witness")
+    rest, chosen = _group_split(instance, w.labels)
+    if sum(len(instance.groups[g][1]) for g in chosen) > instance.limit:
+        return None
+    return rest if prob is Problem.CCDVG else chosen
 
 
 def _public_witness(instance: ControlInstance, w: tuple) -> Witness:

@@ -10,24 +10,29 @@ import io
 import json
 import math
 import random
+import signal
 import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from electctl import Problem, TieRule, VotingRule
+from electctl import Problem, TieRule, VotingRule, cli
 from electctl.cli import EXIT_ERROR, EXIT_NO, EXIT_UNKNOWN, EXIT_YES, REDUCTIONS, main
 from electctl.generate import random_instance
 from electctl.instance_io import (
     FORMAT,
     MAX_BALLOTS,
+    MAX_CANDIDATES,
     MAX_ENTRIES,
     FormatError,
+    instance_digest,
+    instance_from_dict,
     instance_to_dict,
     parse_instance,
     parse_witness,
 )
+from electctl.solvers import solve_poly
 from electctl.two_stage import TAKES
 
 
@@ -53,6 +58,14 @@ def plurality_doc(**fields):
            "ballots": [{"order": ["p", "a"]}, {"order": ["a", "p"]}]}
     doc.update(fields)
     return {key: value for key, value in doc.items() if value is not None}
+
+
+def counted_doc(n_ballots):
+    """MAX_CANDIDATES candidates and one ballot entry counted ``n_ballots``
+    times: a few KB that describe n_ballots * MAX_CANDIDATES ballot entries."""
+    ids = ["p"] + [f"c{i}" for i in range(1, MAX_CANDIDATES)]
+    return plurality_doc(candidates=[{"id": c} for c in ids],
+                         ballots=[{"order": ids, "count": n_ballots}])
 
 
 def voter_witness(parts):
@@ -339,6 +352,32 @@ def test_oversized_reduction_exits_three(tmp_path, capsys, name):
     assert not out_path.exists()
 
 
+def test_reduction_past_the_entry_bound_exits_three(tmp_path, capsys):
+    # 304 candidates and 92,153 ballots, each within its own bound, but
+    # 2.8 * 10^7 ballot entries. The alarm stops a reduction that builds them
+    # instead of letting it run on.
+    src, out_path = tmp_path / "source.json", tmp_path / "out.json"
+    src.write_text(json.dumps(x3c_chain(300, 150)))
+
+    def stop(signum, frame):
+        raise RuntimeError("the reduction ran past the entry bound")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(2)
+    try:
+        start = time.perf_counter()
+        code, out, err = run(capsys, "reduce", "x3c", str(src), "--out", str(out_path))
+        assert time.perf_counter() - start < 1.0
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.startswith("electctl: error:") and err.count("\n") == 1
+    assert "entries" in err
+    assert not out_path.exists()
+
+
 class TestSolve:
     def test_solve_reports_answer_and_digest(self, tmp_path, capsys):
         path = gen_instance(tmp_path, capsys, "inst.json")
@@ -412,6 +451,25 @@ class TestSolve:
         assert code == EXIT_ERROR
         assert out == ""
         assert "limit" in err
+
+    def test_ballot_entries_over_the_limit_exit_three(self, tmp_path, capsys):
+        # Candidates times the counts' sum, checked before any is expanded.
+        text = json.dumps(counted_doc(MAX_ENTRIES // MAX_CANDIDATES + 1))
+        with pytest.raises(FormatError, match="limit"):
+            instance_from_dict(json.loads(text))
+        path = tmp_path / "counted.json"
+        path.write_text(text)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "solve", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("electctl: error:") and err.count("\n") == 1
+        assert "limit" in err
+
+    def test_ballot_entries_at_the_limit_parse(self):
+        instance = parse_instance(json.dumps(counted_doc(MAX_ENTRIES // MAX_CANDIDATES)))
+        assert len(instance.profile.candidates) * len(instance.profile.ballots) == MAX_ENTRIES
 
     @pytest.mark.parametrize("k", [MAX_BALLOTS + 1, 10 ** 8])
     @pytest.mark.parametrize("solver", ["oracle", "poly"])
@@ -510,6 +568,17 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(path), str(wit_path))
         assert code == EXIT_NO
         assert "rejected" in out
+
+    def test_witness_of_the_wrong_shape_exits_three(self, tmp_path, capsys):
+        # A voter partition for a candidate-partition problem is an error,
+        # not a rejection.
+        path, wit_path = tmp_path / "inst.json", tmp_path / "witness.json"
+        path.write_text(json.dumps(plurality_doc(problem="CCRPC")))
+        wit_path.write_text(json.dumps(voter_witness([[0], [1]])))
+        code, out, err = run(capsys, "verify", str(path), str(wit_path))
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("electctl: error:") and err.count("\n") == 1
 
 
 class TestReduce:
@@ -616,6 +685,37 @@ class TestSweep:
                     for r in rows]
 
         assert strip_ms(first) == strip_ms(second)
+
+    def test_budget_zero_leaves_every_row_undecided(self, tmp_path, capsys):
+        code, out_path, err = self.sweep(tmp_path, capsys, "sweep.csv", "--budget", "0")
+        assert code == EXIT_YES
+        rows = list(csv.DictReader(out_path.read_text().splitlines()))
+        assert len(rows) == 12
+        assert all(r["answer_oracle"] == "unknown" and r["agree"] == "" for r in rows)
+        summary = json.loads(err.splitlines()[-1])
+        assert summary["decided"] == 0
+        assert summary["disagreements"] == 0
+
+    def test_disagreement_writes_counterexamples(self, tmp_path, capsys, monkeypatch):
+        def flipped(instance):
+            decision = solve_poly(instance)
+            decision.answer = {"yes": "no", "no": "yes"}[decision.answer]
+            return decision
+
+        monkeypatch.setattr(cli, "solve_poly", flipped)
+        code, out_path, err = self.sweep(tmp_path, capsys, "sweep.csv")
+        assert code == EXIT_NO
+        rows = list(csv.DictReader(out_path.read_text().splitlines()))
+        assert len(rows) == 12 and all(r["agree"] == "0" for r in rows)
+        digests = {r["instance_digest"] for r in rows}
+        written = {path.name for path in tmp_path.glob("counterexample-*.json")}
+        assert written == {f"counterexample-{d}.json" for d in digests}
+        for digest in digests:
+            text = (tmp_path / f"counterexample-{digest}.json").read_text()
+            assert instance_digest(parse_instance(text)) == digest
+        summary = json.loads(err.splitlines()[-1])
+        assert summary["disagreements"] == 12
+        assert summary["agreement_rate"] == 0.0
 
     def test_unknown_family_is_an_error(self, capsys):
         code, _, err = run(capsys, "sweep", "nope", "--count", "1")

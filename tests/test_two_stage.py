@@ -289,6 +289,16 @@ class TestVerifyWitness:
             verify_witness(inst, VoterPartition(((0,),)))
         with pytest.raises(ValueError):  # a bare tuple is not a compiled witness
             verify_witness(inst, ((0,), ()))
+        rpc = ControlInstance(problem=Problem.CCRPC, rule=VotingRule.PLURALITY,
+                              profile=profile("p"), p="p", tie=TieRule.TE)
+        with pytest.raises(ValueError, match="candidate partition"):
+            verify_witness(rpc, VoterPartition(((0,), ())))
+        dvg = dict(problem=Problem.CCDVG, rule=VotingRule.PLURALITY,
+                   profile=profile("p"), p="p", groups=(("g1", (0,)),))
+        with pytest.raises(ValueError, match="group selection"):
+            verify_witness(ControlInstance(limit=1, **dvg), CandidatePartition({"p"}, {"a", "b"}))
+        with pytest.raises(ValueError, match="nonnegative limit"):
+            ControlInstance(limit=-1, **dvg)
 
     def test_ccrepc_rejects_unbalanced_candidate_split(self):
         inst = ControlInstance(problem=Problem.CCREPC, rule=VotingRule.PLURALITY,
