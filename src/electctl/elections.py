@@ -91,10 +91,10 @@ class Profile:
     Ballots are homogeneous in kind and each references exactly the
     profile's candidates (linear orders are permutations; approval sets are
     subsets). Instances are immutable; derived tables are computed once, on
-    first use, and live as long as the profile: candidate ids, positions and
-    bitmasks, the ballot kind, each ballot as candidate positions and its
-    top choice, the packed rank columns and the Condorcet family's standing
-    masks. Pairwise margins are not cached: ``pairwise_margins`` derives them.
+    first use, and live as long as the profile: candidate ids and positions,
+    the ballot kind, each ballot as candidate positions and its top choice,
+    the packed rank columns and the Condorcet family's standing masks.
+    Pairwise margins are not cached: ``pairwise_margins`` derives them.
     """
 
     candidates: tuple[Candidate, ...]
@@ -106,7 +106,7 @@ class Profile:
         if not self.candidates:
             raise ValueError("profile needs at least one candidate")
         ids = self.candidate_ids
-        idset = self.candidate_id_set
+        idset = self.index.keys()
         if len(idset) != len(ids):
             raise ValueError("duplicate candidate ids")
         specials = [c.special_index for c in self.candidates if c.special_index is not None]
@@ -130,17 +130,13 @@ class Profile:
         return tuple(c.id for c in self.candidates)
 
     @cached_property
-    def candidate_id_set(self) -> frozenset[str]:
-        return frozenset(self.candidate_ids)
-
-    @cached_property
     def kind(self) -> str | None:
         """Ballot kind, or None for an empty (kind-agnostic) profile."""
         return self.ballots[0].kind if self.ballots else None
 
     @cached_property
     def index(self) -> dict[str, int]:
-        """Candidate id -> its position in ``candidates``."""
+        """Candidate id -> its position in ``candidates``: the one id table."""
         return {cid: i for i, cid in enumerate(self.candidate_ids)}
 
     @cached_property
@@ -166,11 +162,6 @@ class Profile:
         Their rank rows are dropped once packed (kept, they held 0.9 MB on
         the ``hardness`` benchmark's profiles)."""
         return _rank_columns(_rank_rows(self.index, self.ballots), len(self.candidates))
-
-    @cached_property
-    def bit(self) -> dict[str, int]:
-        """Candidate id -> the bitmask of its position alone."""
-        return {cid: 1 << i for i, cid in enumerate(self.candidate_ids)}
 
     @cached_property
     def everyone(self) -> int:
@@ -283,7 +274,7 @@ def _candidate_subset(profile: Profile, subset: Iterable[str]) -> frozenset[str]
     keep = frozenset(subset)
     if not keep:
         raise ValueError("cannot restrict to an empty candidate set")
-    known = profile.candidate_id_set
+    known = profile.index.keys()
     if not keep <= known:
         raise ValueError(f"unknown candidates in subset: {sorted(keep - known)}")
     return keep
@@ -396,7 +387,7 @@ def _mask_ids(profile: Profile, mask: int) -> frozenset[str]:
 
 def _id_mask(profile: Profile, ids: Iterable[str]) -> int:
     """The bitmask of ``ids``, distinct ids of the profile's candidates."""
-    return sum(map(profile.bit.__getitem__, ids))
+    return sum(1 << profile.index[cid] for cid in ids)
 
 
 def _top(counts, members: Sequence[int]) -> int:

@@ -212,10 +212,6 @@ def pull_back_vc_witness(instance: ControlInstance, w: CandidatePartition) -> fr
     return cover
 
 
-def _lex_block(members) -> tuple[str, ...]:
-    return tuple(sorted(members))
-
-
 def x3c_to_plurality_ccpvg_te(x: X3CInstance) -> ControlInstance:
     """Reduce X3C to Plurality-CCPVG-TE.
 
@@ -238,7 +234,7 @@ def x3c_to_plurality_ccpvg_te(x: X3CInstance) -> ControlInstance:
     def vote(top: str, last: str | None = None) -> Ballot:
         rest = [cid for cid in all_ids if cid != top and cid != last]
         tail = (last,) if last else ()
-        return Ballot(order=(top,) + _lex_block(rest) + tail)
+        return Ballot(order=(top,) + tuple(sorted(rest)) + tail)
 
     ballots: list[Ballot] = []
     groups: list[tuple[str, tuple[int, ...]]] = []
@@ -321,8 +317,6 @@ def solve_vc_bruteforce(g: CubicGraphVC, k: int | None = None) -> bool:
     n = len(g.vertices)
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force limited to {BRUTE_FORCE_LIMIT} vertices")
-    if not g.edges:
-        return True
     size = min(target, n)
     for subset in combinations(g.vertices, size):
         chosen = set(subset)

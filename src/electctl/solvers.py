@@ -9,6 +9,7 @@ reproducible.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations
 
 from .elections import Profile, VotingRule
@@ -110,30 +111,36 @@ def solve_plurality_ccepv_te(instance: ControlInstance) -> Decision:
         return yes((tuple(range(hi)), tuple(range(hi, n))))
 
     others = [c for c in range(len(classes)) if c != p]
+    # Every candidate but p holds at most kp - 1 ballots in V1, so below
+    # kp0 no case of any condition fills V1 to lo.
+    kp0 = 1 + bisect_left(range(1, score[p] + 1), lo,
+                          key=lambda kp: kp + sum(min(score[d], kp - 1) for d in others))
 
     def pinned_rivals(rivals, tie):
         """Conditions 1 (``tie`` 0: one rival wins V2 alone) and 3 (``tie``
-        1: two rivals tie in V2) pin each rival at kc top choices in V2. p
-        is unique in V1 once every score[r] - kc <= kp - 1, and the rivals
-        win V2 once score[p] - kp <= kc - 1 + tie: both hold from kc = start
-        on, and the kc below start are cases counted without a loop."""
+        1: two rivals tie in V2) pin p at kp top choices in V1 and each rival
+        at kc in V2. p is unique in V1 once every score[r] - kc <= kp - 1, and
+        the rivals win V2 once score[p] - kp <= kc - 1 + tie. Only the kp from
+        kp0 on where some kc meets both are tried, but ``cases`` counts every
+        (kp, kc), ``width`` kc per kp, up to the first success."""
         nonlocal cases
-        free = [d for d in others if d not in rivals]
         counts = [score[r] for r in rivals]
         top, high = min(counts), max(counts)
         least = 1 - tie
-        for kp in range(1, score[p] + 1):
-            start = max(least, score[p] - kp + 1 - tie, high - kp + 1)
-            cases += min(start, top + 1) - least
+        width = top + 1 - least
+        kps = range(max(kp0, score[p] + 1 - tie - top, high + 1 - top), score[p] + 1)
+        free = [d for d in others if d not in rivals] if kps else ()
+        for kp in kps:
             pinned = {p: kp}
-            for kc in range(start, top + 1):
-                cases += 1
+            for kc in range(max(least, score[p] - kp + 1 - tie, high - kp + 1), top + 1):
                 for r in rivals:
                     pinned[r] = score[r] - kc
                 parts = _extend_to_equipartition(
                     classes, score, free, pinned, kp, kc - 1 + tie, lo, hi)
                 if parts:
+                    cases += (kp - 1) * width + kc - least + 1
                     return parts
+        cases += score[p] * width
         return None
 
     # Condition 1: V2 has a unique winner c and p beats c in the final.
@@ -144,12 +151,13 @@ def solve_plurality_ccepv_te(instance: ControlInstance) -> Decision:
                 return yes(parts)
 
     # Condition 2: p is among the winners of V2.
-    for kp in range(1, score[p] + 1):
-        cases += 1
+    for kp in range(kp0, score[p] + 1):
         parts = _extend_to_equipartition(
             classes, score, others, {p: kp}, kp, score[p] - kp, lo, hi)
         if parts:
+            cases += kp
             return yes(parts)
+    cases += score[p]
 
     # Condition 3: V2 is tied between two candidates other than p.
     for pair in combinations(others, 2):
@@ -259,24 +267,16 @@ def solve_plurality_ccpkv_te(instance: ControlInstance) -> Decision:
     def build_parts(specs) -> tuple[tuple[int, ...], ...]:
         kparts: list[list[int]] = [[] for _ in specs]
         for h, cls in enumerate(classes):
-            alloc, caps = [], []
-            r = score[h]
-            for win, members, s in specs:
-                if h in members:
-                    alloc.append(s)
-                    caps.append(0)
-                    r -= s
-                else:
-                    alloc.append(0)
-                    caps.append(s - 1 if win else s)
-            for i, cap in enumerate(caps):
-                take = min(r, cap)
-                alloc[i] += take
-                r -= take
+            r = score[h] - sum(s for _, members, s in specs if h in members)
             pos = 0
-            for i, a in enumerate(alloc):
-                kparts[i].extend(cls[pos:pos + a])
-                pos += a
+            for part, (win, members, s) in zip(kparts, specs):
+                if h in members:
+                    take = s
+                else:
+                    take = min(r, s - 1 if win else s)
+                    r -= take
+                part.extend(cls[pos:pos + take])
+                pos += take
         return tuple(map(tuple, kparts))
 
     # Candidates by position. A walk state is (slack, room, finalists):
@@ -303,7 +303,8 @@ def solve_plurality_ccpkv_te(instance: ControlInstance) -> Decision:
         return slack, room, finalists
 
     def last_guess(state, lo):
-        """The run of the first guess from number lo on that ends the multiset."""
+        """The run of the first guess from number lo on that ends the multiset.
+        Slack alone bounds a count: a block ends at its members' least score."""
         slack, room, finalists = state
         need = list(map(int.__sub__, slack, room))
         top = max(need)
@@ -313,21 +314,19 @@ def solve_plurality_ccpkv_te(instance: ControlInstance) -> Decision:
             if last < lo:
                 continue
             lower = s0 + max(first, lo) - first
-            upper = s0 + last - first
             if win:
                 c, = members
                 # A win at count s takes s from c's slack and adds s - 1 to
                 # every other room: c needs s >= need[c], any other h
                 # s >= need[h] + 1.
                 lower = max(lower, need[c] if alone and need[c] == top else top + 1)
-                if (lower <= min(upper, slack[c])
-                        and final_round(instance, finalists | 1 << c) == pbit):
+                if lower <= slack[c] and final_round(instance, finalists | 1 << c) == pbit:
                     return first + lower - s0, 1, (win, members, lower)
             else:
                 # A pair at count s takes s from both members' slack and adds
                 # s to every other room: each h needs s >= need[h].
                 lower = max(lower, top)
-                if lower <= min(upper, *map(slack.__getitem__, members)):
+                if lower <= min(map(slack.__getitem__, members)):
                     if elim_final is None:
                         elim_final = final_round(instance, finalists) == pbit
                     if elim_final:
@@ -419,7 +418,7 @@ def solve_weakcondorcet_ccrpc_tp(instance: ControlInstance) -> Decision:
     """
     _require(instance, Problem.CCRPC, VotingRule.WEAK_CONDORCET, TieRule.TP)
     p = instance.p
-    witness = CandidatePartition({p}, instance.profile.candidate_id_set - {p})
+    witness = CandidatePartition({p}, instance.profile.index.keys() - {p})
     if verify_witness(instance, witness):
         return Decision(YES, witness, {"cases": 1})
     return Decision(NO, stats={"cases": 1})

@@ -214,7 +214,7 @@ def _check_parts(n: int, parts: Sequence[Iterable[int]]) -> tuple[tuple[int, ...
 def _candidate_sides(profile: Profile, c1: Iterable[str], c2: Iterable[str]) -> tuple[int, int]:
     """The bitmasks of (C1, C2), which must partition the candidate set."""
     s1, s2 = frozenset(c1), frozenset(c2)
-    if s1 & s2 or (s1 | s2) != profile.candidate_id_set:
+    if s1 & s2 or (s1 | s2) != profile.index.keys():
         raise ValueError("(C1, C2) must partition the candidate set")
     return _id_mask(profile, s1), _id_mask(profile, s2)
 
@@ -310,8 +310,7 @@ def final_round(instance: ControlInstance, finalists: int) -> int:
 
 
 _CANDIDATE_PROBLEMS = (Problem.CCRPC, Problem.CCREPC)
-_GROUP_VOTE_PROBLEMS = (Problem.CCDVG, Problem.CCAVG)
-_GROUP_PROBLEMS = (Problem.CCPVG, *_GROUP_VOTE_PROBLEMS)
+_GROUP_PROBLEMS = (Problem.CCPVG, Problem.CCDVG, Problem.CCAVG)
 
 
 def _replay(instance: ControlInstance, w: tuple) -> tuple[int | None, int]:
@@ -489,4 +488,4 @@ def verify_witness(instance: ControlInstance, w: Witness | Compiled) -> bool:
         w = _compile(instance, w)
         if w is None:
             return False
-    return _replay(instance, w)[1] == instance.profile.bit[instance.p]
+    return _replay(instance, w)[1] == 1 << instance.profile.index[instance.p]

@@ -235,6 +235,7 @@ def x3c_source(**fields):
 
 # name: (reduction, source document, the field the message must name, if any)
 MALFORMED_SOURCES = {
+    "vertices-is-number": ("cvc", cvc_source(vertices=5), "vertices"),
     "edges-is-number": ("cvc", cvc_source(edges=5), "edges"),
     "edges-missing": ("cvc", cvc_source(edges=None), "edges"),
     "k-is-string": ("cvc", cvc_source(k="3"), "k"),

@@ -30,6 +30,7 @@ from electctl.instance_io import (
     parse_witness,
     serialize_instance,
     serialize_witness,
+    witness_to_dict,
 )
 
 PAB = tuple(Candidate(c) for c in ("p", "a", "b"))
@@ -307,6 +308,19 @@ class TestErrors:
         doc["k"] = MAX_BALLOTS
         assert instance_from_dict(doc).k == MAX_BALLOTS
 
+    def test_bad_candidate_or_ballot_section(self):
+        for field, value, message in (
+                ("candidates", [{"id": "p"}, "a"], 'string "id"'),
+                ("candidates", [{"id": "p"}, {"id": 7}], 'string "id"'),
+                ("candidates", [{"id": "p"}, {"name": "a"}], 'string "id"'),
+                ("candidates", [{"id": "p", "special": "0"}], '"special" must be an integer'),
+                ("candidates", [{"id": "p", "special": 1.0}], '"special" must be an integer'),
+                ("ballots", {"order": ["p", "a", "b"]}, '"ballots" must be a list')):
+            doc = self.base_doc()
+            doc[field] = value
+            with pytest.raises(FormatError, match=message):
+                instance_from_dict(doc)
+
     def test_partial_group_labels(self):
         doc = self.base_doc()
         doc["problem"] = "CCPVG"
@@ -327,3 +341,5 @@ class TestErrors:
                 {"format": FORMAT, "witness": {"type": "wat"}}))
         with pytest.raises(FormatError):
             parse_witness(json.dumps({"format": FORMAT}))
+        with pytest.raises(FormatError, match="unknown witness type"):
+            witness_to_dict(("not", "a", "witness"))

@@ -48,6 +48,10 @@ class TestEnumeration:
                 assert sorted(v1 + v2) == list(range(n))
                 assert abs(len(v1) - len(v2)) <= 1
 
+    def test_equipartition_of_a_negative_count(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            enumerate_equipartitions(-1)
+
     def test_equipartition_count_formula(self):
         assert len(list(enumerate_equipartitions(10))) == comb(10, 5) // 2
 

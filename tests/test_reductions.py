@@ -3,6 +3,7 @@
 import pytest
 
 from electctl import (
+    CandidatePartition,
     CubicGraphVC,
     MajoritySpec,
     Problem,
@@ -79,12 +80,25 @@ class TestCubicVC:
             CubicGraphVC(("a", "b"), (frozenset(("a", "b")),), 1)
         with pytest.raises(ValueError):  # k out of range
             CubicGraphVC(K4.vertices, K4.edges, 5)
+        for vertices, edges, message in (
+                (K4.vertices + ("u1",), K4.edges, "duplicate vertices"),
+                (K4.vertices, K4.edges + K4.edges[:1], "duplicate edges"),
+                (K4.vertices, K4.edges[:5] + (frozenset(("u1", "x")),), "bad edge"),
+                (K4.vertices, K4.edges[:5] + (frozenset(("u1",)),), "bad edge")):
+            with pytest.raises(ValueError, match=message):
+                CubicGraphVC(vertices, edges, 3)
 
     def test_brute_force_cover_numbers(self):
         assert not solve_vc_bruteforce(K4, 2)
         assert solve_vc_bruteforce(K4, 3)
         assert not solve_vc_bruteforce(K33, 2)
         assert solve_vc_bruteforce(K33, 3)
+        # A prism over two 11-cycles: 22 vertices, past the limit.
+        a, b = [f"a{i}" for i in range(11)], [f"b{i}" for i in range(11)]
+        prism = CubicGraphVC(a + b, [frozenset(e) for i in range(11) for e in (
+            (a[i], a[i - 1]), (b[i], b[i - 1]), (a[i], b[i]))], 11)
+        with pytest.raises(ValueError, match="limited to 20 vertices"):
+            solve_vc_bruteforce(prism)
 
     def test_construction_size(self):
         inst = cubic_vc_to_weakcondorcet_ccrepc_tp(K4)
@@ -120,10 +134,26 @@ class TestCubicVC:
         ids = frozenset(inst.profile.candidate_ids)
         half = frozenset(sorted(ids)[: len(ids) // 2])
         bad = half if "p" not in half else ids - half
-        from electctl import CandidatePartition
-
         with pytest.raises(ValueError):
             pull_back_vc_witness(inst, CandidatePartition(ids - bad, bad))
+
+    def test_pull_back_rejects_a_verified_witness_that_is_no_cover(self):
+        # Hand-built weakCondorcet-CCREPC-TP instances, not reductions, on
+        # which one ballot ranking the candidates in list order makes p the
+        # sole final winner of ({p, ...}, rest). The budget k is read off
+        # the candidate counts: (dummies + 1 - vertices // 2) // 2.
+        for ids, c1, message in (
+                # k = 0, yet both vertices are on the side without p.
+                (("p", "v:a", "v:b"), {"p"}, "exceeds the cover budget"),
+                # k = 1 and an empty cover, which misses the edge a-b.
+                (("p", "d:0", "d:1", "e:a|b"), {"p", "d:0"}, "misses edge a-b")):
+            inst = ControlInstance(
+                problem=Problem.CCREPC, rule=VotingRule.WEAK_CONDORCET, p="p",
+                profile=Profile(tuple(map(Candidate, ids)), (linear(*ids),)), tie=TieRule.TP)
+            w = CandidatePartition(c1, set(ids) - c1)
+            assert verify_witness(inst, w)
+            with pytest.raises(ValueError, match=message):
+                pull_back_vc_witness(inst, w)
 
 
 class TestX3C:
@@ -135,6 +165,8 @@ class TestX3C:
         with pytest.raises(ValueError):  # non-triple member set
             x3c(("b1", "b2"), ("b1", "b2", "b3"), ("b4", "b5", "b6"),
                 ("b1", "b5", "b6"))
+        with pytest.raises(ValueError, match="duplicate base elements"):
+            X3CInstance(BASE6[:5] + ("b1",), ())
 
     def test_brute_force(self):
         yes = x3c(("b1", "b2", "b3"), ("b4", "b5", "b6"),
@@ -143,6 +175,8 @@ class TestX3C:
                  ("b1", "b4", "b5"), ("b1", "b5", "b6"))
         assert solve_x3c_bruteforce(yes)
         assert not solve_x3c_bruteforce(no)
+        with pytest.raises(ValueError, match="limited to 20 triples"):
+            solve_x3c_bruteforce(x3c(*[("b1", "b2", "b3")] * 21))
 
     def test_reduction_shape_and_scores(self):
         x = x3c(("b1", "b2", "b3"), ("b4", "b5", "b6"),
@@ -217,6 +251,14 @@ class TestApprovalToSystemE:
             p="p", tie=TieRule.TE)
         with pytest.raises(ValueError):
             approval_ccpv_te_to_e_ccpv_tp(linear_src)
+        for cands, message in (
+                ((Candidate("p"), Candidate("a", special_index=0)), "special candidates"),
+                ((Candidate("p"), Candidate("3")), "clash with the special candidates")):
+            tagged = ControlInstance(problem=Problem.CCPV, rule=VotingRule.APPROVAL,
+                                     profile=Profile(cands, (approval(["p"]),)), p="p",
+                                     tie=TieRule.TE)
+            with pytest.raises(ValueError, match=message):
+                approval_ccpv_te_to_e_ccpv_tp(tagged)
 
     def test_decision_preserved_on_small_case(self):
         src = self.source(4)

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import random
+import signal
 import tracemalloc
 
 import pytest
@@ -29,6 +30,7 @@ from electctl import (
     verify_witness,
 )
 from electctl.generate import FAMILIES, family_instance
+from electctl.instance_io import FORMAT, instance_from_dict
 from electctl.solvers import CASES_LIMIT, POLY_SOLVERS, _multisets, _rank
 
 PAB = tuple(Candidate(c) for c in ("p", "a", "b"))
@@ -209,6 +211,43 @@ def test_equipartition_solver_answer_witness_and_cases_are_pinned(name):
 def test_equipartition_solver_is_pinned_with_p_last(name):
     prof = reversed_candidates(CCEPV_GOLDEN[name][0])
     check_equipartition_golden(prof, *CCEPV_REVERSED_GOLDEN[name])
+
+
+THOUSAND = ["p"] + [f"c{i}" for i in range(1, 1000)]
+
+# CCEPV documents of 1,000 candidates, within every input bound, with the
+# (answer, cases) that a walk over every (kp, kc) pair of conditions 1 and
+# 3 and every kp of condition 2 gave; that walk took 10.4 s on the first
+# and 29.8 s on the second (in process, on a 2-core shared host).
+IN_BOUND_EXTREMES = {
+    # 10^7 ballot entries, as many as a document may hold.
+    "p-tops-one-counted-ballot": ([{"order": THOUSAND, "count": 10000}], ("yes", 5000)),
+    "c1-tops-all-but-one": (
+        [{"order": ["c1", "p", *THOUSAND[2:]], "count": 9999}, {"order": THOUSAND}],
+        ("no", 498502)),
+}
+
+
+@pytest.mark.parametrize("name", IN_BOUND_EXTREMES)
+def test_equipartition_solver_decides_in_bound_extremes_quickly(name):
+    ballots, golden = IN_BOUND_EXTREMES[name]
+    inst = instance_from_dict({"format": FORMAT, "problem": "CCEPV", "rule": "plurality",
+                               "tie": "TE", "p": "p", "ballots": ballots,
+                               "candidates": [{"id": c} for c in THOUSAND]})
+
+    def stop(signum, frame):
+        raise RuntimeError("the solver ran past the alarm")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(5)
+    try:
+        d = solve_plurality_ccepv_te(inst)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (d.answer, d.stats["cases"]) == golden
+    if d.answer == "yes":
+        assert verify_witness(inst, d.witness)
 
 
 class TestKPartSolver:
