@@ -49,38 +49,29 @@ def _top_classes(profile: Profile) -> list[list[int]]:
     return classes
 
 
-def _extend_to_equipartition(classes, score, free, pinned_v1, kp_cap, cap2, lo, hi):
+def _extend_to_equipartition(classes, score, pinned, kp, cap2, lo, hi):
     """Grow a partially pinned bipartition into an equipartition.
 
-    ``pinned_v1`` fixes the V1 count for the case's named candidates (the
-    rest of each such class goes to V2). Every free candidate may hold at
-    most ``kp_cap - 1`` votes in V1 (keeping p uniquely on top there) and
-    at most ``cap2`` votes in V2. Free votes are pushed into V1 first, then
-    rebalanced toward V2 until the sizes are within one of each other.
-    Returns the two index parts, or None.
+    Each candidate's V1 count has a floor and a ceiling, both its pin if it
+    is in ``pinned``; any other holds at most ``kp - 1`` votes in V1 (keeping
+    p uniquely on top there) and at most ``cap2`` in V2. V1 starts at the
+    ceilings, needs ``lo`` votes, and gives votes back to V2, down to the
+    floors in candidate order, until it holds at most ``hi``. Returns the
+    two index parts, or None.
     """
-    v1 = dict(pinned_v1)
-    for d in free:
-        v1[d] = min(score[d], kp_cap - 1)
-        if score[d] - v1[d] > cap2:
-            return None
-    size1 = sum(v1.values())
-    if size1 < lo:
+    floor = [max(0, s - cap2) for s in score]
+    ceiling = [min(s, kp - 1) for s in score]
+    for c, pin in pinned.items():
+        floor[c] = ceiling[c] = pin
+    if sum(ceiling) < lo or sum(floor) > hi or any(map(int.__gt__, floor, ceiling)):
         return None
-    excess = size1 - hi
-    for d in free:
-        if excess <= 0:
-            break
-        move = min(v1[d], cap2 - (score[d] - v1[d]), excess)
-        v1[d] -= move
-        excess -= move
-    if excess > 0:
-        return None
+    excess = max(0, sum(ceiling) - hi)
     part1, part2 = [], []
-    for c, cls in enumerate(classes):
-        take = v1[c]
-        part1.extend(cls[:take])
-        part2.extend(cls[take:])
+    for cls, least, most in zip(classes, floor, ceiling):
+        take = max(least, most - excess)
+        excess -= most - take
+        part1 += cls[:take]
+        part2 += cls[take:]
     return tuple(part1), tuple(part2)
 
 
@@ -128,15 +119,11 @@ def solve_plurality_ccepv_te(instance: ControlInstance) -> Decision:
         top, high = min(counts), max(counts)
         least = 1 - tie
         width = top + 1 - least
-        kps = range(max(kp0, score[p] + 1 - tie - top, high + 1 - top), score[p] + 1)
-        free = [d for d in others if d not in rivals] if kps else ()
-        for kp in kps:
-            pinned = {p: kp}
+        for kp in range(max(kp0, score[p] + 1 - tie - top, high + 1 - top), score[p] + 1):
             for kc in range(max(least, score[p] - kp + 1 - tie, high - kp + 1), top + 1):
-                for r in rivals:
-                    pinned[r] = score[r] - kc
+                pinned = {p: kp, **{r: score[r] - kc for r in rivals}}
                 parts = _extend_to_equipartition(
-                    classes, score, free, pinned, kp, kc - 1 + tie, lo, hi)
+                    classes, score, pinned, kp, kc - 1 + tie, lo, hi)
                 if parts:
                     cases += (kp - 1) * width + kc - least + 1
                     return parts
@@ -152,14 +139,18 @@ def solve_plurality_ccepv_te(instance: ControlInstance) -> Decision:
 
     # Condition 2: p is among the winners of V2.
     for kp in range(kp0, score[p] + 1):
-        parts = _extend_to_equipartition(
-            classes, score, others, {p: kp}, kp, score[p] - kp, lo, hi)
+        parts = _extend_to_equipartition(classes, score, {p: kp}, kp, score[p] - kp, lo, hi)
         if parts:
             cases += kp
             return yes(parts)
     cases += score[p]
 
-    # Condition 3: V2 is tied between two candidates other than p.
+    # Condition 3: V2 is tied between two candidates other than p. Once kp0 > score[p], no
+    # pair visits a kp, and pair i < j of the M sorted rival scores adds score[p] * (r_i + 1).
+    if kp0 > score[p]:
+        rivals = sorted(score[c] for c in others)
+        cases += score[p] * sum((r + 1) * (len(rivals) - 1 - i) for i, r in enumerate(rivals))
+        return Decision(NO, stats={"cases": cases})
     for pair in combinations(others, 2):
         parts = pinned_rivals(pair, 1)
         if parts:
@@ -279,34 +270,33 @@ def solve_plurality_ccpkv_te(instance: ControlInstance) -> Decision:
                 pos += take
         return tuple(map(tuple, kparts))
 
-    # Candidates by position. A walk state is (slack, room, finalists):
-    # slack[h] is h's top-choice count not yet pinned, room[h] the caps of
-    # the guessed parts that do not pin h, finalists a bitmask. A complete
-    # guess passes when slack[h] <= room[h] for every h and the final round
-    # leaves p alone. A run of the walk is (number, copies, guess).
+    # Candidates by position. A walk state is (slack, need, finalists):
+    # slack[h] is h's top-choice count not yet pinned, need[h] that count
+    # less the caps of the guessed parts that do not pin h, finalists a
+    # bitmask. A complete guess passes when no need is positive and the
+    # final round leaves p alone. A run of the walk is (number, copies, guess).
     pbit = 1 << p
 
-    def passes(slack, room, finalists) -> bool:
-        return (all(map(int.__le__, slack, room))
-                and final_round(instance, finalists) == pbit)
+    def passes(state) -> bool:
+        _, need, finalists = state
+        return max(need) <= 0 and final_round(instance, finalists) == pbit
 
     def add(state, guess, copies):
-        slack, room, finalists = state
+        slack, need, finalists = state
         win, members, s = guess
         slack = slack[:]
         for h in members:
             slack[h] -= s * copies
         cap = (s - 1 if win else s) * copies
-        room = [r if h in members else r + cap for h, r in enumerate(room)]
+        need = [x - (s * copies if h in members else cap) for h, x in enumerate(need)]
         if win:
             finalists |= 1 << members[0]
-        return slack, room, finalists
+        return slack, need, finalists
 
     def last_guess(state, lo):
         """The run of the first guess from number lo on that ends the multiset.
         Slack alone bounds a count: a block ends at its members' least score."""
-        slack, room, finalists = state
-        need = list(map(int.__sub__, slack, room))
+        slack, need, finalists = state
         top = max(need)
         alone = need.count(top) == 1
         elim_final = None
@@ -316,15 +306,15 @@ def solve_plurality_ccpkv_te(instance: ControlInstance) -> Decision:
             lower = s0 + max(first, lo) - first
             if win:
                 c, = members
-                # A win at count s takes s from c's slack and adds s - 1 to
-                # every other room: c needs s >= need[c], any other h
+                # A win at count s lowers c's slack and need by s and every
+                # other need by s - 1: c needs s >= need[c], any other h
                 # s >= need[h] + 1.
                 lower = max(lower, need[c] if alone and need[c] == top else top + 1)
                 if lower <= slack[c] and final_round(instance, finalists | 1 << c) == pbit:
                     return first + lower - s0, 1, (win, members, lower)
             else:
-                # A pair at count s takes s from both members' slack and adds
-                # s to every other room: each h needs s >= need[h].
+                # A pair at count s lowers both members' slack and every
+                # need by s: each h needs s >= need[h].
                 lower = max(lower, top)
                 if lower <= min(map(slack.__getitem__, members)):
                     if elim_final is None:
@@ -351,7 +341,7 @@ def solve_plurality_ccpkv_te(instance: ControlInstance) -> Decision:
                 # The empty guess's copies, then u >= 0 pair guesses, each
                 # pinning at least two ballots; fewer pairs come first.
                 guess = (win, members, 0)
-                if passes(*state):
+                if passes(state):
                     yield (empty, left, guess), state, None, 0
                 for u in range(1, min(left - 1, sum(slack) // 2) + 1):
                     yield (empty, left - u, guess), state, empty + 1, u
@@ -368,7 +358,7 @@ def solve_plurality_ccpkv_te(instance: ControlInstance) -> Decision:
                     after = add(state, guess, copies)
                     if copies < left:
                         yield (index, copies, guess), after, index + 1, left - copies
-                    elif passes(*after):
+                    elif passes(after):
                         yield (index, copies, guess), after, None, 0
 
     def first_passing(state, size):
@@ -388,14 +378,12 @@ def solve_plurality_ccpkv_te(instance: ControlInstance) -> Decision:
 
     per_s1 = _multisets(guesses, k - 1, CASES_LIMIT)
     for s1 in range(1, score[p] + 1):
-        slack = score[:]
-        slack[p] -= s1
-        room = [0 if h == p else s1 - 1 for h in range(m)]
-        runs = first_passing((slack, room, pbit), k - 1)
+        own = (True, (p,), s1)
+        runs = first_passing(add((score, score, 0), own, 1), k - 1)
         if runs is None:
             continue
         # The empty guess is the one at count 0; its copies are the blank parts.
-        specs = [(True, (p,), s1)] + [g for _, c, g in runs if g[2] for _ in range(c)]
+        specs = [own] + [g for _, c, g in runs if g[2] for _ in range(c)]
         built = build_parts(specs)
         wins = sum(g[0] for g in specs)
         parts = built[:wins] + ((),) * (k - len(specs)) + built[wins:]

@@ -24,6 +24,7 @@ from electctl import (
     VotingRule,
     linear,
     oracle_solve,
+    solve_poly,
 )
 from electctl.generate import random_instance
 from electctl.two_stage import TAKES
@@ -77,6 +78,24 @@ def test_te_partition_yes_survives_one_more_part(inst):
     answers = [answer(inst, problem=Problem.CCPKV, k=k) for k in (2, 3, 4, 5)]
     for fewer, more in zip(answers, answers[1:]):
         assert fewer == "no" or more == "yes", answers
+
+
+def test_poly_solvers_keep_the_voter_partition_relations():
+    # The relations above on the plurality-TE poly solvers, seeded: CCPkV
+    # at k = 2 answers as the oracle's CCPV, a CCPkV "yes" at k stays one at
+    # k + 1, and a CCEPV "yes" is an oracle CCPV "yes".
+    rng = random.Random(7)
+    for _ in range(400):
+        inst = random_instance(rng, Problem.CCPV, VotingRule.PLURALITY, TieRule.TE,
+                               n_candidates=rng.randint(2, 4), n_voters=rng.randint(0, 7))
+        ccpv = oracle_solve(inst).answer
+        kparts = [solve_poly(dataclasses.replace(inst, problem=Problem.CCPKV, k=k)).answer
+                  for k in (2, 3, 4, 5)]
+        assert kparts[0] == ccpv, inst
+        for fewer, more in zip(kparts, kparts[1:]):
+            assert fewer == "no" or more == "yes", (inst, kparts)
+        equi = solve_poly(dataclasses.replace(inst, problem=Problem.CCEPV)).answer
+        assert equi == "no" or ccpv == "yes", inst
 
 
 def test_tp_partition_yes_can_be_lost_with_one_more_part():

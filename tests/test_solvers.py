@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import random
 import signal
+import sys
 import tracemalloc
 
 import pytest
@@ -31,7 +32,13 @@ from electctl import (
 )
 from electctl.generate import FAMILIES, family_instance
 from electctl.instance_io import FORMAT, instance_from_dict
-from electctl.solvers import CASES_LIMIT, POLY_SOLVERS, _multisets, _rank
+from electctl.solvers import (
+    CASES_LIMIT,
+    POLY_SOLVERS,
+    _extend_to_equipartition,
+    _multisets,
+    _rank,
+)
 
 PAB = tuple(Candidate(c) for c in ("p", "a", "b"))
 
@@ -125,6 +132,42 @@ class TestEquipartitionSolver:
     def test_rejects_other_instances(self):
         with pytest.raises(UnsupportedInstance):
             solve_plurality_ccepv_te(ccpkv(profile("p"), 2))
+
+
+def test_equipartition_extension_meets_its_contract():
+    # Against brute force over the V1 count vectors: the extension returns
+    # parts iff some vector within every candidate's floor and ceiling sums
+    # into [lo, hi], and then its parts hold such a vector, split every
+    # class, and (with lo, hi = n // 2, (n + 1) // 2) differ by at most one.
+    rng = random.Random(19)
+    for _ in range(2000):
+        score = [rng.randint(0, 8) for _ in range(rng.randint(2, 5))]
+        n = sum(score)
+        order = rng.sample(range(n), n)
+        classes, start = [], 0
+        for s in score:
+            classes.append(sorted(order[start:start + s]))
+            start += s
+        pinned = {c: rng.randint(0, score[c]) for c in range(len(score)) if rng.random() < 0.4}
+        kp, cap2 = rng.randint(1, 9), rng.randint(0, 8)
+        if rng.random() < 0.5:
+            lo, hi = n // 2, (n + 1) // 2
+        else:
+            lo = rng.randint(0, n)
+            hi = rng.randint(lo, n)
+        bounds = [(pinned[c], pinned[c]) if c in pinned else (max(0, s - cap2), min(s, kp - 1))
+                  for c, s in enumerate(score)]
+        feasible = any(lo <= sum(v) <= hi
+                       for v in itertools.product(*(range(f, c + 1) for f, c in bounds)))
+        parts = _extend_to_equipartition(classes, score, pinned, kp, cap2, lo, hi)
+        case = (score, pinned, kp, cap2, lo, hi)
+        assert (parts is not None) == feasible, case
+        if parts:
+            part1, part2 = parts
+            assert sorted(part1 + part2) == list(range(n)), case
+            assert lo <= len(part1) <= hi, case
+            counts = [len(set(cls) & set(part1)) for cls in classes]
+            assert all(f <= x <= c for x, (f, c) in zip(counts, bounds)), case
 
 
 def digit_profile(m, orders):
@@ -228,12 +271,16 @@ IN_BOUND_EXTREMES = {
 }
 
 
+def in_bound_extreme(ballots):
+    return instance_from_dict({"format": FORMAT, "problem": "CCEPV", "rule": "plurality",
+                               "tie": "TE", "p": "p", "ballots": ballots,
+                               "candidates": [{"id": c} for c in THOUSAND]})
+
+
 @pytest.mark.parametrize("name", IN_BOUND_EXTREMES)
 def test_equipartition_solver_decides_in_bound_extremes_quickly(name):
     ballots, golden = IN_BOUND_EXTREMES[name]
-    inst = instance_from_dict({"format": FORMAT, "problem": "CCEPV", "rule": "plurality",
-                               "tie": "TE", "p": "p", "ballots": ballots,
-                               "candidates": [{"id": c} for c in THOUSAND]})
+    inst = in_bound_extreme(ballots)
 
     def stop(signum, frame):
         raise RuntimeError("the solver ran past the alarm")
@@ -248,6 +295,27 @@ def test_equipartition_solver_decides_in_bound_extremes_quickly(name):
     assert (d.answer, d.stats["cases"]) == golden
     if d.answer == "yes":
         assert verify_witness(inst, d.witness)
+
+
+def test_equipartition_no_past_kp0_is_counted_in_closed_form():
+    # Here kp0 exceeds score[p], so no pair of condition 3 visits a kp and
+    # its cases are a sum over the sorted rival scores, not 498,501 calls.
+    ballots, golden = IN_BOUND_EXTREMES["c1-tops-all-but-one"]
+    inst = in_bound_extreme(ballots)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        d = solve_plurality_ccepv_te(inst)
+    finally:
+        sys.setprofile(previous)
+    assert (d.answer, d.stats["cases"]) == golden
+    assert calls < 100_000
 
 
 class TestKPartSolver:
