@@ -237,29 +237,24 @@ def _above(columns: tuple[int, ...], guard: int, a: int, c: int) -> int:
     return ((columns[c] | guard) - columns[a]) & guard
 
 
-def _pair_counts(packed: tuple[tuple[int, ...], int]) -> dict[tuple[int, int], int]:
-    """(a, c) -> how many of the linear ballots whose rank columns are
-    ``packed`` rank a above c, for every pair of distinct positions."""
-    columns, guard = packed
-    n = guard.bit_count()  # one guard bit per ballot
-    counts = {}
-    for a, c in combinations(range(len(columns)), 2):
-        counts[a, c] = above = _above(columns, guard, a, c).bit_count()
-        counts[c, a] = n - above
-    return counts
+def _margin(columns: tuple[int, ...], guard: int, a: int, c: int) -> int:
+    """The majority margin of a over c, on rank columns (see ``_rank_columns``)."""
+    return 2 * _above(columns, guard, a, c).bit_count() - guard.bit_count()
 
 
-def _standing_masks(m: int, above: Mapping, least: int) -> tuple[int, ...]:
+def _standing_masks(packed: tuple[tuple[int, ...], int], least: int) -> tuple[int, ...]:
     """Per candidate position c, the bitmask of the positions a with
     margin(a, c) >= least, c's own bit included: the candidates c leaves
     standing. The Condorcet-family winners among the mask S are S and'ed
     with the standing mask of every member of S."""
-    masks = [1 << c for c in range(m)]
-    for a, c in combinations(range(m), 2):
-        margin = above[(a, c)] - above[(c, a)]
-        if margin >= least:
+    columns, guard = packed
+    n = guard.bit_count()  # the ballots, counted once per table (per pair is slower)
+    masks = [1 << c for c in range(len(columns))]
+    for a, c in combinations(range(len(columns)), 2):
+        twice = 2 * _above(columns, guard, a, c).bit_count()  # margin(a, c) + n
+        if twice >= n + least:
             masks[c] |= 1 << a
-        if -margin >= least:
+        if twice <= n - least:
             masks[a] |= 1 << c
     return tuple(masks)
 
@@ -325,15 +320,18 @@ def majority_margin(profile: Profile, a: str, b: str) -> int:
         raise ValueError("majority_margin needs two distinct candidates")
     _check_kind(VotingRule.CONDORCET, profile)
     columns, guard = profile.columns
-    above = _above(columns, guard, profile.index[a], profile.index[b]).bit_count()
-    return 2 * above - guard.bit_count()  # one guard bit per ballot
+    return _margin(columns, guard, profile.index[a], profile.index[b])
 
 
 def pairwise_margins(profile: Profile) -> Mapping[tuple[str, str], int]:
     """All pairwise majority margins, derived from the rank columns on each call."""
     _check_kind(VotingRule.CONDORCET, profile)
-    ids, above = profile.candidate_ids, _pair_counts(profile.columns)
-    return {(ids[a], ids[c]): n - above[c, a] for (a, c), n in above.items()}
+    (columns, guard), ids = profile.columns, profile.candidate_ids
+    margins = {}
+    for a, c in combinations(range(len(ids)), 2):
+        margins[ids[a], ids[c]] = margin = _margin(columns, guard, a, c)
+        margins[ids[c], ids[a]] = -margin
+    return margins
 
 
 def condorcet_winners_from_margins(
@@ -406,24 +404,23 @@ def _plurality(counts: Sequence[int]) -> int:
     return _top(counts, range(len(counts)))
 
 
+def _approval(profile: Profile, among: int, votes: Sequence[int] | None) -> int:
+    """The approval winners among ``among`` of the ballots ``votes``."""
+    counts = Counter(chain.from_iterable(_voting(profile.positions, votes)))
+    return _top(counts, _members(among))
+
+
 def _system_e(profile: Profile, among: int, votes: Sequence[int] | None) -> int:
     s0, s1, s2, s3 = specials = profile.special_bits
     present = among & (s0 | s1 | s2 | s3)
-
-    def plain_approval_winners() -> int:
-        plain = among ^ present
-        if not plain:
-            return 0
-        return _top(Counter(chain.from_iterable(_voting(profile.positions, votes))),
-                    _members(plain))
-
+    plain = among ^ present
     if among.bit_count() <= 4:
         if s0 and s2 and present == s0 | s2 or s1 and s3 and present == s1 | s3:
-            return plain_approval_winners()
+            return plain and _approval(profile, plain, votes)
         return 0
     if s0 and s1 and s2 and s3 and present == s0 | s1 | s2 | s3:
         won = specials[len(profile.ballots if votes is None else votes) % 4]
-        sub = plain_approval_winners()
+        sub = _approval(profile, plain, votes)  # among has a fifth, plain, member
         return won | sub if not sub & (sub - 1) else won  # a sole plain winner joins
     return 0
 
@@ -460,16 +457,14 @@ def _elect(rule: VotingRule, profile: Profile, among: int,
             first[c] &= ~above
         return _top({a: ballots.bit_count() for a, ballots in first.items()}, members)
     if rule is VotingRule.APPROVAL:
-        counts = Counter(chain.from_iterable(_voting(profile.positions, votes)))
-        return _top(counts, _members(among))
+        return _approval(profile, among, votes)
     if rule is VotingRule.SYSTEM_E:
         return _system_e(profile, among, votes)
     least = 1 if rule is VotingRule.CONDORCET else 0
     cache = profile._standing if votes is None else {}  # only all ballots are cached
     standing = cache.get(least)
     if standing is None:
-        above = _pair_counts(_columns(profile, votes))
-        standing = cache[least] = _standing_masks(len(profile.candidates), above, least)
+        standing = cache[least] = _standing_masks(_columns(profile, votes), least)
     won = rest = among
     while rest and won:
         low = rest & -rest

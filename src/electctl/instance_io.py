@@ -32,8 +32,8 @@ FORMAT = "electctl/1"
 # Total ballots (main and pool, counts expanded) one instance may hold. It
 # bounds a CCPkV "k" too: a part per ballot at most.
 MAX_BALLOTS = 1_000_000
-# Candidates one instance may list. The Condorcet family's pair counts have
-# an entry per ordered pair of candidates, so 10^6 at most.
+# Candidates one instance may list: some work is quadratic in them (the
+# Condorcet family's pair loop, CCPkV's pair blocks, CCEPV's condition 3).
 MAX_CANDIDATES = 1_000
 # Ballot entries (candidates times ballots) one instance may hold: what its
 # profile, document and digest grow with (10^6 take `gen` 1.4 s and 116 MB on

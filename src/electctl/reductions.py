@@ -62,6 +62,8 @@ class CubicGraphVC:
         vs = set(self.vertices)
         if len(vs) != len(self.vertices):
             raise ValueError("duplicate vertices")
+        if any("|" in v for v in vs):  # edge ids join their endpoints with "|"
+            raise ValueError("vertex ids may not contain '|'")
         if len(set(self.edges)) != len(self.edges):
             raise ValueError("duplicate edges")
         degree = {v: 0 for v in self.vertices}

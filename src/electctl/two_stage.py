@@ -402,7 +402,7 @@ def _compile(instance: ControlInstance, w: Witness) -> tuple | None:
     when it breaks the problem's structural side conditions (equipartition
     size bound, group atomicity, selection budget). A witness whose shape
     does not fit the problem family, or that names unknown ballots, groups
-    or candidates, is an error."""
+    or candidates, is an error, also when it breaks a side condition."""
     prob, profile = instance.problem, instance.profile
 
     if prob in (Problem.CCPV, Problem.CCEPV, Problem.CCPKV, Problem.CCPVG):
@@ -411,23 +411,24 @@ def _compile(instance: ControlInstance, w: Witness) -> tuple | None:
         size = instance.k if prob is Problem.CCPKV else 2
         if not isinstance(w, VoterPartition) or len(w.parts) != size:
             raise ValueError(f"{prob.value} needs a {size}-part voter partition witness")
-        if prob is Problem.CCEPV and abs(len(w.parts[0]) - len(w.parts[1])) > 1:
+        parts = _check_parts(len(profile.ballots), w.parts)
+        if prob is Problem.CCEPV and abs(len(parts[0]) - len(parts[1])) > 1:
             return None
         if prob is not Problem.CCPVG:
-            return _check_parts(len(profile.ballots), w.parts)
-        sides = list(map(frozenset, w.parts))
+            return parts
+        sides = list(map(frozenset, parts))
         if not all(_groups_atomic(instance, side) for side in sides):
             return None
-        _check_parts(len(profile.ballots), w.parts)
         # Each group lies within one part: the part of its first ballot.
         return tuple(tuple(g for g, (_, idx) in enumerate(instance.groups) if idx[0] in side)
                      for side in sides)
     if prob in _CANDIDATE_PROBLEMS:
         if not isinstance(w, CandidatePartition):
             raise ValueError(f"{prob.value} needs a candidate partition witness")
+        sides = _candidate_sides(profile, w.c1, w.c2)
         if prob is Problem.CCREPC and abs(len(w.c1) - len(w.c2)) > 1:
             return None
-        return _candidate_sides(profile, w.c1, w.c2)
+        return sides
     if not isinstance(w, GroupSelection):  # CCDVG or CCAVG
         raise ValueError(f"{prob.value} needs a group selection witness")
     rest, chosen = _group_split(instance, w.labels)

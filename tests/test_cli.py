@@ -581,6 +581,32 @@ class TestVerify:
         assert out == ""
         assert err.startswith("electctl: error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("doc,witness", [
+        # CCEPV on 4 ballots: parts of 4 and 1 name ballot 99.
+        (plurality_doc(ballots=[{"order": ["p", "a"], "count": 4}]),
+         voter_witness([[0, 1, 2, 99], [3]])),
+        # CCREPC: sides of 3 and 1 that name no candidate of the profile.
+        (plurality_doc(problem="CCREPC", candidates=[{"id": c} for c in "pabc"],
+                       ballots=[{"order": list("pabc")}]),
+         {"format": FORMAT, "witness": {"type": "candidate_partition",
+                                        "c1": ["zz", "yy", "xx"], "c2": ["p"]}}),
+        # CCPVG with groups g1 = 0, 1; g2 = 2, 3; g3 = 4: a part that splits
+        # g1 and g2 names ballot 99.
+        (plurality_doc(problem="CCPVG", ballots=[
+            {"order": ["p", "a"], "group": g} for g in ("g1", "g1", "g2", "g2", "g3")]),
+         voter_witness([[0, 2, 99], [1, 3, 4]])),
+    ], ids=["ccepv-unbalanced", "ccrepc-unbalanced", "ccpvg-not-atomic"])
+    def test_unknown_names_exit_three_whatever_side_condition_fails(
+            self, tmp_path, capsys, doc, witness):
+        # An unknown ballot or candidate is an error, not a "no", even in a
+        # witness that also breaks the size bound or group atomicity.
+        path, wit_path = tmp_path / "inst.json", tmp_path / "witness.json"
+        path.write_text(json.dumps(doc))
+        wit_path.write_text(json.dumps(witness))
+        code, out, err = run(capsys, "verify", str(path), str(wit_path))
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err.startswith("electctl: error:") and err.count("\n") == 1
+
 
 class TestReduce:
     def test_cubic_vc_source(self, tmp_path, capsys):
@@ -647,6 +673,19 @@ class TestReduce:
         read, _, sizes = REDUCTIONS[kind]
         assert sizes(read(doc)) == (len(reduced.profile.candidates),
                                     len(reduced.profile.ballots))
+
+    def test_vertex_ids_with_the_edge_separator_exit_three(self, tmp_path, capsys):
+        # K_{3,3} on a|b, a, x and c, b|c, y: the edges a|b-c and a-b|c
+        # would both be named e:a|b|c.
+        left, right = ["a|b", "a", "x"], ["c", "b|c", "y"]
+        src, out_path = tmp_path / "k33.json", tmp_path / "out.json"
+        src.write_text(json.dumps(cvc_source(
+            vertices=left + right, edges=[[u, v] for u in left for v in right])))
+        code, out, err = run(capsys, "reduce", "cvc", str(src), "--out", str(out_path))
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err.startswith("electctl: error:") and err.count("\n") == 1
+        assert "'|'" in err
+        assert not out_path.exists()
 
     def test_malformed_source(self, tmp_path, capsys):
         src = tmp_path / "bad.json"

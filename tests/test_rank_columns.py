@@ -1,6 +1,7 @@
 """The packed rank columns behind plurality among a candidate subset and the
-Condorcet family's pairwise counts, tested against the definitions."""
+Condorcet family's pairwise margins, tested against the definitions."""
 
+import tracemalloc
 from array import array
 from itertools import combinations
 
@@ -14,10 +15,11 @@ from electctl.elections import (
     _elect,
     _field_code,
     _id_mask,
+    _margin,
     _mask_ids,
     _pack,
-    _pair_counts,
     _rank_columns,
+    _standing_masks,
     pairwise_margins,
 )
 
@@ -79,13 +81,21 @@ def test_elect_among_every_subset_equals_the_definition(case):
 
 @settings(max_examples=200, deadline=None)
 @given(profile_and_votes())
-def test_pair_counts_equal_the_definition(case):
+def test_margins_and_standing_masks_equal_the_definition(case):
     prof, votes = case
     orders = voting_orders(prof, votes)
     ids = prof.candidate_ids
-    expected = {(a, c): above_count(orders, ids[a], ids[c])
-                for a in range(len(ids)) for c in range(len(ids)) if a != c}
-    assert _pair_counts(_columns(prof, votes)) == expected
+    packed = _columns(prof, votes)
+    margin = {(a, c): above_count(orders, ids[a], ids[c]) - above_count(orders, ids[c], ids[a])
+              for a in range(len(ids)) for c in range(len(ids)) if a != c}
+    for (a, c), expected in margin.items():
+        assert _margin(*packed, a, c) == expected
+    # Per c, the candidates c leaves standing: itself and every a with
+    # margin(a, c) >= least.
+    for least in (0, 1):
+        expected = tuple(sum(1 << a for a in range(len(ids)) if a == c or margin[a, c] >= least)
+                         for c in range(len(ids)))
+        assert _standing_masks(packed, least) == expected
 
 
 def field_widths():
@@ -110,12 +120,18 @@ def test_each_field_width_holds_its_largest_rank():
         assert guard == sum(1 << (i * bits + bits - 1) for i in range(3))
         assert _above(columns, guard, 0, 1) == (1 << bits - 1) | (1 << 3 * bits - 1)
         assert _above(columns, guard, 1, 0) == 1 << 2 * bits - 1
-        assert _pair_counts(packed) == {(0, 1): 2, (1, 0): 1}
+        assert (_margin(columns, guard, 0, 1), _margin(columns, guard, 1, 0)) == (1, -1)
+        for least in (0, 1):
+            assert _standing_masks(packed, least) == (0b01, 0b11)
 
 
 def test_no_ballots_pack_to_empty_columns():
     assert _rank_columns([], 3) == ((0, 0, 0), 0)
-    assert _pair_counts(_rank_columns([], 2)) == {(0, 1): 0, (1, 0): 0}
+    packed = _rank_columns([], 2)
+    assert _margin(*packed, 0, 1) == _margin(*packed, 1, 0) == 0
+    # Nobody votes: every margin is 0, so only weakCondorcet keeps a rival.
+    assert _standing_masks(packed, 0) == (0b11, 0b11)
+    assert _standing_masks(packed, 1) == (0b01, 0b10)
 
 
 def test_a_profile_wider_than_one_byte_fields():
@@ -134,3 +150,25 @@ def test_a_profile_wider_than_one_byte_fields():
     among = _id_mask(prof, ("c0", "c1", "c129"))
     assert (_mask_ids(prof, _elect(VotingRule.PLURALITY, prof, among, None))
             == {"c0", "c1", "c129"})
+
+
+def test_condorcet_masks_stay_small_on_a_thousand_candidates():
+    # 1,000 candidates and 10 rotations of their order: one standing mask
+    # per candidate, counted pair by pair on the rank columns, with no table
+    # of the 999,000 ordered pairs (about 100 MB as a dict).
+    ids = ["p"] + [f"c{i}" for i in range(1, 1000)]
+    prof = Profile(tuple(map(Candidate, ids)),
+                   tuple(linear(*ids[i:], *ids[:i]) for i in range(10)))
+    tracemalloc.start()
+    try:
+        won = _elect(VotingRule.WEAK_CONDORCET, prof, prof.everyone, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20, peak
+    # Nobody wins: ballots 1-9 rank c9 above p, ballot j alone ranks c_j
+    # above c_(j-1) for 1 <= j <= 9, and no ballot does for j >= 10.
+    assert won == 0
+    # Ballots 1-5 rank c5 above p and the other five p above c5: a tie.
+    assert _elect(VotingRule.WEAK_CONDORCET, prof, _id_mask(prof, ("p", "c5")), None) == 0b100001
+    assert _elect(VotingRule.CONDORCET, prof, _id_mask(prof, ("p", "c5")), None) == 0

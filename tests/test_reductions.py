@@ -1,5 +1,7 @@
 """Unit tests for the hardness-reduction constructors and source solvers."""
 
+from itertools import combinations
+
 import pytest
 
 from electctl import (
@@ -86,6 +88,18 @@ class TestCubicVC:
                 (K4.vertices, K4.edges[:5] + (frozenset(("u1", "x")),), "bad edge"),
                 (K4.vertices, K4.edges[:5] + (frozenset(("u1",)),), "bad edge")):
             with pytest.raises(ValueError, match=message):
+                CubicGraphVC(vertices, edges, 3)
+
+    def test_vertex_ids_may_not_hold_the_edge_separator(self):
+        # Edge ids join their endpoints with "|", so "a|b" would make them
+        # ambiguous: in K4 its edges could not be split back into a pair,
+        # and in K_{3,3} the edges a|b-c and a-b|c would share one id.
+        k4 = ("a|b", "u2", "u3", "u4")
+        k33 = (("a|b", "a", "x"), ("c", "b|c", "y"))
+        for vertices, edges in (
+                (k4, [frozenset(e) for e in combinations(k4, 2)]),
+                (k33[0] + k33[1], [frozenset((u, v)) for u in k33[0] for v in k33[1]])):
+            with pytest.raises(ValueError, match=r"may not contain '\|'"):
                 CubicGraphVC(vertices, edges, 3)
 
     def test_brute_force_cover_numbers(self):
