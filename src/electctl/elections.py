@@ -158,10 +158,8 @@ class Profile:
 
     @cached_property
     def columns(self) -> tuple[tuple[int, ...], int]:
-        """The rank columns of all linear ballots (see ``_rank_columns``).
-        Their rank rows are dropped once packed (kept, they held 0.9 MB on
-        the ``hardness`` benchmark's profiles)."""
-        return _rank_columns(_rank_rows(self.index, self.ballots), len(self.candidates))
+        """The rank columns of all linear ballots (see ``_rank_columns``)."""
+        return _rank_columns(self.index, self.ballots)
 
     @cached_property
     def everyone(self) -> int:
@@ -185,51 +183,43 @@ class Profile:
         return {}
 
 
-def _rank_rows(index: Mapping[str, int], ballots: Iterable[Ballot]) -> list[list[int]]:
-    """Per linear ballot, each candidate's rank on it (0 for its top
-    choice), by its position in ``index``. Each ballot object is read once,
-    and its repeats share one row."""
-    rows, made = [], {}
-    for b in ballots:
-        row = made.get(id(b))
-        if row is None:
-            row = made[id(b)] = [0] * len(index)
-            for rank, cid in enumerate(b.order):
-                row[index[cid]] = rank
-        rows.append(row)
-    return rows
-
-
 def _field_code(m: int) -> str:
     """The ``array`` type code of the narrowest field that holds every rank
     of an m-candidate ballot, 0 to m - 1, below a clear top (guard) bit."""
     return next(code for code in "BHIQ" if (m - 1).bit_length() < 8 * array(code).itemsize)
 
 
-def _pack(code: str, values: Iterable[int]) -> int:
-    """``values`` as one int, the i-th in the i-th field of ``code``'s width
-    (field 0 in the lowest bits)."""
-    if code == "B":  # bytes() fills one-byte fields about three times as fast
-        return int.from_bytes(bytes(values), "little")
-    fields = array(code, values)
-    if sys.byteorder == "big":
-        fields.byteswap()
-    return int.from_bytes(fields, "little")
-
-
-def _rank_columns(rows: Sequence[Sequence[int]], m: int) -> tuple[tuple[int, ...], int]:
-    """Packed rank columns of the ballots given as rank ``rows`` over m
-    candidates: per candidate, its rank on every ballot in one int, a field
-    per ballot, plus the guard, the int with the top bit of every field set.
+def _rank_columns(index: Mapping[str, int],
+                  ballots: Iterable[Ballot]) -> tuple[tuple[int, ...], int]:
+    """Packed rank columns of the linear ``ballots`` over the candidates of
+    ``index``: per candidate, its rank on every ballot (0 for its top
+    choice) in one int, a field per ballot, plus the guard, the int with
+    the top bit of every field set. The ranks go ballot by ballot into one
+    buffer, so column c is every m-th field from field c; a repeat of a
+    ballot object copies the fields of its first occurrence.
 
     No rank reaches a field's top bit, so ``((columns[c] | guard) -
     columns[a]) & guard`` borrows within no field but those where c ranks
     above a: it keeps the guard bit of exactly the ballots that rank a
     above c, and ``bit_count`` counts them.
     """
-    code = _field_code(m)
-    columns = tuple(_pack(code, ranks) for ranks in zip(*rows)) or (0,) * m
-    return columns, _pack(code, [1 << (8 * array(code).itemsize - 1)] * len(rows))
+    ballots, m = tuple(ballots), len(index)
+    fields = array(_field_code(m), [0]) * (len(ballots) * m)
+    view, first = memoryview(fields), {}
+    ranks = tuple(range(m))  # enumerate would make a new int per rank above 256
+    for at, b in zip(range(0, len(fields), m), ballots):
+        seen = first.setdefault(id(b), at)
+        if seen < at:
+            view[at:at + m] = view[seen:seen + m]
+            continue
+        row = view[at:at + m]  # a memoryview stores faster than the array
+        for rank, cid in zip(ranks, b.order):
+            row[index[cid]] = rank
+    if sys.byteorder == "big":
+        fields.byteswap()
+    guard = (1 << 8 * fields.itemsize - 1).to_bytes(fields.itemsize, "little")
+    return (tuple(int.from_bytes(fields[c::m], "little") for c in range(m)),
+            int.from_bytes(guard * len(ballots), "little"))
 
 
 def _above(columns: tuple[int, ...], guard: int, a: int, c: int) -> int:
@@ -363,8 +353,7 @@ def _columns(profile: Profile, votes: Sequence[int] | None) -> tuple[tuple[int, 
     all of them, built afresh for ``votes``."""
     if votes is None:
         return profile.columns
-    return _rank_columns(_rank_rows(profile.index, _voting(profile.ballots, votes)),
-                         len(profile.candidates))
+    return _rank_columns(profile.index, _voting(profile.ballots, votes))
 
 
 def _members(mask: int) -> list[int]:

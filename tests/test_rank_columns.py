@@ -5,7 +5,7 @@ import tracemalloc
 from array import array
 from itertools import combinations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from electctl import Candidate, Profile, VotingRule, linear, restrict_profile, score_plurality
@@ -17,8 +17,6 @@ from electctl.elections import (
     _id_mask,
     _margin,
     _mask_ids,
-    _pack,
-    _rank_columns,
     _standing_masks,
     pairwise_margins,
 )
@@ -104,34 +102,75 @@ def field_widths():
     return sorted({8 * array(code).itemsize for code in "BHIQ"})
 
 
-def test_each_field_width_holds_its_largest_rank():
+def test_each_field_code_holds_ranks_up_to_its_guard_bit():
+    # The widest field holds ranks no profile in memory reaches, so it is
+    # checked here alone.
     for bits in field_widths():
         top = 2 ** (bits - 1) - 1  # the largest rank below the guard bit
-        code = _field_code(top + 1)
-        assert 8 * array(code).itemsize == bits
+        assert 8 * array(_field_code(top + 1)).itemsize == bits
         if bits < field_widths()[-1]:
             assert 8 * array(_field_code(top + 2)).itemsize > bits
-        assert _pack(code, [top, 0, top]) == top | top << 2 * bits
-        # Three ballots over two candidates, at the extreme ranks: ballot 0
-        # ranks 0 above 1 by the widest gap, ballot 1 ranks 1 above 0, and
-        # ballot 2 ranks 0 above 1 by one.
-        packed = _rank_columns([(0, top), (top, 0), (top - 1, top)], top + 1)
-        columns, guard = packed
+
+
+def extreme_profile(m):
+    """Three ballots over m candidates at the extreme ranks: ballot 0 ranks
+    c0 above c1 by the widest gap, ballot 1 ranks c1 above c0, and ballot 2
+    ranks c0 above c1 by one."""
+    ids = tuple(f"c{i}" for i in range(m))
+    rest = ids[2:]
+    orders = (("c0",) + rest + ("c1",), ("c1",) + rest + ("c0",), rest + ("c0", "c1"))
+    return Profile(tuple(map(Candidate, ids)), tuple(linear(*o) for o in orders))
+
+
+def test_each_field_width_holds_its_largest_rank():
+    # 128 candidates fill one-byte fields (rank 127) and 32,768 two-byte
+    # ones (rank 32,767); 32,769 is the first profile of four-byte fields.
+    for m, bits in ((128, 8), (32_768, 16), (32_769, 32)):
+        top = m - 1
+        assert 8 * array(_field_code(m)).itemsize == bits
+        columns, guard = extreme_profile(m).columns
+        assert len(columns) == m
         assert guard == sum(1 << (i * bits + bits - 1) for i in range(3))
+        assert columns[0] == top << bits | (top - 1) << 2 * bits
+        assert columns[1] == top | top << 2 * bits
         assert _above(columns, guard, 0, 1) == (1 << bits - 1) | (1 << 3 * bits - 1)
         assert _above(columns, guard, 1, 0) == 1 << 2 * bits - 1
         assert (_margin(columns, guard, 0, 1), _margin(columns, guard, 1, 0)) == (1, -1)
         for least in (0, 1):
-            assert _standing_masks(packed, least) == (0b01, 0b11)
+            assert _standing_masks((columns[:2], guard), least) == (0b01, 0b11)
 
 
 def test_no_ballots_pack_to_empty_columns():
-    assert _rank_columns([], 3) == ((0, 0, 0), 0)
-    packed = _rank_columns([], 2)
+    empty = Profile(tuple(map(Candidate, ("p", "a", "b"))))
+    assert empty.columns == ((0, 0, 0), 0)
+    prof = Profile(tuple(map(Candidate, ("p", "a"))), (linear("p", "a"), linear("a", "p")))
+    packed = _columns(prof, [])
+    assert packed == ((0, 0), 0)
     assert _margin(*packed, 0, 1) == _margin(*packed, 1, 0) == 0
     # Nobody votes: every margin is 0, so only weakCondorcet keeps a rival.
     assert _standing_masks(packed, 0) == (0b11, 0b11)
     assert _standing_masks(packed, 1) == (0b01, 0b10)
+
+
+# One ballot, then four equal ones after it.
+REPEATED = Profile(tuple(map(Candidate, ("p", "a", "b", "c"))),
+                   (linear("p", "a", "b", "c"),)
+                   + tuple(linear("b", "p", "c", "a") for _ in range(4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(profile_and_votes())
+@example((REPEATED, None))
+@example((REPEATED, [1, 1, 0, 4, 0]))
+def test_a_shared_ballot_object_packs_like_equal_copies(case):
+    # The profiles drawn hold equal ballots as distinct objects; here each
+    # order becomes one object, so a repeat copies the fields of its first
+    # occurrence (in REPEATED, not those of ballot 0).
+    prof, votes = case
+    shared = {b.order: b for b in prof.ballots}
+    one = Profile(prof.candidates, tuple(shared[b.order] for b in prof.ballots))
+    assert one.columns == prof.columns
+    assert _columns(one, votes) == _columns(prof, votes)
 
 
 def test_a_profile_wider_than_one_byte_fields():
@@ -172,3 +211,23 @@ def test_condorcet_masks_stay_small_on_a_thousand_candidates():
     # Ballots 1-5 rank c5 above p and the other five p above c5: a tie.
     assert _elect(VotingRule.WEAK_CONDORCET, prof, _id_mask(prof, ("p", "c5")), None) == 0b100001
     assert _elect(VotingRule.CONDORCET, prof, _id_mask(prof, ("p", "c5")), None) == 0
+
+
+def test_columns_of_a_thousand_distinct_ballots_stay_small():
+    # 1,000 candidates and 1,000 rotations of their order, each ballot its
+    # own object: one two-byte field per rank, about 2 MB of buffer and
+    # 2 MB of columns, and no room for an int object per rank (about 28 MB).
+    ids = [f"c{i}" for i in range(1000)]
+    prof = Profile(tuple(map(Candidate, ids)),
+                   tuple(linear(*ids[i:], *ids[:i]) for i in range(1000)))
+    tracemalloc.start()
+    try:
+        columns, guard = prof.columns
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    assert guard.bit_count() == 1000
+    # Ballot i ranks c0 at (1000 - i) % 1000; only ballot 1 ranks c1 above c0.
+    assert columns[0] == sum((1000 - i) % 1000 << 16 * i for i in range(1000))
+    assert _margin(columns, guard, 0, 1) == 998
