@@ -418,8 +418,9 @@ def _elect(rule: VotingRule, profile: Profile, among: int,
            votes: Sequence[int] | None) -> int:
     """``winners`` on compiled input: the winners, as a position bitmask, of
     the election among the positions in the nonzero bitmask ``among`` in
-    which the ballots ``votes`` vote. Neither the ballot kind nor the
-    indices are checked; ``winners`` and ``two_stage`` check them first.
+    which the ballots ``votes`` (None: all) vote. Neither the ballot kind
+    nor the indices are checked; ``winners`` and ``two_stage`` check them
+    first.
 
     Plurality over all candidates tallies top choices, and ``_plurality``
     turns the tally into winners; plurality among fewer and the Condorcet
@@ -462,26 +463,17 @@ def _elect(rule: VotingRule, profile: Profile, among: int,
     return won
 
 
-def winners(rule: VotingRule, profile: Profile, among: Iterable[str] | None = None,
-            votes: Sequence[int] | None = None) -> frozenset[str]:
+def winners(rule: VotingRule, profile: Profile,
+            among: Iterable[str] | None = None) -> frozenset[str]:
     """Winner set of a one-stage election under the given rule.
 
     ``among``, a nonempty subset of the candidate ids, limits the election
     to those candidates: the result equals
     ``winners(rule, restrict_profile(profile, among))``, computed from the
-    full profile without building the restricted one. ``votes`` (by default
-    every ballot) are the indices into ``profile.ballots`` of the ballots
-    that vote, each in ``range(len(profile.ballots))`` (``ValueError``
-    otherwise); the result equals
-    ``winners(rule, Profile(profile.candidates, [profile.ballots[i] for i in
-    votes]), among)`` without building that profile. The election itself
+    full profile without building the restricted one. The election itself
     is ``_elect``, on the profile's cached tables.
     """
     _check_kind(rule, profile)
-    if votes is not None:
-        votes = tuple(votes)
-        if votes and not (0 <= min(votes) and max(votes) < len(profile.ballots)):
-            raise ValueError("ballot index out of range")
     mask = profile.everyone if among is None else _id_mask(
         profile, _candidate_subset(profile, among))
-    return _mask_ids(profile, _elect(rule, profile, mask, votes))
+    return _mask_ids(profile, _elect(rule, profile, mask, None))

@@ -29,16 +29,6 @@ def approval_ballots(rng: random.Random, ids: Sequence[str], n_voters: int) -> t
     )
 
 
-def random_groups(rng: random.Random, n_ballots: int, n_groups: int):
-    """A random partition of ballot indices into at most n_groups groups,
-    listed in the order of their first ballot, as a document reads back."""
-    assignment = [rng.randrange(n_groups) for _ in range(n_ballots)]
-    groups: dict[int, list[int]] = {}
-    for i, g in enumerate(assignment):
-        groups.setdefault(g, []).append(i)
-    return tuple((f"{GROUP_PREFIX}{g + 1}", tuple(idx)) for g, idx in groups.items())
-
-
 def random_instance(
     rng: random.Random,
     problem: Problem,
@@ -52,17 +42,20 @@ def random_instance(
     pool_size: int | None = None,
     with_specials: bool = False,
 ) -> ControlInstance:
-    """One random instance; reproducible given the rng state. The groups
-    and the pool are drawn only for a problem that takes them. Its sizes
-    pass ``instance_io.check_sizes`` before anything is drawn, so every
-    instance it returns can be written and read back."""
+    """One random instance; reproducible given the rng state. ``n_groups``
+    and ``pool_size`` are refused for a problem that takes no groups or no
+    pool. Its sizes pass ``instance_io.check_sizes`` before anything is
+    drawn, so every instance it returns can be written and read back."""
+    takes = TAKES[problem]
+    for what, value, name in (("groups", n_groups, "labels"), ("pool size", pool_size, "pool")):
+        if value is not None and name not in takes:
+            raise ValueError(f"{problem.value} takes no {what}")
     for what, value, least in (("candidates", n_candidates, 1), ("voters", n_voters, 0),
                                ("pool size", pool_size, 0), ("groups", n_groups, 1)):
         if value is not None and value < least:
             raise ValueError(f"{what} must be at least {least}, got {value}")
-    takes = TAKES[problem]
     # The ballot count the groups partition: the pool's, if there is one.
-    grouped = pool_size if "pool" in takes and pool_size is not None else n_voters
+    grouped = n_voters if pool_size is None else pool_size
     check_sizes(n_candidates + (len(SPECIAL_INDICES) if with_specials else 0),
                 n_voters + (grouped if "pool" in takes else 0), k)
 
@@ -76,9 +69,10 @@ def random_instance(
     pool = None
     if "pool" in takes:  # drawn before the groups, which then partition it
         pool = Profile(cands, draw(rng, ids, grouped))
-    groups = None
-    if "groups" in takes:
-        groups = random_groups(rng, grouped, n_groups or max(1, grouped // 2))
+    labels = None
+    if "labels" in takes:  # a label per grouped ballot, from at most n_groups
+        n_groups = n_groups or max(1, grouped // 2)
+        labels = [f"{GROUP_PREFIX}{rng.randrange(n_groups) + 1}" for _ in range(grouped)]
 
     return ControlInstance(
         problem=problem,
@@ -88,7 +82,7 @@ def random_instance(
         tie=tie,
         k=k,
         limit=limit,
-        groups=groups,
+        labels=labels,
         pool=pool,
     )
 

@@ -165,13 +165,13 @@ def _expand(ballots: list[Ballot], counts: list[int],
             list(chain.from_iterable(map(repeat, labels, counts))))
 
 
-def _groups_from_labels(problem: Problem, labels: dict[str, list[str | None]]):
-    """The groups that the ballot sections' labels give. A group problem's
-    groups label every ballot of the section ``ControlInstance.grouped``
-    names: "pool" if the problem takes a pool, otherwise "ballots". No other
-    ballot carries a label."""
+def _grouped_labels(problem: Problem, labels: dict[str, list[str | None]]):
+    """The group labels of the ballot sections: a group problem labels every
+    ballot of the section ``ControlInstance.grouped`` names, "pool" if the
+    problem takes a pool, otherwise "ballots"; no other ballot carries a
+    label. Returns the grouped section's labels, or None."""
     takes = TAKES[problem]
-    grouped = ("pool" if "pool" in takes else "ballots") if "groups" in takes else None
+    grouped = ("pool" if "pool" in takes else "ballots") if "labels" in takes else None
     for section, labs in labels.items():
         if section != grouped and labs.count(None) < len(labs):
             raise FormatError(f'{problem.value} takes no group labels on "{section}" ballots')
@@ -179,24 +179,16 @@ def _groups_from_labels(problem: Problem, labels: dict[str, list[str | None]]):
         return None
     if None in labels[grouped]:
         raise FormatError(f'every "{grouped}" ballot of {problem.value} needs a group label')
-    groups: dict[str, list[int]] = {}
-    for i, lab in enumerate(labels[grouped]):
-        groups.setdefault(lab, []).append(i)
-    return tuple((lab, tuple(idx)) for lab, idx in groups.items())
+    return labels[grouped]
 
 
-def _sections(instance: ControlInstance) -> list[tuple[str, Profile, list[str]]]:
+def _sections(instance: ControlInstance) -> list[tuple[str, Profile, tuple[str, ...]]]:
     """Each ballot section's key, profile and group labels: a label per
     ballot in the section ``ControlInstance.grouped`` names, none elsewhere."""
-    labels: list[str] = []
-    if instance.groups is not None:
-        labels = [""] * len(instance.grouped.ballots)
-        for lab, idx in instance.groups:
-            for i in idx:
-                labels[i] = lab
+    labels = instance.labels or ()
     if instance.pool is None:
         return [("ballots", instance.profile, labels)]
-    return [("ballots", instance.profile, []), ("pool", instance.pool, labels)]
+    return [("ballots", instance.profile, ()), ("pool", instance.pool, labels)]
 
 
 def instance_to_dict(instance: ControlInstance) -> dict:
@@ -256,7 +248,7 @@ def _instance_from_doc(doc: dict) -> ControlInstance:
     candidates = tuple(_candidate_from_dict(entry) for entry in entries)
     ballots, main_labels = _expand(*main_entries)
     pool_ballots, pool_labels = _expand(*pool_entries)
-    groups = _groups_from_labels(problem, {"ballots": main_labels, "pool": pool_labels})
+    labels = _grouped_labels(problem, {"ballots": main_labels, "pool": pool_labels})
     profile = Profile(candidates, ballots)
     pool = Profile(candidates, pool_ballots) if "pool" in doc else None
     return ControlInstance(
@@ -267,7 +259,7 @@ def _instance_from_doc(doc: dict) -> ControlInstance:
         tie=tie,
         k=doc.get("k"),
         limit=doc.get("limit"),
-        groups=groups,
+        labels=labels,
         pool=pool,
     )
 
@@ -384,7 +376,7 @@ def serialize_witness(witness: Witness) -> str:
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def _section_text(profile: Profile, labels: list[str], ids: dict[str, str]) -> str:
+def _section_text(profile: Profile, labels: tuple[str, ...], ids: dict[str, str]) -> str:
     """The canonical text of one section's ``instance_to_dict`` entries.
     ``labels`` gives each ballot's group label, or is empty for a section
     without groups; ``ids`` maps each candidate id to its encoded text. The

@@ -239,12 +239,11 @@ def x3c_to_plurality_ccpvg_te(x: X3CInstance) -> ControlInstance:
         return Ballot(order=(top,) + tuple(sorted(rest)) + tail)
 
     ballots: list[Ballot] = []
-    groups: list[tuple[str, tuple[int, ...]]] = []
+    labels: list[str] = []
 
     def add_group(label: str, votes: list[Ballot]) -> None:
-        start = len(ballots)
         ballots.extend(votes)
-        groups.append((label, tuple(range(start, len(ballots)))))
+        labels.extend([label] * len(votes))
 
     for i, triple in enumerate(x.triples, start=1):
         members = sorted(triple)
@@ -278,7 +277,7 @@ def x3c_to_plurality_ccpvg_te(x: X3CInstance) -> ControlInstance:
         profile=profile,
         p="p",
         tie=TieRule.TE,
-        groups=tuple(groups),
+        labels=labels,
     )
 
 

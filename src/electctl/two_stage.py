@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .elections import (
     Profile,
@@ -47,17 +47,17 @@ class Problem(Enum):
 
 # The optional ControlInstance fields each problem takes: an instance of the
 # problem sets exactly these. Every partition problem takes a tie rule,
-# CCPkV its part count, the group problems their groups, and deletion and
-# addition a budget (addition also its adder pool).
+# CCPkV its part count, the group problems their group labels, and deletion
+# and addition a budget (addition also its adder pool).
 TAKES: dict[Problem, tuple[str, ...]] = {
     Problem.CCPV: ("tie",),
     Problem.CCEPV: ("tie",),
     Problem.CCRPC: ("tie",),
     Problem.CCREPC: ("tie",),
     Problem.CCPKV: ("tie", "k"),
-    Problem.CCPVG: ("tie", "groups"),
-    Problem.CCDVG: ("limit", "groups"),
-    Problem.CCAVG: ("limit", "groups", "pool"),
+    Problem.CCPVG: ("tie", "labels"),
+    Problem.CCDVG: ("limit", "labels"),
+    Problem.CCAVG: ("limit", "labels", "pool"),
 }
 
 
@@ -116,13 +116,11 @@ class Decision:
 class ControlInstance:
     """An election plus a control-problem descriptor.
 
-    ``TAKES`` lists the optional fields each problem sets. ``groups`` maps
-    a label to ballot indices of ``grouped`` and must partition its vote
-    multiset into nonempty groups; they are kept in the order of their
-    first ballot, each with its indices ascending, as a document reads them
-    back. ``limit`` is the addition/deletion budget; ``k`` is the part
-    count. The ballots of the election and of the pool must be of the
-    rule's kind.
+    ``TAKES`` lists the optional fields each problem sets. ``labels`` gives
+    each ballot of ``grouped`` its group label, a string, as a document
+    does; the ballots with one label form one group. ``limit`` is the
+    addition/deletion budget; ``k`` is the part count. The ballots of the
+    election and of the pool must be of the rule's kind.
     """
 
     problem: Problem
@@ -132,7 +130,7 @@ class ControlInstance:
     tie: TieRule | None = None
     k: int | None = None
     limit: int | None = None
-    groups: tuple[tuple[str, tuple[int, ...]], ...] | None = None
+    labels: tuple[str, ...] | None = None
     pool: Profile | None = None
 
     def __post_init__(self):
@@ -140,7 +138,7 @@ class ControlInstance:
             raise ValueError(f"distinguished candidate {self.p!r} not in the election")
         _check_kind(self.rule, self.profile)
         takes = TAKES[self.problem]
-        for name in ("tie", "k", "limit", "groups", "pool"):
+        for name in ("tie", "k", "limit", "labels", "pool"):
             given = getattr(self, name) is not None
             if given != (name in takes):
                 raise ValueError(f"{self.problem.value} {'takes no' if given else 'needs'} {name}")
@@ -153,26 +151,29 @@ class ControlInstance:
             if self.pool.candidates != self.profile.candidates:
                 raise ValueError("pool must share the election's candidate set")
             _check_kind(self.rule, self.pool)
-        if self.groups is not None:
-            items = self.groups.items() if isinstance(self.groups, Mapping) else self.groups
-            # An empty group sorts first by its [:1] and is refused below.
-            groups = tuple(sorted(((lab, tuple(sorted(idx))) for lab, idx in items),
-                                  key=lambda g: g[1][:1]))
-            object.__setattr__(self, "groups", groups)
-            if not all(idx for _, idx in groups):
-                raise ValueError("every group needs a ballot")
-            seen = sorted(i for _, idx in groups for i in idx)
-            if seen != list(range(len(self.grouped.ballots))):
-                raise ValueError("groups must partition the vote multiset exactly once")
-            labels = [lab for lab, _ in groups]
-            if len(set(labels)) != len(labels):
-                raise ValueError("duplicate group labels")
+        if self.labels is not None:
+            object.__setattr__(self, "labels", tuple(self.labels))
+            if len(self.labels) != len(self.grouped.ballots):
+                raise ValueError("every grouped ballot needs one group label")
+            if not all(isinstance(lab, str) for lab in self.labels):
+                raise ValueError("a group label must be a string")
 
     @property
     def grouped(self) -> Profile:
         """The profile whose ballots the groups partition: the adder pool if
         there is one, otherwise the election."""
         return self.pool if self.pool is not None else self.profile
+
+    @cached_property
+    def groups(self) -> tuple[tuple[str, tuple[int, ...]], ...] | None:
+        """Each group's label and ballot indices into ``grouped``, listed in
+        the order of their first ballot; None for a problem without groups."""
+        if self.labels is None:
+            return None
+        groups: dict[str, list[int]] = {}
+        for i, lab in enumerate(self.labels):
+            groups.setdefault(lab, []).append(i)
+        return tuple((lab, tuple(idx)) for lab, idx in groups.items())
 
     @cached_property
     def _group_tops(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -392,11 +393,6 @@ def _group_split(
     return tuple(split[0]), tuple(split[1])
 
 
-def _groups_atomic(instance: ControlInstance, part: frozenset[int]) -> bool:
-    return all(set(idx) <= part or not (set(idx) & part)
-               for _, idx in instance.groups)
-
-
 def _compile(instance: ControlInstance, w: Witness) -> tuple | None:
     """The compiled form (see ``_replay``) of an outside witness, or None
     when it breaks the problem's structural side conditions (equipartition
@@ -416,12 +412,9 @@ def _compile(instance: ControlInstance, w: Witness) -> tuple | None:
             return None
         if prob is not Problem.CCPVG:
             return parts
-        sides = list(map(frozenset, parts))
-        if not all(_groups_atomic(instance, side) for side in sides):
-            return None
-        # Each group lies within one part: the part of its first ballot.
-        return tuple(tuple(g for g, (_, idx) in enumerate(instance.groups) if idx[0] in side)
-                     for side in sides)
+        # A group on both sides is split; otherwise part 2 selects its groups.
+        first, second = ({instance.labels[i] for i in part} for part in parts)
+        return None if first & second else _group_split(instance, frozenset(second))
     if prob in _CANDIDATE_PROBLEMS:
         if not isinstance(w, CandidatePartition):
             raise ValueError(f"{prob.value} needs a candidate partition witness")

@@ -299,7 +299,7 @@ def test_criterion_9_structural_properties():
         grouped = ControlInstance(
             problem=Problem.CCPVG, rule=VotingRule.PLURALITY, profile=prof,
             p="p", tie=TieRule.TE,
-            groups=tuple((f"g{j}", (j,)) for j in range(5)))
+            labels=[f"g{j}" for j in range(5)])
         assert oracle_solve(plain).answer == oracle_solve(grouped).answer, i
 
     # Condorcet subelections never tie, so TE and TP promote identically

@@ -788,6 +788,20 @@ class TestGen:
         doc = json.loads(path.read_text())
         assert all("group" in b for b in doc["ballots"])
 
+    @pytest.mark.parametrize("argv", [
+        GEN_CCEPV + ("--groups", "3"),
+        GEN_CCEPV + ("--pool-size", "3"),
+        ("gen", "--problem", "CCPVG", "--rule", "plurality", "--tie", "TE", "--pool-size", "4"),
+    ], ids=["ccepv-groups", "ccepv-pool-size", "ccpvg-pool-size"])
+    def test_gen_refuses_options_the_problem_does_not_take(self, tmp_path, capsys, argv):
+        path = tmp_path / "x.json"
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("electctl: error:") and err.count("\n") == 1
+        assert "takes no" in err
+        assert not path.exists()
+
     @pytest.mark.parametrize("problem,sizes", [
         ("CCPVG", ("--tie", "TE", "--voters", "0")),
         ("CCDVG", ("--limit", "1", "--voters", "0")),

@@ -5,7 +5,11 @@ import pytest
 from electctl import (
     Ballot,
     Candidate,
+    ControlInstance,
+    Problem,
     Profile,
+    TieRule,
+    VoterPartition,
     VotingRule,
     approval,
     linear,
@@ -13,9 +17,10 @@ from electctl import (
     restrict_profile,
     score_approval,
     score_plurality,
+    verify_witness,
     winners,
 )
-from electctl.elections import pairwise_margins
+from electctl.elections import _elect, _mask_ids, pairwise_margins
 
 PAB = tuple(Candidate(c) for c in ("p", "a", "b"))
 
@@ -74,14 +79,20 @@ class TestModelValidation:
             winners(VotingRule.APPROVAL, profile("p"))
 
     def test_votes_out_of_range(self):
-        # A negative index must not wrap around to the last ballot.
+        # A negative index must not wrap around to the last ballot: the
+        # voter parts that reach _elect as votes are checked first.
         prof = profile("p", "a")
         for rule in (VotingRule.PLURALITY, VotingRule.CONDORCET):
-            for votes in ((-1,), (0, 2), (5,)):
-                with pytest.raises(ValueError):
-                    winners(rule, prof, votes=votes)
-        assert winners(VotingRule.PLURALITY, prof, votes=(1,)) == {"a"}
-        assert winners(VotingRule.PLURALITY, prof, votes=()) == {"p", "a", "b"}
+            inst = ControlInstance(problem=Problem.CCPV, rule=rule, profile=prof, p="p",
+                                   tie=TieRule.TE)
+            for part in ((-1,), (0, 2), (5,)):
+                with pytest.raises(ValueError, match="out of range"):
+                    verify_witness(inst, VoterPartition((part, (0, 1))))
+
+        def elect(votes):
+            return _mask_ids(prof, _elect(VotingRule.PLURALITY, prof, prof.everyone, votes))
+        assert elect((1,)) == {"a"}
+        assert elect(()) == {"p", "a", "b"}
 
 
 class TestScores:
@@ -244,7 +255,9 @@ class TestSystemE:
     def test_votes_decide_branch_and_nonspecial_winner(self):
         # Only the voting ballots count: the third ballot alone is one voter
         # (mod 4 = 1), and it approves y.
+        def elect(prof, votes):
+            return _mask_ids(prof, _elect(VotingRule.SYSTEM_E, prof, prof.everyone, votes))
         prof = e_profile((0, 1, 2, 3), ("x", "y"), [["x"], ["x"], ["y"]])
-        assert winners(VotingRule.SYSTEM_E, prof, votes=(2,)) == {"s1", "y"}
+        assert elect(prof, (2,)) == {"s1", "y"}
         prof = e_profile((0, 2), ("x", "y"), [["x"], ["x"], ["y"]])
-        assert winners(VotingRule.SYSTEM_E, prof, votes=(2,)) == {"y"}
+        assert elect(prof, (2,)) == {"y"}

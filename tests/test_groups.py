@@ -8,6 +8,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from electctl import (
     Candidate,
@@ -28,7 +30,7 @@ from electctl.generate import random_instance
 from electctl.instance_io import witness_to_dict
 from electctl.oracle import _candidate_witnesses
 from electctl.reductions import X3CInstance, solve_x3c_bruteforce, x3c_to_plurality_ccpvg_te
-from electctl.two_stage import TAKES, _public_witness, _replay
+from electctl.two_stage import TAKES, _compile, _public_witness, _replay
 from test_properties import naive_replay
 
 GROUP_PROBLEMS = (Problem.CCPVG, Problem.CCDVG, Problem.CCAVG)
@@ -58,11 +60,9 @@ def group_instance(rng, prob, rule, tie, n_voters, n_groups, limit=None, n_pool=
     profile = Profile(cands, ballots(n_voters))
     pool = Profile(cands, ballots(n_pool)) if prob is Problem.CCAVG else None
     grouped = len((pool or profile).ballots)
-    owner = [rng.randrange(n_groups) for _ in range(grouped)]
-    groups = tuple((f"g{g}", tuple(i for i in range(grouped) if owner[i] == g))
-                   for g in range(n_groups) if g in owner)
+    labels = [f"g{rng.randrange(n_groups)}" for _ in range(grouped)]
     return ControlInstance(problem=prob, rule=rule, profile=profile, p="p", tie=tie,
-                           limit=limit, groups=groups, pool=pool)
+                           limit=limit, labels=labels, pool=pool)
 
 
 def check_selections(inst, selections):
@@ -160,25 +160,67 @@ def test_plurality_group_elections_by_hand():
     prof = Profile(cands, (linear("p", "a", "b"), linear("p", "b", "a"),
                            linear("a", "p", "b"), linear("b", "a", "p"),
                            linear("a", "b", "p")))
-    groups = (("g1", (0, 1)), ("g2", (2, 3)), ("g3", (4,)))
+    labels = ("g1", "g1", "g2", "g2", "g3")
     te = ControlInstance(problem=Problem.CCPVG, rule=VotingRule.PLURALITY, profile=prof,
-                         p="p", tie=TieRule.TE, groups=groups)
+                         p="p", tie=TieRule.TE, labels=labels)
     assert replay(te, GroupSelection({"g2"})) == ({"p"}, {"p"})
     tp = ControlInstance(problem=Problem.CCPVG, rule=VotingRule.PLURALITY, profile=prof,
-                         p="p", tie=TieRule.TP, groups=groups)
+                         p="p", tie=TieRule.TP, labels=labels)
     assert replay(tp, GroupSelection({"g2"})) == ({"p", "a", "b"}, {"p", "a"})
     # The empty part of a selection of every group elects everyone.
     assert replay(tp, GroupSelection({"g1", "g2", "g3"})) == ({"p", "a", "b"}, {"p", "a"})
     # Deleting g1 leaves a ahead (2 to b's 1); deleting everything elects everyone.
     dv = ControlInstance(problem=Problem.CCDVG, rule=VotingRule.PLURALITY, profile=prof,
-                         p="p", limit=5, groups=groups)
+                         p="p", limit=5, labels=labels)
     assert replay(dv, GroupSelection({"g1"})) == (None, {"a"})
     assert replay(dv, GroupSelection({"g1", "g2", "g3"})) == (None, {"p", "a", "b"})
     # Adding g1 to the election (p 2, a 2, b 1) puts p ahead with 4.
     av = ControlInstance(problem=Problem.CCAVG, rule=VotingRule.PLURALITY, profile=prof,
-                         p="p", limit=2, groups=groups, pool=prof)
+                         p="p", limit=2, labels=labels, pool=prof)
     assert replay(av, GroupSelection({"g1"})) == (None, {"p"})
     assert replay(av, GroupSelection({"g2"})) == (None, {"a"})
+
+
+@st.composite
+def ccpvg_partitions(draw):
+    """A random CCPVG instance, zero groups included, and a two-part voter
+    partition, half the time one that keeps every group whole."""
+    rule = draw(st.sampled_from(RULES))
+    inst = random_instance(
+        random.Random(draw(st.integers(0, 2**32))), Problem.CCPVG, rule,
+        draw(st.sampled_from(TIES[Problem.CCPVG])), n_candidates=draw(st.integers(1, 4)),
+        n_voters=draw(st.integers(0, 8)), n_groups=draw(st.integers(1, 4)),
+        with_specials=rule is VotingRule.SYSTEM_E)
+    n = len(inst.labels)
+    if draw(st.booleans()):
+        side = {lab: draw(st.integers(0, 1)) for lab in sorted(set(inst.labels))}
+        owner = [side[lab] for lab in inst.labels]
+    else:
+        owner = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return inst, VoterPartition(tuple(tuple(i for i in range(n) if owner[i] == s)
+                                      for s in (0, 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ccpvg_partitions())
+@example((ControlInstance(problem=Problem.CCPVG, rule=VotingRule.PLURALITY,
+                          profile=Profile((Candidate("p"),), ()), p="p", tie=TieRule.TE,
+                          labels=()),
+          VoterPartition(((), ()))))
+def test_ccpvg_voter_partition_replays_as_the_selection_of_its_second_part(case):
+    # A partition that splits a group breaks atomicity. Any other selects
+    # the groups of its second part, and compiles, as that selection does,
+    # to the indices of each part's groups in group order.
+    inst, w = case
+    first, second = ({inst.labels[i] for i in part} for part in w.parts)
+    if first & second:
+        assert replay(inst, w) is None
+        return
+    selection = GroupSelection(second)
+    assert replay(inst, w) == replay(inst, selection) == naive_replay(inst, selection)
+    want = tuple(tuple(g for g, (lab, _) in enumerate(inst.groups) if lab in side)
+                 for side in (first, second))
+    assert _compile(inst, w) == _compile(inst, selection) == want
 
 
 # ----------------------------------------------------- the oracle's goldens
@@ -297,7 +339,7 @@ def test_group_tables_grow_with_the_ballots():
                    tuple(rotations[j % 1000] for j in range(20_000)))
     inst = ControlInstance(problem=Problem.CCPVG, rule=VotingRule.PLURALITY, profile=prof,
                            p="p", tie=TieRule.TP,
-                           groups=tuple((f"g{j}", (j,)) for j in range(20_000)))
+                           labels=[f"g{j}" for j in range(20_000)])
     selection = GroupSelection(f"g{j}" for j in range(10_000))
     tracemalloc.start()
     try:

@@ -52,13 +52,13 @@ def sample_instances():
                           profile=prof, p="p", tie=TieRule.TE)
     yield ControlInstance(problem=Problem.CCPVG, rule=VotingRule.PLURALITY,
                           profile=prof, p="p", tie=TieRule.TE,
-                          groups=(("g1", (0, 1)), ("g2", (2, 3))))
+                          labels=("g1", "g1", "g2", "g2"))
     yield ControlInstance(problem=Problem.CCDVG, rule=VotingRule.PLURALITY,
                           profile=prof, p="p", limit=2,
-                          groups=(("g1", (0, 1)), ("g2", (2, 3))))
+                          labels=("g1", "g1", "g2", "g2"))
     yield ControlInstance(problem=Problem.CCAVG, rule=VotingRule.PLURALITY,
                           profile=prof, p="p", limit=1,
-                          groups=(("h1", (0,)), ("h2", (1,))),
+                          labels=("h1", "h2"),
                           pool=Profile(PAB, (lex("p"), lex("p"))))
     yield ControlInstance(problem=Problem.CCEPV, rule=VotingRule.SYSTEM_E,
                           profile=Profile(specials, (approval(["p"]),

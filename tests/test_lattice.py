@@ -43,7 +43,7 @@ def draw_instance(pick, problems=tuple(Problem), ties=tuple(TieRule), fewest=2):
         n_voters=pick(0, 6),
         k=pick(2, 3) if "k" in takes else None,
         limit=pick(0, 3) if "limit" in takes else None,
-        n_groups=pick(1, 4) if "groups" in takes else None,
+        n_groups=pick(1, 4) if "labels" in takes else None,
         pool_size=pick(0, 4) if "pool" in takes else None,
         with_specials=rule is VotingRule.SYSTEM_E and bool(pick(0, 1)),
     )
@@ -63,8 +63,8 @@ def answer(inst, **changes):
 def test_voter_partition_models_agree_where_the_paper_says(inst):
     ccpv = oracle_solve(inst).answer
     assert answer(inst, problem=Problem.CCPKV, k=2) == ccpv
-    singletons = tuple((f"g{i}", (i,)) for i in range(len(inst.profile.ballots)))
-    assert answer(inst, problem=Problem.CCPVG, groups=singletons) == ccpv
+    singletons = [f"g{i}" for i in range(len(inst.profile.ballots))]
+    assert answer(inst, problem=Problem.CCPVG, labels=singletons) == ccpv
     # An equipartition is a partition.
     assert answer(inst, problem=Problem.CCEPV) == "no" or ccpv == "yes"
 
@@ -124,8 +124,8 @@ def test_runoff_equipartition_yes_is_a_runoff_partition_yes(inst):
 def test_singleton_group_deletion_yes_survives_a_larger_limit(inst):
     # A deletion within limit l is within l + 1.
     n = len(inst.profile.ballots)
-    singletons = tuple((f"g{i}", (i,)) for i in range(n))
-    answers = [answer(inst, problem=Problem.CCDVG, tie=None, limit=limit, groups=singletons)
+    singletons = [f"g{i}" for i in range(n)]
+    answers = [answer(inst, problem=Problem.CCDVG, tie=None, limit=limit, labels=singletons)
                for limit in range(n + 1)]
     for fewer, more in zip(answers, answers[1:]):
         assert fewer == "no" or more == "yes", answers

@@ -147,28 +147,27 @@ class TestEnumerationOrder:
 
     def test_ccpvg_selects_among_all_but_the_first_group(self):
         for n_groups in range(5):
-            groups = tuple((f"g{i}", (i,)) for i in range(n_groups))
+            labels = [f"g{i}" for i in range(n_groups)]
             inst = ControlInstance(problem=Problem.CCPVG, rule=VotingRule.PLURALITY,
                                    profile=profile(*["a"] * n_groups), p="p",
-                                   tie=TieRule.TE, groups=groups)
-            labels = [lab for lab, _ in groups]
+                                   tie=TieRule.TE, labels=labels)
             want = [GroupSelection(c) for c in all_subsets(labels[1:])]
             assert witnesses(inst) == want, n_groups
             if n_groups == 0:
                 assert want == [GroupSelection(frozenset())]
 
     def test_group_deletion_and_addition_respect_the_limit(self):
-        groups = (("g1", (0, 1)), ("g2", (2,)), ("g3", (3, 4)), ("g4", (5,)))
-        sizes = dict((lab, len(idx)) for lab, idx in groups)
+        labels = ("g1", "g1", "g2", "g3", "g3", "g4")
+        sizes = {lab: labels.count(lab) for lab in labels}
         for limit in range(7):
-            want = [GroupSelection(c) for c in all_subsets([lab for lab, _ in groups])
+            want = [GroupSelection(c) for c in all_subsets(list(sizes))
                     if sum(sizes[lab] for lab in c) <= limit]
             deletion = ControlInstance(
                 problem=Problem.CCDVG, rule=VotingRule.PLURALITY,
-                profile=profile(*["a"] * 6), p="p", limit=limit, groups=groups)
+                profile=profile(*["a"] * 6), p="p", limit=limit, labels=labels)
             addition = ControlInstance(
                 problem=Problem.CCAVG, rule=VotingRule.PLURALITY,
-                profile=profile("a"), p="p", limit=limit, groups=groups,
+                profile=profile("a"), p="p", limit=limit, labels=labels,
                 pool=profile(*["p"] * 6))
             assert witnesses(deletion) == want, limit
             assert witnesses(addition) == want, limit
@@ -240,7 +239,7 @@ class TestOracle:
         inst = ControlInstance(
             problem=Problem.CCDVG, rule=VotingRule.PLURALITY,
             profile=profile("p", "p", "a", "b", "a"), p="p", limit=1,
-            groups=(("g1", (0, 1)), ("g2", (2, 3)), ("g3", (4,))))
+            labels=("g1", "g1", "g2", "g2", "g3"))
         d = oracle_solve(inst)
         assert d.answer == "yes"
         assert d.witness.labels == frozenset({"g3"})
@@ -248,7 +247,7 @@ class TestOracle:
         add = ControlInstance(
             problem=Problem.CCAVG, rule=VotingRule.PLURALITY,
             profile=profile("p", "a", "b"), p="p", limit=1,
-            groups=(("h1", (0, 1)), ("h2", (2,))), pool=profile("p", "p", "p"))
+            labels=("h1", "h1", "h2"), pool=profile("p", "p", "p"))
         d = oracle_solve(add)
         assert d.answer == "yes"
         assert d.witness.labels == frozenset({"h2"})
@@ -259,13 +258,13 @@ class TestOracle:
         # one group fit the limit. The alarm fails a walk past them instead
         # of letting it run on.
         n, limit = 30, 1
-        groups = tuple((f"g{i}", (i,)) for i in range(n))
+        labels = [f"g{i}" for i in range(n)]
         if problem is Problem.CCDVG:  # deleting one "a" ballot of 30 leaves 29
             extra = {"profile": profile(*["a"] * n)}
         else:  # adding one "p" ballot to two "a" ballots is not enough
             extra = {"profile": profile("a", "a"), "pool": profile(*["p"] * n)}
         inst = ControlInstance(problem=problem, rule=VotingRule.PLURALITY, p="p",
-                               limit=limit, groups=groups, **extra)
+                               limit=limit, labels=labels, **extra)
 
         def stop(signum, frame):
             raise TimeoutError("the group walk ran past the limit")
@@ -283,7 +282,7 @@ class TestOracle:
     def test_every_returned_witness_verifies(self):
         # spot-check one instance per problem family
         prof = profile("p", "p", "a", "a", "b")
-        groups = (("g1", (0, 1)), ("g2", (2, 3)), ("g3", (4,)))
+        labels = ("g1", "g1", "g2", "g2", "g3")
         instances = [
             ControlInstance(problem=Problem.CCPV, rule=VotingRule.PLURALITY,
                             profile=prof, p="p", tie=TieRule.TE),
@@ -292,7 +291,7 @@ class TestOracle:
             ControlInstance(problem=Problem.CCPKV, rule=VotingRule.PLURALITY,
                             profile=prof, p="p", tie=TieRule.TE, k=3),
             ControlInstance(problem=Problem.CCPVG, rule=VotingRule.PLURALITY,
-                            profile=prof, p="p", tie=TieRule.TE, groups=groups),
+                            profile=prof, p="p", tie=TieRule.TE, labels=labels),
         ]
         for inst in instances:
             d = oracle_solve(inst)

@@ -31,7 +31,13 @@ from electctl import (
     verify_witness,
     winners,
 )
-from electctl.elections import _mask_ids, condorcet_winners_from_margins, pairwise_margins
+from electctl.elections import (
+    _elect,
+    _id_mask,
+    _mask_ids,
+    condorcet_winners_from_margins,
+    pairwise_margins,
+)
 from electctl.generate import random_instance
 from electctl.instance_io import (
     instance_digest,
@@ -219,21 +225,18 @@ def instances_with_any_ids(draw):
     """A CCAVG instance whose candidate ids and pool group labels are any
     strings (what JSON escapes included), ranked or approval ballots."""
     ids = draw(st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True))
-    labels = draw(st.lists(st.text(max_size=4), min_size=1, max_size=3))
+    names = draw(st.lists(st.text(max_size=4), min_size=1, max_size=3))
     ranked = draw(st.booleans())
     cands = tuple(Candidate(c) for c in ids)
     ballot = (st.permutations(ids).map(lambda order: linear(*order)) if ranked
               else st.sets(st.sampled_from(ids)).map(approval))
     main = draw(st.lists(ballot, max_size=4))
     pool = draw(st.lists(ballot, max_size=5))
-    groups: dict[str, list[int]] = {}
-    for i in range(len(pool)):
-        groups.setdefault(draw(st.sampled_from(labels)), []).append(i)
     return ControlInstance(
         problem=Problem.CCAVG,
         rule=VotingRule.CONDORCET if ranked else VotingRule.APPROVAL,
         profile=Profile(cands, tuple(main)), p=ids[0], limit=1,
-        groups=tuple((lab, tuple(idx)) for lab, idx in groups.items()),
+        labels=[draw(st.sampled_from(names)) for _ in pool],
         pool=Profile(cands, tuple(pool)))
 
 
@@ -293,7 +296,7 @@ def test_winners_among_equals_restricted_election(case):
     rule, prof, among, votes = case
     assert winners(rule, prof, among) == winners(rule, restrict_profile(prof, among))
     voting = tuple(prof.ballots[i] for i in votes)
-    assert (winners(rule, prof, among, votes)
+    assert (_mask_ids(prof, _elect(rule, prof, _id_mask(prof, among), votes))
             == winners(rule, Profile(prof.candidates, voting), among))
 
 

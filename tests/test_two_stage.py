@@ -49,7 +49,7 @@ class TestInstanceValidation:
         with pytest.raises(ValueError):
             ControlInstance(problem=Problem.CCDVG, rule=VotingRule.PLURALITY,
                             profile=profile("p"), p="p", tie=TieRule.TE,
-                            limit=1, groups=(("g", (0,)),))
+                            limit=1, labels=("g",))
 
     def test_ccpkv_needs_k_at_least_two(self):
         for bad_k in (None, 0, 1):
@@ -65,60 +65,64 @@ class TestInstanceValidation:
     def test_deletion_needs_limit_and_groups(self):
         with pytest.raises(ValueError):
             ControlInstance(problem=Problem.CCDVG, rule=VotingRule.PLURALITY,
-                            profile=profile("p"), p="p", groups=(("g", (0,)),))
+                            profile=profile("p"), p="p", labels=("g",))
         with pytest.raises(ValueError):
             ControlInstance(problem=Problem.CCDVG, rule=VotingRule.PLURALITY,
                             profile=profile("p"), p="p", limit=1)
 
     def test_groups_must_partition_exactly(self):
-        for bad in ((("g", (0, 0)),), (("g", (0,)), ("h", (0,))), (("g", (1,)),)):
-            with pytest.raises(ValueError):
+        # One label per grouped ballot puts each ballot in exactly one group.
+        for bad in ((), ("g",), ("g", "h", "g")):
+            with pytest.raises(ValueError, match="one group label"):
                 ControlInstance(problem=Problem.CCDVG, rule=VotingRule.PLURALITY,
-                                profile=profile("p"), p="p", limit=1, groups=bad)
+                                profile=profile("p", "a"), p="p", limit=1, labels=bad)
+        pool = profile("p", "a", "b")
+        with pytest.raises(ValueError, match="one group label"):  # the pool is grouped
+            ControlInstance(problem=Problem.CCAVG, rule=VotingRule.PLURALITY,
+                            profile=profile("p"), p="p", limit=1, labels=("g",), pool=pool)
 
-    def test_duplicate_group_labels_rejected(self):
-        with pytest.raises(ValueError):
-            ControlInstance(problem=Problem.CCDVG, rule=VotingRule.PLURALITY,
-                            profile=profile("p", "a"), p="p", limit=1,
-                            groups=(("g", (0,)), ("g", (1,))))
+    def test_labels_must_be_strings(self):
+        # A label that is not a string would write a document that cannot
+        # be read back.
+        for bad in ((1, 2), ("g", None), ("g", b"h")):
+            with pytest.raises(ValueError, match="must be a string"):
+                ControlInstance(problem=Problem.CCDVG, rule=VotingRule.PLURALITY,
+                                profile=profile("p", "a"), p="p", limit=1, labels=bad)
+
+    def test_equal_labels_form_one_group(self):
+        inst = ControlInstance(problem=Problem.CCDVG, rule=VotingRule.PLURALITY,
+                               profile=profile("p", "a", "b"), p="p", limit=1,
+                               labels=("g", "h", "g"))
+        assert inst.groups == (("g", (0, 2)), ("h", (1,)))
 
     def test_ccavg_needs_pool_on_same_candidates(self):
         with pytest.raises(ValueError):
             ControlInstance(problem=Problem.CCAVG, rule=VotingRule.PLURALITY,
-                            profile=profile("p"), p="p", limit=1,
-                            groups=(("g", (0,)),))
+                            profile=profile("p"), p="p", limit=1, labels=("g",))
         other = Profile((Candidate("p"), Candidate("a")), (linear("p", "a"),))
         with pytest.raises(ValueError):
             ControlInstance(problem=Problem.CCAVG, rule=VotingRule.PLURALITY,
-                            profile=profile("p"), p="p", limit=1,
-                            groups=(("g", (0,)),), pool=other)
+                            profile=profile("p"), p="p", limit=1, labels=("g",), pool=other)
 
     def test_groups_rejected_for_plain_partition(self):
         with pytest.raises(ValueError):
             ControlInstance(problem=Problem.CCPV, rule=VotingRule.PLURALITY,
-                            profile=profile("p"), p="p", tie=TieRule.TE,
-                            groups=(("g", (0,)),))
+                            profile=profile("p"), p="p", tie=TieRule.TE, labels=("g",))
 
-    def test_groups_accept_mapping(self):
-        inst = ControlInstance(problem=Problem.CCDVG, rule=VotingRule.PLURALITY,
-                               profile=profile("p", "a"), p="p", limit=1,
-                               groups={"g": (0,), "h": (1,)})
+    def test_labels_accept_any_sequence(self):
+        kw = dict(problem=Problem.CCDVG, rule=VotingRule.PLURALITY,
+                  profile=profile("p", "a"), p="p", limit=1)
+        inst = ControlInstance(labels=["g", "h"], **kw)
+        assert inst.labels == ("g", "h") and inst == ControlInstance(labels=("g", "h"), **kw)
         assert inst.groups == (("g", (0,)), ("h", (1,)))
 
-    def test_groups_must_not_be_empty(self):
-        # No document can express an empty group: it has no ballot to label.
-        with pytest.raises(ValueError):
-            ControlInstance(problem=Problem.CCPVG, rule=VotingRule.PLURALITY,
-                            profile=profile("p"), p="p", tie=TieRule.TE,
-                            groups=(("g", (0,)), ("h", ())))
-
     def test_groups_are_listed_as_their_document_reads_back(self):
-        # h's first ballot precedes g's, and h's indices are given out of
-        # order. Deleting g (an "a" ballot) leaves p the sole winner;
-        # deleting h does not. The oracle tries {} then {h} then {g}.
+        # h's first ballot precedes g's. Deleting g (an "a" ballot) leaves
+        # p the sole winner; deleting h does not. The oracle tries {} then
+        # {h} then {g}.
         inst = ControlInstance(problem=Problem.CCDVG, rule=VotingRule.PLURALITY,
                                profile=profile("a", "a", "p", "p"), p="p", limit=2,
-                               groups=(("g", (1,)), ("h", (3, 0)), ("f", (2,))))
+                               labels=("h", "g", "f", "h"))
         assert inst.groups == (("h", (0, 3)), ("g", (1,)), ("f", (2,)))
         back = parse_instance(serialize_instance(inst))
         assert back == inst
@@ -129,22 +133,24 @@ class TestInstanceValidation:
 
 # The optional fields each problem takes, written out independently of the
 # table in two_stage, with one valid value per field. The election and the
-# pool both hold two ballots, so the groups are valid for either.
+# pool both hold two ballots, so the labels are valid for either.
 TAKEN_FIELDS = {
     Problem.CCPV: {"tie"},
     Problem.CCEPV: {"tie"},
     Problem.CCRPC: {"tie"},
     Problem.CCREPC: {"tie"},
     Problem.CCPKV: {"tie", "k"},
-    Problem.CCPVG: {"tie", "groups"},
-    Problem.CCDVG: {"limit", "groups"},
-    Problem.CCAVG: {"limit", "groups", "pool"},
+    Problem.CCPVG: {"tie", "labels"},
+    Problem.CCDVG: {"limit", "labels"},
+    Problem.CCAVG: {"limit", "labels", "pool"},
 }
 FIELD_VALUES = {"tie": TieRule.TE, "k": 2, "limit": 1,
-                "groups": (("g", (0,)), ("h", (1,))), "pool": profile("a", "b")}
+                "labels": ("g", "h"), "pool": profile("a", "b")}
 
 
-@pytest.mark.parametrize("field", FIELD_VALUES)
+# Each case is named after its field, the group labels' case "groups".
+@pytest.mark.parametrize("field", FIELD_VALUES,
+                         ids=lambda f: "groups" if f == "labels" else f)
 @pytest.mark.parametrize("problem", list(Problem), ids=lambda p: p.value)
 def test_instance_needs_exactly_the_fields_its_problem_takes(problem, field):
     # Adding or dropping one field is an error exactly when the field's
@@ -294,7 +300,7 @@ class TestVerifyWitness:
         with pytest.raises(ValueError, match="candidate partition"):
             verify_witness(rpc, VoterPartition(((0,), ())))
         dvg = dict(problem=Problem.CCDVG, rule=VotingRule.PLURALITY,
-                   profile=profile("p"), p="p", groups=(("g1", (0,)),))
+                   profile=profile("p"), p="p", labels=("g1",))
         with pytest.raises(ValueError, match="group selection"):
             verify_witness(ControlInstance(limit=1, **dvg), CandidatePartition({"p"}, {"a", "b"}))
         with pytest.raises(ValueError, match="nonnegative limit"):
@@ -315,9 +321,9 @@ class TestVerifyWitness:
 
     def test_ccpvg_group_selection_and_atomic_partition(self):
         prof = profile("p", "p", "a", "a", "b")
-        groups = (("g1", (0, 1)), ("g2", (2, 3)), ("g3", (4,)))
+        labels = ("g1", "g1", "g2", "g2", "g3")
         inst = ControlInstance(problem=Problem.CCPVG, rule=VotingRule.PLURALITY,
-                               profile=prof, p="p", tie=TieRule.TE, groups=groups)
+                               profile=prof, p="p", tie=TieRule.TE, labels=labels)
         sel = GroupSelection(frozenset({"g2"}))
         part = VoterPartition(((0, 1, 4), (2, 3)))
         assert verify_witness(inst, sel) == verify_witness(inst, part)
@@ -328,9 +334,9 @@ class TestVerifyWitness:
 
     def test_ccdvg_budget_and_outcome(self):
         prof = profile("p", "p", "a", "b", "a")
-        groups = (("g1", (0, 1)), ("g2", (2, 3)), ("g3", (4,)))
+        labels = ("g1", "g1", "g2", "g2", "g3")
         inst = ControlInstance(problem=Problem.CCDVG, rule=VotingRule.PLURALITY,
-                               profile=prof, p="p", limit=1, groups=groups)
+                               profile=prof, p="p", limit=1, labels=labels)
         assert verify_witness(inst, GroupSelection(frozenset({"g3"})))
         # g2 holds two ballots, exceeding the deletion budget
         assert verify_witness(inst, GroupSelection(frozenset({"g2"}))) is False
@@ -340,7 +346,7 @@ class TestVerifyWitness:
         pool = profile("p", "p", "p")
         inst = ControlInstance(problem=Problem.CCAVG, rule=VotingRule.PLURALITY,
                                profile=prof, p="p", limit=1,
-                               groups=(("h1", (0, 1)), ("h2", (2,))), pool=pool)
+                               labels=("h1", "h1", "h2"), pool=pool)
         assert verify_witness(inst, GroupSelection(frozenset({"h2"})))
         assert verify_witness(inst, GroupSelection(frozenset({"h1"}))) is False
         assert verify_witness(inst, GroupSelection(frozenset())) is False
