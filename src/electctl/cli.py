@@ -42,7 +42,7 @@ from .reductions import (
     x3c_to_plurality_ccpvg_te,
 )
 from .solvers import solve_poly
-from .two_stage import NO, UNKNOWN, YES, Problem, TieRule, replay
+from .two_stage import NO, TAKES, UNKNOWN, YES, Problem, TieRule, replay
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -143,8 +143,8 @@ def cmd_sweep(args) -> int:
     if args.family not in FAMILIES:
         raise FormatError(f"unknown family {args.family!r}; "
                           f"choose from {sorted(FAMILIES)}")
-    if args.family == "ccpkv" and args.k is None:
-        raise FormatError("family ccpkv needs --k")
+    if (args.k is None) == ("k" in TAKES[FAMILIES[args.family][0]]):
+        raise FormatError(f"family {args.family} {'needs' if args.k is None else 'takes no'} --k")
     rng = random.Random(args.seed)
     rows = []
     disagreements = []

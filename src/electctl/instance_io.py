@@ -110,20 +110,21 @@ def _candidate_from_dict(entry: Any) -> Candidate:
     return Candidate(entry["id"], special)
 
 
-def _ballot_entries(doc: dict, section: str,
-                    interned: tuple[dict, dict]) -> tuple[list, list, list]:
+def _ballot_entries(doc: dict, section: str, problem: Problem, grouped: bool,
+                    interned: tuple[dict, dict]) -> tuple[list, list, list | None]:
     """A section's ballot entries, checked and built as three lists: the
-    ballots, their counts (left unexpanded) and their group labels. Equal
-    "approve" lists share one ``Ballot``, kept in ``interned[False]`` by
-    the tuple of their candidate ids for the whole document, and so do
-    equal "order" lists, in ``interned[True]``; so each distinct ballot is
-    checked and built once."""
+    ballots, their counts (left unexpanded) and their group labels. Each
+    entry of the ``grouped`` section needs a string label; another section
+    takes none and has None for its labels. Equal "approve" lists share one
+    ``Ballot``, kept in ``interned[False]`` by the tuple of their candidate
+    ids for the whole document, and so do equal "order" lists, in
+    ``interned[True]``; so each distinct ballot is checked and built once."""
     entries = doc.get(section, [])
     if not isinstance(entries, list):
         raise FormatError(f'"{section}" must be a list of ballot objects')
     ballots: list[Ballot] = []
     counts: list[int] = []
-    labels: list[str | None] = []
+    labels: list[str] | None = [] if grouped else None
     for entry in entries:
         if not isinstance(entry, dict):
             raise FormatError("each ballot must be an object")
@@ -145,41 +146,28 @@ def _ballot_entries(doc: dict, section: str,
             if not _is_str_list(ids):
                 raise FormatError('"order" / "approve" must be a list of candidate ids')
             ballot = built[key] = Ballot(order=key) if ranked else Ballot(approvals=frozenset(key))
-        group = entry.get("group")
-        if group is not None and not isinstance(group, str):
-            raise FormatError("a ballot's group label must be a string")
+        if grouped:
+            group = entry.get("group")
+            if not isinstance(group, str):
+                raise FormatError(f'every "{section}" ballot of {problem.value} '
+                                  "needs a string group label")
+            labels.append(group)
+        elif entry.get("group") is not None:
+            raise FormatError(f'{problem.value} takes no group labels on "{section}" ballots')
         count = entry.get("count", 1)
         if type(count) is not int or count < 1:  # _is_int, inlined in this hot loop
             raise FormatError("ballot count must be a positive integer")
         ballots.append(ballot)
         counts.append(count)
-        labels.append(group)
     return ballots, counts, labels
 
 
 def _expand(ballots: list[Ballot], counts: list[int],
-            labels: list[str | None]) -> tuple[tuple[Ballot, ...], list[str | None]]:
+            labels: list[str] | None) -> tuple[tuple[Ballot, ...], list[str] | None]:
     if counts.count(1) == len(counts):  # nothing to expand
         return tuple(ballots), labels
     return (tuple(chain.from_iterable(map(repeat, ballots, counts))),
-            list(chain.from_iterable(map(repeat, labels, counts))))
-
-
-def _grouped_labels(problem: Problem, labels: dict[str, list[str | None]]):
-    """The group labels of the ballot sections: a group problem labels every
-    ballot of the section ``ControlInstance.grouped`` names, "pool" if the
-    problem takes a pool, otherwise "ballots"; no other ballot carries a
-    label. Returns the grouped section's labels, or None."""
-    takes = TAKES[problem]
-    grouped = ("pool" if "pool" in takes else "ballots") if "labels" in takes else None
-    for section, labs in labels.items():
-        if section != grouped and labs.count(None) < len(labs):
-            raise FormatError(f'{problem.value} takes no group labels on "{section}" ballots')
-    if grouped is None:
-        return None
-    if None in labels[grouped]:
-        raise FormatError(f'every "{grouped}" ballot of {problem.value} needs a group label')
-    return labels[grouped]
+            labels and list(chain.from_iterable(map(repeat, labels, counts))))
 
 
 def _sections(instance: ControlInstance) -> list[tuple[str, Profile, tuple[str, ...]]]:
@@ -241,14 +229,16 @@ def _instance_from_doc(doc: dict) -> ControlInstance:
     entries = doc.get("candidates", [])
     if not isinstance(entries, list):
         raise FormatError('"candidates" must be a list of candidate objects')
+    # The section the groups partition, as ControlInstance.grouped names it.
+    takes = TAKES[problem]
+    grouped = ("pool" if "pool" in takes else "ballots") if "labels" in takes else None
     interned: tuple[dict, dict] = ({}, {})
-    main_entries = _ballot_entries(doc, "ballots", interned)
-    pool_entries = _ballot_entries(doc, "pool", interned)
+    main_entries = _ballot_entries(doc, "ballots", problem, grouped == "ballots", interned)
+    pool_entries = _ballot_entries(doc, "pool", problem, grouped == "pool", interned)
     check_sizes(len(entries), sum(main_entries[1]) + sum(pool_entries[1]), doc.get("k"))
     candidates = tuple(_candidate_from_dict(entry) for entry in entries)
     ballots, main_labels = _expand(*main_entries)
     pool_ballots, pool_labels = _expand(*pool_entries)
-    labels = _grouped_labels(problem, {"ballots": main_labels, "pool": pool_labels})
     profile = Profile(candidates, ballots)
     pool = Profile(candidates, pool_ballots) if "pool" in doc else None
     return ControlInstance(
@@ -259,7 +249,7 @@ def _instance_from_doc(doc: dict) -> ControlInstance:
         tie=tie,
         k=doc.get("k"),
         limit=doc.get("limit"),
-        labels=labels,
+        labels=pool_labels if grouped == "pool" else main_labels,
         pool=pool,
     )
 
@@ -379,29 +369,26 @@ _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 def _section_text(profile: Profile, labels: tuple[str, ...], ids: dict[str, str]) -> str:
     """The canonical text of one section's ``instance_to_dict`` entries.
     ``labels`` gives each ballot's group label, or is empty for a section
-    without groups; ``ids`` maps each candidate id to its encoded text. The
-    text of each distinct (ballot, label) entry is built once, keys in sorted
-    order ("approve" < "group" < "order"), and the entries are looked up and
-    joined at C level, so no entry allocates a container that the cyclic
-    collector tracks."""
+    without groups; ``ids`` maps each candidate id to its encoded text. A
+    labelled entry is encoded from ``_ballot_to_dict``, once per distinct
+    (ballot, label) entry. An unlabelled entry is its head, its list and
+    "}": the list of each distinct ballot is built once from ``ids``, and
+    the entries are looked up and joined at C level, so no entry allocates
+    a container that the cyclic collector tracks."""
     ballots = profile.ballots
+    by_id = dict(zip(map(id, ballots), ballots))
+    if labels:
+        keys = list(zip(map(id, ballots), labels))
+        made = {(i, lab): _encode(_ballot_to_dict(by_id[i], lab)) for i, lab in set(keys)}
+        return "[" + ",".join(map(made.__getitem__, keys)) + "]"
     if not ballots:
         return "[]"
     ranked = profile.kind == "linear"
-    by_id = dict(zip(map(id, ballots), ballots))
     lists = {key: "[" + ",".join(map(ids.__getitem__, b.order if ranked
                                      else sorted(b.approvals))) + "]"
              for key, b in by_id.items()}
-    if not labels:  # every entry is head + its list + "}"
-        head = '{"order":' if ranked else '{"approve":'
-        return "[" + head + ("}," + head).join(map(lists.__getitem__, map(id, ballots))) + "}]"
-    groups = {lab: _encode(lab) for lab in set(labels)}
-    made: dict[str, dict[int, str]] = {lab: {} for lab in groups}  # label -> ballot id -> text
-    for key, lab in dict.fromkeys(zip(map(id, ballots), labels)):
-        made[lab][key] = ('{"group":' + groups[lab] + ',"order":' + lists[key] + "}" if ranked
-                          else '{"approve":' + lists[key] + ',"group":' + groups[lab] + "}")
-    return "[" + ",".join(map(dict.__getitem__, map(made.__getitem__, labels),
-                              map(id, ballots))) + "]"
+    head = '{"order":' if ranked else '{"approve":'
+    return "[" + head + ("}," + head).join(map(lists.__getitem__, map(id, ballots))) + "}]"
 
 
 def instance_digest(instance: ControlInstance) -> str:

@@ -152,6 +152,8 @@ class ControlInstance:
                 raise ValueError("pool must share the election's candidate set")
             _check_kind(self.rule, self.pool)
         if self.labels is not None:
+            if isinstance(self.labels, str):  # not one label per character
+                raise ValueError("labels must be a sequence of group labels, not a string")
             object.__setattr__(self, "labels", tuple(self.labels))
             if len(self.labels) != len(self.grouped.ballots):
                 raise ValueError("every grouped ballot needs one group label")

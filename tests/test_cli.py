@@ -436,6 +436,21 @@ class TestSolve:
         assert code == EXIT_UNKNOWN
         assert json.loads(out)["answer"] == "unknown"
 
+    @pytest.mark.parametrize("doc,message", [
+        (plurality_doc(ballots=[{"order": ["p", "a"]}, {"order": ["a", "p"], "group": "G"}]),
+         'CCEPV takes no group labels on "ballots" ballots'),
+        (plurality_doc(problem="CCPVG", ballots=[{"order": ["p", "a"], "group": "G"},
+                                                  {"order": ["a", "p"]}]),
+         'every "ballots" ballot of CCPVG needs a string group label'),
+    ], ids=["stray-label", "missing-label"])
+    def test_misplaced_or_missing_label_exits_three(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err == f"electctl: error: {message}\n"
+
     def test_missing_file_is_an_error(self, capsys):
         code, _, err = run(capsys, "solve", "/nonexistent.json")
         assert code == EXIT_ERROR
@@ -765,6 +780,16 @@ class TestSweep:
     def test_ccpkv_family_needs_k(self, capsys):
         code, _, err = run(capsys, "sweep", "ccpkv", "--count", "1")
         assert code == EXIT_ERROR
+        assert err == "electctl: error: family ccpkv needs --k\n"
+
+    @pytest.mark.parametrize("family", ["ccepv", "wcrpc", "e-ccepv"])
+    def test_family_without_k_refuses_k(self, tmp_path, capsys, family):
+        path = tmp_path / "sweep.csv"
+        code, out, err = run(capsys, "sweep", family, "--k", "3", "--count", "1",
+                             "--out", str(path))
+        assert code == EXIT_ERROR
+        assert out == "" and not path.exists()
+        assert err == f"electctl: error: family {family} takes no --k\n"
 
 
 class TestGen:

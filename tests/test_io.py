@@ -34,6 +34,8 @@ from electctl.instance_io import (
 )
 
 PAB = tuple(Candidate(c) for c in ("p", "a", "b"))
+MISSING = object()  # an entry without the key
+NEEDS_LABEL = 'every "{}" ballot of {} needs a string group label'
 
 
 def lex(top):
@@ -328,6 +330,49 @@ class TestErrors:
                           {"order": ["a", "b", "p"]}]
         with pytest.raises(FormatError):
             instance_from_dict(doc)
+
+    def labelled_doc(self, problem):
+        """A valid ``problem`` document: two ballots, and for CCAVG two pool
+        ballots, with a label on each ballot of the grouped section."""
+        doc = self.base_doc()
+        doc.update(problem=problem,
+                   ballots=[{"order": ["p", "a", "b"]}, {"order": ["b", "a", "p"]}])
+        if problem == "CCAVG":
+            del doc["tie"]
+            doc.update(limit=1, pool=[{"order": ["a", "p", "b"], "group": "h1"},
+                                      {"order": ["p", "b", "a"], "group": "h2"}])
+        elif problem == "CCPVG":
+            doc["ballots"][0]["group"], doc["ballots"][1]["group"] = "g1", "g2"
+        return doc
+
+    @pytest.mark.parametrize("problem,section,group,message", [
+        ("CCEPV", "ballots", "g1", 'CCEPV takes no group labels on "ballots" ballots'),
+        ("CCAVG", "ballots", "g1", 'CCAVG takes no group labels on "ballots" ballots'),
+        ("CCEPV", "ballots", 7, 'CCEPV takes no group labels on "ballots" ballots'),
+        ("CCPVG", "ballots", MISSING, NEEDS_LABEL.format("ballots", "CCPVG")),
+        ("CCPVG", "ballots", None, NEEDS_LABEL.format("ballots", "CCPVG")),
+        ("CCPVG", "ballots", 7, NEEDS_LABEL.format("ballots", "CCPVG")),
+        ("CCAVG", "pool", MISSING, NEEDS_LABEL.format("pool", "CCAVG")),
+        ("CCAVG", "pool", ["h1"], NEEDS_LABEL.format("pool", "CCAVG")),
+    ], ids=["ccepv-stray", "ccavg-stray-on-ballots", "ccepv-stray-number", "ccpvg-missing",
+            "ccpvg-null", "ccpvg-number", "ccavg-pool-missing", "ccavg-pool-list"])
+    def test_group_labels_are_checked_per_entry(self, problem, section, group, message):
+        # Labels sit on every ballot of the section ControlInstance.grouped
+        # names and on no other; the last entry of ``section`` breaks that.
+        doc = self.labelled_doc(problem)
+        instance_from_dict(doc)
+        doc[section][-1].pop("group", None)
+        if group is not MISSING:
+            doc[section][-1]["group"] = group
+        with pytest.raises(FormatError, match=message):
+            instance_from_dict(doc)
+
+    @pytest.mark.parametrize("problem", ["CCEPV", "CCAVG"])
+    def test_null_label_on_an_ungrouped_section_is_no_label(self, problem):
+        doc = self.labelled_doc(problem)
+        plain = instance_from_dict(doc)
+        doc["ballots"][0]["group"] = None
+        assert instance_from_dict(doc) == plain
 
     def test_semantic_errors_become_format_errors(self):
         doc = self.base_doc()

@@ -81,6 +81,13 @@ class TestInstanceValidation:
             ControlInstance(problem=Problem.CCAVG, rule=VotingRule.PLURALITY,
                             profile=profile("p"), p="p", limit=1, labels=("g",), pool=pool)
 
+    def test_labels_must_not_be_one_string(self):
+        # A bare string is a sequence of one-character strings: "gh" would
+        # silently label the two ballots g and h.
+        with pytest.raises(ValueError, match="not a string"):
+            ControlInstance(problem=Problem.CCDVG, rule=VotingRule.PLURALITY,
+                            profile=profile("p", "a"), p="p", limit=1, labels="gh")
+
     def test_labels_must_be_strings(self):
         # A label that is not a string would write a document that cannot
         # be read back.
