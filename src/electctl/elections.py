@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, combinations, compress
+from itertools import chain, combinations
 from typing import Iterable, Mapping, Sequence
 
 
@@ -123,7 +123,7 @@ class Profile:
             else:
                 if not b.approvals <= idset:
                     raise ValueError(f"approval ballot mentions unknown candidates: "
-                                     f"{sorted(b.approvals - idset)}")
+                                     f"{sorted(b.approvals - idset, key=str)}")
 
     @cached_property
     def candidate_ids(self) -> tuple[str, ...]:
@@ -368,8 +368,7 @@ def _members(mask: int) -> list[int]:
 
 def _mask_ids(profile: Profile, mask: int) -> frozenset[str]:
     """The candidate ids of the positions in ``mask``."""
-    # bin(mask) read backwards from its last digit is bit 0, bit 1, ...
-    return frozenset(compress(profile.candidate_ids, map("1".__eq__, bin(mask)[:1:-1])))
+    return frozenset(map(profile.candidate_ids.__getitem__, _members(mask)))
 
 
 def _id_mask(profile: Profile, ids: Iterable[str]) -> int:

@@ -65,16 +65,14 @@ def _require_format(doc: Any) -> None:
         raise FormatError(f'missing or unsupported format marker (want "{FORMAT}")')
 
 
-def load_document(text: str) -> dict:
-    """Parse JSON text into an electctl/1 document, checking its format marker."""
+def load_document(text: str) -> Any:
+    """Parse JSON text; each reader it feeds checks the format marker."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise FormatError("not valid JSON: arrays or objects nest too deeply") from exc
-    _require_format(doc)
-    return doc
 
 
 def _ballot_to_dict(ballot: Ballot, group: str | None) -> dict:
@@ -118,7 +116,8 @@ def _ballot_entries(doc: dict, section: str, problem: Problem, grouped: bool,
     takes none and has None for its labels. Equal "approve" lists share one
     ``Ballot``, kept in ``interned[False]`` by the tuple of their candidate
     ids for the whole document, and so do equal "order" lists, in
-    ``interned[True]``; so each distinct ballot is checked and built once."""
+    ``interned[True]``; so each distinct ballot is built once, and
+    ``Profile`` checks its ids once."""
     entries = doc.get(section, [])
     if not isinstance(entries, list):
         raise FormatError(f'"{section}" must be a list of ballot objects')
@@ -134,17 +133,13 @@ def _ballot_entries(doc: dict, section: str, problem: Problem, grouped: bool,
         ids = entry["order"] if ranked else entry["approve"]
         if not isinstance(ids, list):
             raise FormatError('"order" / "approve" must be a list of candidate ids')
-        # Only checked lists of strings are interned, and a tuple equals one
-        # of strings only if it holds strings, so a hit skips just that check.
         key = tuple(ids)
         built = interned[ranked]
         try:
             ballot = built.get(key)
-        except TypeError:  # an unhashable element, so not a string
-            ballot = None
+        except TypeError:  # an unhashable element, so not a candidate id
+            raise FormatError('"order" / "approve" must be a list of candidate ids') from None
         if ballot is None:
-            if not _is_str_list(ids):
-                raise FormatError('"order" / "approve" must be a list of candidate ids')
             ballot = built[key] = Ballot(order=key) if ranked else Ballot(approvals=frozenset(key))
         if grouped:
             group = entry.get("group")
@@ -181,19 +176,13 @@ def _sections(instance: ControlInstance) -> list[tuple[str, Profile, tuple[str, 
 
 def instance_to_dict(instance: ControlInstance) -> dict:
     doc = _head(instance)
-    doc["candidates"] = [
-        {"id": c.id} if c.special_index is None
-        else {"id": c.id, "special": c.special_index}
-        for c in instance.profile.candidates
-    ]
     for key, profile, labels in _sections(instance):
         doc[key] = [_ballot_to_dict(b, lab) for b, lab in zip_longest(profile.ballots, labels)]
     return doc
 
 
 def _head(instance: ControlInstance) -> dict:
-    """The ``instance_to_dict`` document's single values: all but its
-    candidates and ballot sections."""
+    """The ``instance_to_dict`` document without its ballot sections."""
     doc: dict[str, Any] = {
         "format": FORMAT,
         "problem": instance.problem.value,
@@ -206,6 +195,9 @@ def _head(instance: ControlInstance) -> dict:
         doc["k"] = instance.k
     if instance.limit is not None:
         doc["limit"] = instance.limit
+    doc["candidates"] = [{"id": c.id} if c.special_index is None
+                         else {"id": c.id, "special": c.special_index}
+                         for c in instance.profile.candidates]
     return doc
 
 
@@ -395,15 +387,11 @@ def instance_digest(instance: ControlInstance) -> str:
     """The sha256 hex digest of the instance's canonical document: the
     ``instance_to_dict`` document (one entry per ballot, counts expanded) as
     compact JSON with sorted keys. The text is assembled here without
-    building that document: each candidate id is encoded once, each
-    section's entries come from ``_section_text``, and the keys and the
-    single values go through the same encoder."""
+    building the ballot entries: each section's come from ``_section_text``,
+    with each candidate id encoded once, and the keys and the ``_head``
+    values go through the same encoder."""
     ids = {cid: _encode(cid) for cid in instance.profile.candidate_ids}
     texts = {key: _encode(value) for key, value in _head(instance).items()}
-    texts["candidates"] = "[" + ",".join(
-        '{"id":' + ids[c.id] + ("}" if c.special_index is None
-                                else ',"special":' + _encode(c.special_index) + "}")
-        for c in instance.profile.candidates) + "]"
     for key, profile, labels in _sections(instance):
         texts[key] = _section_text(profile, labels, ids)
     canonical = "{" + ",".join(_encode(key) + ":" + texts[key] for key in sorted(texts)) + "}"

@@ -102,34 +102,30 @@ def _candidate_witnesses(instance: ControlInstance) -> Iterator[Compiled]:
     ``two_stage._replay``: candidate sides as bitmasks, voter parts as
     ballot index tuples, the group problems' witnesses as group index
     tuples."""
-    return map(Compiled, _compiled_forms(instance))
-
-
-def _compiled_forms(instance: ControlInstance) -> Iterator[tuple]:
     prob = instance.problem
     profile = instance.profile
     nv = len(profile.ballots)
 
     if prob is Problem.CCPV:
-        yield from _bipartitions(nv)
+        yield from map(Compiled, _bipartitions(nv))
     elif prob is Problem.CCEPV:
-        yield from enumerate_equipartitions(nv)
+        yield from map(Compiled, enumerate_equipartitions(nv))
     elif prob is Problem.CCPKV:
         # No label reaches nv, so past nv + 1 parts every extra part is empty
         # and elects what the one empty part kept here elects.
-        yield from _k_partitions(nv, min(instance.k, nv + 1))
+        yield from map(Compiled, _k_partitions(nv, min(instance.k, nv + 1)))
     elif prob in (Problem.CCRPC, Problem.CCREPC):
         nc, everyone = len(profile.candidates), profile.everyone
         source = enumerate_equipartitions(nc) if prob is Problem.CCREPC else _bipartitions(nc)
         bits = [1 << i for i in range(nc)]
         for a, _ in source:
             side = sum(map(bits.__getitem__, a))
-            yield side, everyone ^ side
+            yield Compiled((side, everyone ^ side))
     elif prob is Problem.CCPVG:
         # Unordered bipartition of groups: group 0 stays in part one, and
         # part two is each subset of the others.
         for chosen, others in _subsets(len(instance.groups), start=1):
-            yield others, chosen
+            yield Compiled((others, chosen))
     else:  # CCDVG or CCAVG
         # A deletion keeps the groups it does not choose; an addition adds
         # the ones it does. Every group holds a ballot and smaller subsets
@@ -140,7 +136,7 @@ def _compiled_forms(instance: ControlInstance) -> Iterator[tuple]:
             if len(chosen) > instance.limit:
                 return
             if sum(map(sizes.__getitem__, chosen)) <= instance.limit:
-                yield others if deleting else chosen
+                yield Compiled(others if deleting else chosen)
 
 
 def oracle_solve(instance: ControlInstance, budget: int = DEFAULT_BUDGET) -> Decision:

@@ -81,6 +81,21 @@ def document_text(doc):
     return doc if isinstance(doc, str) else json.dumps(doc)
 
 
+# Ballot ids that are not candidate ids, each in three documents: the reader
+# refuses an unhashable id, and Profile's check against the candidates any
+# other.
+BAD_ID_ENTRIES = {
+    "approve-number": {"approve": [1, "x"]},
+    "approve-null-and-float": {"approve": [None, 1.5]},
+    "order-number": {"order": ["p", 1]},
+    "order-list": {"order": [["p"], "a"]},
+}
+BAD_ID_DOCUMENTS = {
+    "plurality": lambda entry: plurality_doc(ballots=[entry]),
+    "approval": lambda entry: plurality_doc(rule="approval", ballots=[entry]),
+    "ccavg-pool": lambda entry: plurality_doc(problem="CCAVG", tie=None, limit=1,
+                                              pool=[dict(entry, group="G")]),
+}
 MALFORMED_INSTANCES = {
     "ballot-is-string": plurality_doc(ballots=["pa"]),
     "order-is-number": plurality_doc(ballots=[{"order": 5}]),
@@ -118,6 +133,8 @@ MALFORMED_INSTANCES = {
     "order-not-a-permutation": plurality_doc(ballots=[{"order": ["p", "p"]}]),
     "mixed-ballot-kinds": plurality_doc(ballots=[{"order": ["p", "a"]}, {"approve": ["p"]}]),
     "no-candidates": plurality_doc(candidates=[], ballots=[]),
+    **{f"{entry}-in-{document}": make(BAD_ID_ENTRIES[entry])
+       for entry in BAD_ID_ENTRIES for document, make in BAD_ID_DOCUMENTS.items()},
 }
 MALFORMED_WITNESSES = {
     "parts-is-number": voter_witness(5),

@@ -21,17 +21,7 @@ from electctl import (
     winners,
 )
 from electctl.elections import _elect, _mask_ids, pairwise_margins
-
-PAB = tuple(Candidate(c) for c in ("p", "a", "b"))
-
-
-def lex(top, ids=("p", "a", "b")):
-    rest = sorted(c for c in ids if c != top)
-    return linear(top, *rest)
-
-
-def profile(*tops):
-    return Profile(PAB, tuple(lex(t) for t in tops))
+from pab import PAB, lex, profile
 
 
 class TestModelValidation:
@@ -40,6 +30,11 @@ class TestModelValidation:
             Ballot()
         with pytest.raises(ValueError):
             Ballot(order=("p",), approvals=frozenset({"p"}))
+
+    def test_unknown_approval_ids_of_mixed_types(self):
+        # Ids that do not compare with each other are listed in str order.
+        with pytest.raises(ValueError, match=r"unknown candidates: \[1, 'x'\]"):
+            Profile((Candidate("p"), Candidate("a")), (approval([1, "x"]),))
 
     def test_candidate_special_index_range(self):
         assert Candidate("x", 3).special_index == 3

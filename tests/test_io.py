@@ -16,7 +16,6 @@ from electctl import (
     VoterPartition,
     VotingRule,
     approval,
-    linear,
 )
 from electctl.instance_io import (
     FORMAT,
@@ -32,15 +31,10 @@ from electctl.instance_io import (
     serialize_witness,
     witness_to_dict,
 )
+from pab import PAB, lex
 
-PAB = tuple(Candidate(c) for c in ("p", "a", "b"))
 MISSING = object()  # an entry without the key
 NEEDS_LABEL = 'every "{}" ballot of {} needs a string group label'
-
-
-def lex(top):
-    rest = sorted(c for c in ("p", "a", "b") if c != top)
-    return linear(top, *rest)
 
 
 def sample_instances():

@@ -23,17 +23,7 @@ from electctl import (
 )
 from electctl.oracle import _bipartitions, _candidate_witnesses, _k_partitions
 from electctl.two_stage import _public_witness
-
-PAB = tuple(Candidate(c) for c in ("p", "a", "b"))
-
-
-def lex(top):
-    rest = sorted(c for c in ("p", "a", "b") if c != top)
-    return linear(top, *rest)
-
-
-def profile(*tops):
-    return Profile(PAB, tuple(lex(t) for t in tops))
+from pab import PAB, profile
 
 
 class TestEnumeration:

@@ -1,9 +1,11 @@
 """The packed rank columns behind plurality among a candidate subset and the
 Condorcet family's pairwise margins, tested against the definitions."""
 
+import sys
 import tracemalloc
 from array import array
 from itertools import combinations
+from types import SimpleNamespace
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from electctl.elections import (
     _id_mask,
     _margin,
     _mask_ids,
+    _rank_columns,
     _standing_masks,
     pairwise_margins,
 )
@@ -138,6 +141,31 @@ def test_each_field_width_holds_its_largest_rank():
         assert (_margin(columns, guard, 0, 1), _margin(columns, guard, 1, 0)) == (1, -1)
         for least in (0, 1):
             assert _standing_masks((columns[:2], guard), least) == (0b01, 0b11)
+
+
+def swap_fields(column, width, n):
+    """``column`` with the bytes of each of its n fields of ``width`` bytes
+    reversed."""
+    data = column.to_bytes(n * width, "little")
+    return int.from_bytes(b"".join(data[i:i + width][::-1] for i in range(0, n * width, width)),
+                          "little")
+
+
+def test_columns_read_little_endian_on_either_byte_order(monkeypatch):
+    # On a host of the other byte order the fields are swapped before the
+    # columns read them: one-byte columns stay as they are, and wider ones
+    # read as each field's bytes reversed. The guard is built apart.
+    other = "big" if sys.byteorder == "little" else "little"
+    for m in (128, 32_768, 32_769):
+        prof = extreme_profile(m)
+        width = array(_field_code(m)).itemsize
+        native_columns, native_guard = _rank_columns(prof.index, prof.ballots)
+        with monkeypatch.context() as patch:
+            patch.setattr("electctl.elections.sys", SimpleNamespace(byteorder=other))
+            columns, guard = _rank_columns(prof.index, prof.ballots)
+        assert guard == native_guard
+        assert columns == tuple(swap_fields(c, width, 3) for c in native_columns)
+        assert (columns == native_columns) == (width == 1)
 
 
 def test_no_ballots_pack_to_empty_columns():

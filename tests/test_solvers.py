@@ -39,17 +39,7 @@ from electctl.solvers import (
     _multisets,
     _rank,
 )
-
-PAB = tuple(Candidate(c) for c in ("p", "a", "b"))
-
-
-def lex(top):
-    rest = sorted(c for c in ("p", "a", "b") if c != top)
-    return linear(top, *rest)
-
-
-def profile(*tops):
-    return Profile(PAB, tuple(lex(t) for t in tops))
+from pab import PAB, profile
 
 
 def ccepv(prof):

@@ -21,17 +21,7 @@ from electctl import (
 )
 from electctl.instance_io import parse_instance, serialize_instance, witness_to_dict
 from electctl.oracle import oracle_solve
-
-PAB = tuple(Candidate(c) for c in ("p", "a", "b"))
-
-
-def lex(top):
-    rest = sorted(c for c in ("p", "a", "b") if c != top)
-    return linear(top, *rest)
-
-
-def profile(*tops):
-    return Profile(PAB, tuple(lex(t) for t in tops))
+from pab import PAB, lex, profile
 
 
 class TestInstanceValidation:
