@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import sys
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain, combinations, compress, count
 from typing import Iterable, Mapping, Sequence
 
 
@@ -93,7 +92,8 @@ class Profile:
     subsets). Instances are immutable; derived tables are computed once, on
     first use, and live as long as the profile: candidate ids and positions,
     the ballot kind, each ballot as candidate positions and its top choice,
-    the packed rank columns and the Condorcet family's standing masks.
+    each candidate's supporters as a ballot bitmask, the packed rank
+    columns and the Condorcet family's standing masks.
     Pairwise margins are not cached: ``pairwise_margins`` derives them.
     """
 
@@ -157,6 +157,20 @@ class Profile:
         return tuple(index[b.order[0]] for b in self.ballots)
 
     @cached_property
+    def supporters(self) -> tuple[int, ...]:
+        """Per candidate position, the bitmask of the ballots that count for
+        it (bit i is ballot i): those that rank it first (linear ballots) or
+        approve it (approval ballots)."""
+        if self.kind == "linear":
+            return _top_masks(self.tops, len(self.candidates))
+        n = len(self.ballots)
+        digits = [bytearray(b"0") * n for _ in self.candidates]  # as in ``_ballot_mask``
+        for i, row in enumerate(self.positions):
+            for a in row:
+                digits[a][i] = 49
+        return tuple(int(d[::-1], 2) if n else 0 for d in digits)
+
+    @cached_property
     def columns(self) -> tuple[tuple[int, ...], int]:
         """The rank columns of all linear ballots (see ``_rank_columns``)."""
         return _rank_columns(self.index, self.ballots)
@@ -183,10 +197,63 @@ class Profile:
         return {}
 
 
+# A set of ballots is a bitmask, bit i ballot i, as a set of candidates is.
+# Both conversions between index lists and masks go through one binary
+# digit per ballot, in time linear in the ballots; shifting one ballot at a
+# time into a growing int, or walking a mask with ``_members``, would be
+# quadratic.
+
+_SELECTORS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _ballot_mask(indices: Iterable[int], n: int) -> int:
+    """The bitmask of ``indices``, distinct ints in range(n): digit i of n
+    is "1" for each index i, and the digits read backwards are the mask."""
+    digits = bytearray(b"0") * n
+    for i in indices:
+        digits[i] = 49  # "1"
+    return int(digits[::-1], 2) if n else 0
+
+
+def _selectors(mask: int) -> bytes:
+    """Per bit of ``mask`` from bit 0 to its highest set bit, 1 if the bit is
+    set and 0 if not: the selectors for ``compress``."""
+    return format(mask, "b").encode()[::-1].translate(_SELECTORS)
+
+
+def _indices(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of ``mask``, ascending."""
+    return tuple(compress(count(), _selectors(mask)))
+
+
 def _field_code(m: int) -> str:
     """The ``array`` type code of the narrowest field that holds every rank
     of an m-candidate ballot, 0 to m - 1, below a clear top (guard) bit."""
     return next(code for code in "BHIQ" if (m - 1).bit_length() < 8 * array(code).itemsize)
+
+
+def _top_masks(tops: Sequence[int], m: int) -> tuple[int, ...]:
+    """Per candidate position below m, the ballot mask of the ballots whose
+    top choice (in ``tops``) it is. The tops go into the fields of one
+    array; byte k of every field, ballot 0 last, is plane k, and a ballot
+    counts for c when each plane's byte is c's: ``bytes.translate`` turns a
+    plane into a "1" digit where it is and "0" elsewhere."""
+    if not tops:
+        return (0,) * m
+    fields = array(_field_code(m), tops)
+    if sys.byteorder == "big":
+        fields.byteswap()
+    raw, width = fields.tobytes(), fields.itemsize
+    planes = [raw[k::width][::-1] for k in range(width)]
+    masks = []
+    for c in range(m):
+        mask = -1
+        for k, plane in enumerate(planes):
+            digit = bytearray(b"0") * 256
+            digit[c >> 8 * k & 255] = 49  # "1"
+            mask &= int(plane.translate(digit), 2)
+        masks.append(mask)
+    return tuple(masks)
 
 
 def _rank_columns(index: Mapping[str, int],
@@ -342,18 +409,22 @@ def condorcet_winners_from_margins(
                      if all(margins[(a, b)] >= least for b in ids if b != a))
 
 
-def _voting(table: tuple, votes: Sequence[int] | None) -> Iterable:
-    """The entries of ``table``, which has one per ballot, of the ballots
-    that vote (all of them when ``votes`` is None)."""
-    return table if votes is None else map(table.__getitem__, votes)
+# The ballots that vote in ``_elect``: None for all of them, a ballot mask,
+# or the index tuple of a few. An operation on a mask takes time in all n
+# ballots, however few of them it holds, so a few ballots (a small voter
+# part, see ``two_stage._voter_parts``) are counted one by one instead.
+Votes = int | tuple[int, ...] | None
 
 
-def _columns(profile: Profile, votes: Sequence[int] | None) -> tuple[tuple[int, ...], int]:
+def _columns(profile: Profile, votes: Votes) -> tuple[tuple[int, ...], int]:
     """The rank columns of the ballots that vote: cached on the profile for
-    all of them, built afresh for ``votes``."""
+    all of them, built afresh from the ballots ``votes`` selects."""
     if votes is None:
         return profile.columns
-    return _rank_columns(profile.index, _voting(profile.ballots, votes))
+    ballots = profile.ballots
+    selected = (map(ballots.__getitem__, votes) if type(votes) is tuple
+                else compress(ballots, _selectors(votes)))
+    return _rank_columns(profile.index, selected)
 
 
 def _members(mask: int) -> list[int]:
@@ -376,10 +447,11 @@ def _id_mask(profile: Profile, ids: Iterable[str]) -> int:
     return sum(1 << profile.index[cid] for cid in ids)
 
 
-def _top(counts, members: Sequence[int]) -> int:
-    """The mask of the ``members`` with the highest count in ``counts``."""
-    top = max(map(counts.__getitem__, members))
-    return sum(1 << a for a in members if counts[a] == top)
+def _top(counts: Sequence[int], members: Sequence[int]) -> int:
+    """The mask of the ``members`` with the highest count, ``counts`` giving
+    each member's in order."""
+    top = max(counts)
+    return sum(1 << a for a, n in zip(members, counts) if n == top)
 
 
 def _plurality(counts: Sequence[int]) -> int:
@@ -392,13 +464,32 @@ def _plurality(counts: Sequence[int]) -> int:
     return _top(counts, range(len(counts)))
 
 
-def _approval(profile: Profile, among: int, votes: Sequence[int] | None) -> int:
+def _scores(profile: Profile, members: Sequence[int], votes: Votes) -> list[int]:
+    """Per member position, ascending, how many of the ballots that vote
+    count for it (see ``Profile.supporters``): a few ballots one by one,
+    otherwise each member's supporters among them."""
+    if type(votes) is tuple:
+        counts = [0] * len(profile.candidates)
+        if profile.kind == "linear":
+            for a in map(profile.tops.__getitem__, votes):
+                counts[a] += 1
+        else:
+            for a in chain.from_iterable(map(profile.positions.__getitem__, votes)):
+                counts[a] += 1
+        if len(members) == len(counts):  # every position
+            return counts
+        return [counts[a] for a in members]
+    supporters, votes = profile.supporters, -1 if votes is None else votes  # -1: every bit
+    return [(supporters[a] & votes).bit_count() for a in members]
+
+
+def _approval(profile: Profile, among: int, votes: Votes) -> int:
     """The approval winners among ``among`` of the ballots ``votes``."""
-    counts = Counter(chain.from_iterable(_voting(profile.positions, votes)))
-    return _top(counts, _members(among))
+    members = _members(among)
+    return _top(_scores(profile, members, votes), members)
 
 
-def _system_e(profile: Profile, among: int, votes: Sequence[int] | None) -> int:
+def _system_e(profile: Profile, among: int, votes: Votes) -> int:
     s0, s1, s2, s3 = specials = profile.special_bits
     present = among & (s0 | s1 | s2 | s3)
     plain = among ^ present
@@ -407,36 +498,35 @@ def _system_e(profile: Profile, among: int, votes: Sequence[int] | None) -> int:
             return plain and _approval(profile, plain, votes)
         return 0
     if s0 and s1 and s2 and s3 and present == s0 | s1 | s2 | s3:
-        won = specials[len(profile.ballots if votes is None else votes) % 4]
+        voters = (len(profile.ballots) if votes is None else
+                  len(votes) if type(votes) is tuple else votes.bit_count())
+        won = specials[voters % 4]
         sub = _approval(profile, plain, votes)  # among has a fifth, plain, member
         return won | sub if not sub & (sub - 1) else won  # a sole plain winner joins
     return 0
 
 
-def _elect(rule: VotingRule, profile: Profile, among: int,
-           votes: Sequence[int] | None) -> int:
+def _elect(rule: VotingRule, profile: Profile, among: int, votes: Votes) -> int:
     """``winners`` on compiled input: the winners, as a position bitmask, of
     the election among the positions in the nonzero bitmask ``among`` in
-    which the ballots ``votes`` (None: all) vote. Neither the ballot kind
-    nor the indices are checked; ``winners`` and ``two_stage`` check them
-    first.
+    which the ballots ``votes`` (see ``Votes``) vote.
+    Neither the ballot kind nor the ballots are checked; ``winners`` and
+    ``two_stage`` check them first.
 
-    Plurality over all candidates tallies top choices, and ``_plurality``
-    turns the tally into winners; plurality among fewer and the Condorcet
+    Plurality over all candidates and approval count the voting ballots
+    that count for each candidate (``_scores``), and ``_plurality`` and
+    ``_top`` turn the counts into winners; system E takes its branch from
+    the number of voting ballots. Plurality among fewer and the Condorcet
     family count on the rank columns of the voting ballots (see
-    ``_rank_columns``). Approval and system E count
-    ``positions``. The Condorcet family intersects ``among`` with the
+    ``_rank_columns``). The Condorcet family intersects ``among`` with the
     standing mask of each of its members (cached for all ballots).
     """
     if rule is VotingRule.PLURALITY:
-        # Two counts, each the faster where it runs: a tally of ``tops`` for
-        # the voter parts, the rank columns for the finals and
+        # Two counts, each the faster where it runs: the supporters (a small
+        # part's tops) for the voter parts, the rank columns for the finals and
         # candidate-partition rounds (see README).
         if among == profile.everyone:
-            counts = [0] * len(profile.candidates)
-            for a in _voting(profile.tops, votes):
-                counts[a] += 1
-            return _plurality(counts)
+            return _plurality(_scores(profile, range(len(profile.candidates)), votes))
         columns, guard = _columns(profile, votes)
         members = _members(among)
         first = dict.fromkeys(members, guard)  # the ballots whose first choice in among is a
@@ -444,7 +534,7 @@ def _elect(rule: VotingRule, profile: Profile, among: int,
             above = _above(columns, guard, a, c)
             first[a] &= above
             first[c] &= ~above
-        return _top({a: ballots.bit_count() for a, ballots in first.items()}, members)
+        return _top([ballots.bit_count() for ballots in first.values()], members)
     if rule is VotingRule.APPROVAL:
         return _approval(profile, among, votes)
     if rule is VotingRule.SYSTEM_E:

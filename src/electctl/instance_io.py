@@ -69,7 +69,7 @@ def load_document(text: str) -> Any:
     """Parse JSON text; each reader it feeds checks the format marker."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax, or an int past the interpreter's digit limit
         raise FormatError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise FormatError("not valid JSON: arrays or objects nest too deeply") from exc

@@ -11,9 +11,10 @@ never a silent "no".
 
 from __future__ import annotations
 
-from itertools import combinations, filterfalse
+from itertools import combinations, repeat
 from typing import Iterator
 
+from .elections import _indices, _members
 from .two_stage import (
     NO,
     UNKNOWN,
@@ -31,8 +32,9 @@ DEFAULT_BUDGET = 10_000_000
 
 def _subsets(
     n: int, pin: bool = False, size: int | None = None, start: int = 0
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Subsets of range(n), each with its complement, smallest first.
+) -> Iterator[tuple[int, int]]:
+    """Subsets of range(n) as bitmasks, each with its complement, smallest
+    first.
 
     Subsets of one size come in ``itertools.combinations`` order. With
     ``pin`` (and n > 0) every subset holds element 0, so each unordered
@@ -41,15 +43,19 @@ def _subsets(
     element) are yielded. This order is what fixes the oracle's witnesses
     and case counts.
     """
-    pinned = (0,) if pin and n else ()
-    free = range(max(len(pinned), start), n)
-    everything = range(n)
+    pinned = 1 if pin and n else 0  # element 0's bit, and the count it adds
+    free = [1 << i for i in range(max(pinned, start), n)]
+    everything = (1 << n) - 1
     for r in range(len(free) + 1):
-        if size is not None and r + len(pinned) != size:
+        if size is not None and r + pinned != size:
             continue
-        for rest in combinations(free, r):
-            first = pinned + rest
-            yield first, tuple(filterfalse(set(first).__contains__, everything))
+        for first in map(sum, combinations(free, r), repeat(pinned)):
+            yield first, everything ^ first
+
+
+def _equipartitions(n: int) -> Iterator[tuple[int, int]]:
+    """``enumerate_equipartitions`` as bitmasks."""
+    return _subsets(n, pin=n % 2 == 0, size=(n + 1) // 2)
 
 
 def enumerate_equipartitions(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -62,16 +68,18 @@ def enumerate_equipartitions(n: int) -> Iterator[tuple[tuple[int, ...], tuple[in
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _subsets(n, pin=n % 2 == 0, size=(n + 1) // 2)
+    return ((_indices(a), _indices(b)) for a, b in _equipartitions(n))
 
 
-def _bipartitions(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All unordered bipartitions of range(n), empty parts included."""
+def _bipartitions(n: int) -> Iterator[tuple[int, int]]:
+    """All unordered bipartitions of range(n), empty parts included, as
+    bitmasks."""
     return _subsets(n, pin=True)
 
 
-def _k_partitions(n: int, k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Canonical (part-permutation-free) k-part partitions of range(n).
+def _k_partitions(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Canonical (part-permutation-free) k-part partitions of range(n), each
+    part a bitmask.
 
     Element i goes to part labels[i]; the labels run through the restricted
     growth strings (each label at most one above every label before it,
@@ -80,11 +88,12 @@ def _k_partitions(n: int, k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     labels = [0] * n
     # peak[i]: the largest label among labels[:i] (0 for i = 0).
     peak = [0] * n
+    bits = [1 << i for i in range(n)]
     while True:
-        parts: list[list[int]] = [[] for _ in range(k)]
-        for idx, lab in enumerate(labels):
-            parts[lab].append(idx)
-        yield tuple(tuple(part) for part in parts)
+        parts = [0] * k
+        for bit, lab in zip(bits, labels):
+            parts[lab] |= bit
+        yield tuple(parts)
         i = n - 1
         while i > 0 and (labels[i] == k - 1 or labels[i] > peak[i]):
             i -= 1
@@ -99,9 +108,8 @@ def _k_partitions(n: int, k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
 
 def _candidate_witnesses(instance: ControlInstance) -> Iterator[Compiled]:
     """The instance's witnesses in the oracle's order, compiled for
-    ``two_stage._replay``: candidate sides as bitmasks, voter parts as
-    ballot index tuples, the group problems' witnesses as group index
-    tuples."""
+    ``two_stage._replay``: candidate sides and voter parts as bitmasks, the
+    group problems' witnesses as group index tuples."""
     prob = instance.problem
     profile = instance.profile
     nv = len(profile.ballots)
@@ -109,23 +117,20 @@ def _candidate_witnesses(instance: ControlInstance) -> Iterator[Compiled]:
     if prob is Problem.CCPV:
         yield from map(Compiled, _bipartitions(nv))
     elif prob is Problem.CCEPV:
-        yield from map(Compiled, enumerate_equipartitions(nv))
+        yield from map(Compiled, _equipartitions(nv))
     elif prob is Problem.CCPKV:
         # No label reaches nv, so past nv + 1 parts every extra part is empty
         # and elects what the one empty part kept here elects.
         yield from map(Compiled, _k_partitions(nv, min(instance.k, nv + 1)))
-    elif prob in (Problem.CCRPC, Problem.CCREPC):
-        nc, everyone = len(profile.candidates), profile.everyone
-        source = enumerate_equipartitions(nc) if prob is Problem.CCREPC else _bipartitions(nc)
-        bits = [1 << i for i in range(nc)]
-        for a, _ in source:
-            side = sum(map(bits.__getitem__, a))
-            yield Compiled((side, everyone ^ side))
+    elif prob is Problem.CCRPC:
+        yield from map(Compiled, _bipartitions(len(profile.candidates)))
+    elif prob is Problem.CCREPC:
+        yield from map(Compiled, _equipartitions(len(profile.candidates)))
     elif prob is Problem.CCPVG:
         # Unordered bipartition of groups: group 0 stays in part one, and
-        # part two is each subset of the others.
+        # part two is each subset of the others. Both parts are few groups.
         for chosen, others in _subsets(len(instance.groups), start=1):
-            yield Compiled((others, chosen))
+            yield Compiled((tuple(_members(others)), tuple(_members(chosen))))
     else:  # CCDVG or CCAVG
         # A deletion keeps the groups it does not choose; an addition adds
         # the ones it does. Every group holds a ballot and smaller subsets
@@ -133,10 +138,11 @@ def _candidate_witnesses(instance: ControlInstance) -> Iterator[Compiled]:
         sizes = [len(idx) for _, idx in instance.groups]
         deleting = prob is Problem.CCDVG
         for chosen, others in _subsets(len(sizes)):
-            if len(chosen) > instance.limit:
+            if chosen.bit_count() > instance.limit:
                 return
-            if sum(map(sizes.__getitem__, chosen)) <= instance.limit:
-                yield Compiled(others if deleting else chosen)
+            members = _indices(chosen)
+            if sum(map(sizes.__getitem__, members)) <= instance.limit:
+                yield Compiled(_indices(others) if deleting else members)
 
 
 def oracle_solve(instance: ControlInstance, budget: int = DEFAULT_BUDGET) -> Decision:

@@ -20,9 +20,11 @@ from typing import Iterable, Sequence, Union
 from .elections import (
     Profile,
     VotingRule,
+    _ballot_mask,
     _check_kind,
     _elect,
     _id_mask,
+    _indices,
     _mask_ids,
     _plurality,
     winners,
@@ -214,6 +216,23 @@ def _check_parts(n: int, parts: Sequence[Iterable[int]]) -> tuple[tuple[int, ...
     return out
 
 
+# A voter part of at least 1/MASK_SHARE of the n ballots compiles to its
+# ballot mask, of n digits for at least n/MASK_SHARE ballots; a smaller
+# part stays its index tuple, whose ballots ``_elect`` counts one by one.
+# So a witness of many small parts (a CCPkV witness may have 10^6)
+# compiles and replays in time linear in the ballots, where a mask per part
+# would take parts x ballots.
+MASK_SHARE = 8
+
+
+def _voter_parts(n: int, parts: Sequence[Sequence[int]]) -> tuple[int | tuple[int, ...], ...]:
+    """The compiled form of checked voter parts (see ``_check_parts``), as
+    ``_elect`` takes them: an empty part 0, a small part itself, a large
+    part its ballot mask."""
+    return tuple(0 if not part else part if MASK_SHARE * len(part) < n
+                 else _ballot_mask(part, n) for part in parts)
+
+
 def _candidate_sides(profile: Profile, c1: Iterable[str], c2: Iterable[str]) -> tuple[int, int]:
     """The bitmasks of (C1, C2), which must partition the candidate set."""
     s1, s2 = frozenset(c1), frozenset(c2)
@@ -223,7 +242,8 @@ def _candidate_sides(profile: Profile, c1: Iterable[str], c2: Iterable[str]) -> 
 
 
 # The compiled core. Candidates are position bitmasks, voters ballot
-# indices and groups their indices in ``groups``, checked before they get
+# bitmasks (a small voter part its index tuple, see ``_voter_parts``) and
+# groups their indices in ``groups``, checked before they get
 # here: stage one elects per voter part or group part (all candidates
 # running) or per nonempty candidate side (all voters voting); TE keeps a
 # subelection's winners only when there is one. Each kind of part has its
@@ -231,7 +251,7 @@ def _candidate_sides(profile: Profile, c1: Iterable[str], c2: Iterable[str]) -> 
 # 10% on small voter and candidate partitions.
 
 def _voter_finalists(rule: VotingRule, tie: TieRule, profile: Profile,
-                     parts: Iterable[Sequence[int]]) -> int:
+                     parts: Iterable[int | tuple[int, ...]]) -> int:
     te, everyone = tie is TieRule.TE, profile.everyone
     finalists = 0
     for part in parts:
@@ -273,9 +293,10 @@ def _group_counts(instance: ControlInstance, groups: Iterable[int]) -> list[int]
     return counts
 
 
-def _group_votes(instance: ControlInstance, groups: Iterable[int]) -> tuple[int, ...]:
-    """The indices of the ballots of ``groups``."""
-    return tuple(chain.from_iterable(instance.groups[g][1] for g in groups))
+def _group_votes(instance: ControlInstance, groups: Iterable[int]) -> int:
+    """The ballot mask, over ``grouped``, of the ballots of ``groups``."""
+    return _ballot_mask(chain.from_iterable(instance.groups[g][1] for g in groups),
+                        len(instance.grouped.ballots))
 
 
 def _group_winners(instance: ControlInstance, groups: Iterable[int]) -> int:
@@ -319,9 +340,9 @@ _GROUP_PROBLEMS = (Problem.CCPVG, Problem.CCDVG, Problem.CCAVG)
 def _replay(instance: ControlInstance, w: tuple) -> tuple[int | None, int]:
     """(finalists, final winners) as bitmasks, finalists None for CCDVG and
     CCAVG, of the compiled witness ``w``: for a candidate partition its two
-    side masks; for a voter partition its parts, each a tuple of ballot
-    indices; for the group problems tuples of group indices: a CCPVG
-    split's two parts, the groups a CCDVG deletion keeps, the pool groups
+    side masks; for a voter partition its parts, each a ballot mask or
+    (see ``_voter_parts``) an index tuple; for the group problems tuples of
+    group indices: a CCPVG split's two parts, the groups a CCDVG deletion keeps, the pool groups
     a CCAVG addition adds."""
     prob, rule, profile = instance.problem, instance.rule, instance.profile
     if prob in _CANDIDATE_PROBLEMS:
@@ -330,8 +351,8 @@ def _replay(instance: ControlInstance, w: tuple) -> tuple[int | None, int]:
         if prob is Problem.CCDVG:
             return None, _group_winners(instance, w)
         if prob is Problem.CCAVG:
-            n = len(profile.ballots)
-            votes = (*range(n), *(n + i for i in _group_votes(instance, w)))
+            n = len(profile.ballots)  # all of the election's ballots, then the pool's
+            votes = (1 << n) - 1 | _group_votes(instance, w) << n
             return None, _elect(rule, instance.electorate, profile.everyone, votes)
         finalists = _group_finalists(instance, w)
     else:
@@ -349,7 +370,8 @@ def finalists_voter_partition(
 ) -> frozenset[str]:
     """Union over parts of the TE/TP-filtered subelection winner sets."""
     _check_kind(rule, profile)
-    parts = _check_parts(len(profile.ballots), parts)
+    n = len(profile.ballots)
+    parts = _voter_parts(n, _check_parts(n, parts))
     return _mask_ids(profile, _voter_finalists(rule, tie, profile, parts))
 
 
@@ -409,11 +431,12 @@ def _compile(instance: ControlInstance, w: Witness) -> tuple | None:
         size = instance.k if prob is Problem.CCPKV else 2
         if not isinstance(w, VoterPartition) or len(w.parts) != size:
             raise ValueError(f"{prob.value} needs a {size}-part voter partition witness")
-        parts = _check_parts(len(profile.ballots), w.parts)
+        n = len(profile.ballots)
+        parts = _check_parts(n, w.parts)
         if prob is Problem.CCEPV and abs(len(parts[0]) - len(parts[1])) > 1:
             return None
         if prob is not Problem.CCPVG:
-            return parts
+            return _voter_parts(n, parts)
         # A group on both sides is split; otherwise part 2 selects its groups.
         first, second = ({instance.labels[i] for i in part} for part in parts)
         return None if first & second else _group_split(instance, frozenset(second))
@@ -438,10 +461,11 @@ def _public_witness(instance: ControlInstance, w: tuple) -> Witness:
     prob, profile = instance.problem, instance.profile
     if prob in _CANDIDATE_PROBLEMS:
         return CandidatePartition(*(_mask_ids(profile, side) for side in w))
-    if prob is Problem.CCPKV:  # padded back to k parts with empty ones
-        return VoterPartition(w + ((),) * (instance.k - len(w)))
-    if prob in (Problem.CCPV, Problem.CCEPV):
-        return VoterPartition(w)
+    if prob in (Problem.CCPV, Problem.CCEPV, Problem.CCPKV):
+        parts = tuple(_indices(part) if type(part) is int else part for part in w)
+        if prob is Problem.CCPKV:  # padded back to k parts with empty ones
+            parts += ((),) * (instance.k - len(w))
+        return VoterPartition(parts)
     labels = [lab for lab, _ in instance.groups]
     if prob is Problem.CCPVG:
         return GroupSelection(map(labels.__getitem__, w[1]))

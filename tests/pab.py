@@ -1,5 +1,6 @@
 """The three-candidate election the unit tests share: candidates p, a and b,
-and linear ballots named by their top choice."""
+and linear ballots named by their top choice; and ``members``, which lists
+a bitmask's elements bit by bit, as the tests read the core's masks."""
 
 from electctl import Candidate, Profile, linear
 
@@ -15,3 +16,8 @@ def lex(top):
 def profile(*tops):
     """The profile over PAB of one ``lex`` ballot per top choice."""
     return Profile(PAB, tuple(lex(t) for t in tops))
+
+
+def members(mask):
+    """The elements of the bitmask ``mask``, ascending."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)

@@ -74,6 +74,9 @@ def voter_witness(parts):
 
 # Valid JSON nested deeper than the parser's recursion limit.
 NESTED_TOO_DEEPLY = "[" * 100_000 + "]" * 100_000
+# An integer literal with more digits than the interpreter converts (4,300
+# by default).
+NINES = "9" * 5000
 
 
 def document_text(doc):
@@ -114,6 +117,8 @@ MALFORMED_INSTANCES = {
         ballots=[{"order": ["p", "a"], "group": "X"}, {"order": ["a", "p"]}],
         pool=[{"order": ["p", "a"], "group": "A"}]),
     "nested-too-deeply": NESTED_TOO_DEEPLY,
+    "k-past-the-digit-limit": json.dumps(plurality_doc(problem="CCPkV", k=1)).replace(
+        '"k": 1', f'"k": {NINES}'),
     # Equal ballots share one checked Ballot: a bad entry that looks like
     # an earlier valid one must still be caught.
     "order-is-string-after-equal-list": plurality_doc(
@@ -145,6 +150,8 @@ MALFORMED_WITNESSES = {
     "groups-is-number": {"format": FORMAT, "witness": {
         "type": "group_selection", "groups": 7}},
     "witness-nested-too-deeply": NESTED_TOO_DEEPLY,
+    "witness-k-past-the-digit-limit": json.dumps(voter_witness([[0], []])).replace(
+        "{", f'{{"k": {NINES}, ', 1),
 }
 
 

@@ -86,8 +86,8 @@ class TestModelValidation:
 
         def elect(votes):
             return _mask_ids(prof, _elect(VotingRule.PLURALITY, prof, prof.everyone, votes))
-        assert elect((1,)) == {"a"}
-        assert elect(()) == {"p", "a", "b"}
+        assert elect(0b10) == {"a"}
+        assert elect(0) == {"p", "a", "b"}
 
 
 class TestScores:
@@ -102,6 +102,24 @@ class TestScores:
     def test_approval_counts(self):
         prof = Profile(PAB, (approval(["p", "a"]), approval(["a"]), approval([])))
         assert score_approval(prof) == {"p": 1, "a": 2, "b": 0}
+
+    def test_supporters_are_the_ballots_that_count_for_each_candidate(self):
+        # Bit i of a candidate's supporter mask is set iff ballot i ranks it
+        # first or approves it; a repeated ballot object sets its bit each
+        # time, and a profile with no ballots has no supporters.
+        def definition(prof, c):
+            cid = prof.candidate_ids[c]
+            return sum(1 << i for i, b in enumerate(prof.ballots)
+                       if (b.order[0] == cid if b.order is not None else cid in b.approvals))
+
+        ids = [f"c{i}" for i in range(300)]
+        cands = tuple(map(Candidate, ids))
+        orders = [linear(*ids[i:], *ids[:i]) for i in (0, 299, 1, 256, 44)]
+        sets = [approval(ids[i::j]) for i, j in ((0, 1), (299, 2), (1, 7), (3, 256))]
+        for ballots in ([orders[i % 5] for i in range(41)], [sets[i * i % 4] for i in range(37)],
+                        [approval([])] * 3, []):
+            prof = Profile(cands, ballots)
+            assert prof.supporters == tuple(definition(prof, c) for c in range(300))
 
 
 class TestMargins:
@@ -253,6 +271,6 @@ class TestSystemE:
         def elect(prof, votes):
             return _mask_ids(prof, _elect(VotingRule.SYSTEM_E, prof, prof.everyone, votes))
         prof = e_profile((0, 1, 2, 3), ("x", "y"), [["x"], ["x"], ["y"]])
-        assert elect(prof, (2,)) == {"s1", "y"}
+        assert elect(prof, 0b100) == {"s1", "y"}
         prof = e_profile((0, 2), ("x", "y"), [["x"], ["x"], ["y"]])
-        assert elect(prof, (2,)) == {"y"}
+        assert elect(prof, 0b100) == {"y"}

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import sys
 
 import pytest
 
@@ -251,6 +252,23 @@ class TestErrors:
     def test_not_json(self):
         with pytest.raises(FormatError):
             parse_instance("{nope")
+
+    def test_integer_past_the_digit_limit(self):
+        # json.loads raises a plain ValueError, not a JSONDecodeError, for an
+        # integer literal longer than the interpreter converts (4,300 digits
+        # by default; Python 3.10.7 and later).
+        nines = "9" * 5000
+        instance = '{"format": "electctl/1", "problem": "CCPkV", "k": %s}' % nines
+        witness = ('{"format": "electctl/1", "witness": {"type": "voter_partition", '
+                   '"parts": [[0]]}, "k": %s}' % nines)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            for parse, text in ((parse_instance, instance), (parse_witness, witness)):
+                with pytest.raises(FormatError, match="^not valid JSON: Exceeds the limit"):
+                    parse(text)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_unknown_problem_or_rule(self):
         for key, value in (("problem", "CCXYZ"), ("rule", "borda")):

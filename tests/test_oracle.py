@@ -23,7 +23,7 @@ from electctl import (
 )
 from electctl.oracle import _bipartitions, _candidate_witnesses, _k_partitions
 from electctl.two_stage import _public_witness
-from pab import PAB, profile
+from pab import PAB, members, profile
 
 
 class TestEnumeration:
@@ -59,7 +59,7 @@ class TestEnumeration:
         assert len(list(_k_partitions(0, 2))) == 1
         for parts in _k_partitions(4, 3):
             assert len(parts) == 3
-            assert sorted(i for p in parts for i in p) == list(range(4))
+            assert sorted(i for p in parts for i in members(p)) == list(range(4))
 
 
 def with_complement(n, firsts):
@@ -133,7 +133,8 @@ class TestEnumerationOrder:
                            for i, lab in enumerate(labels)):
                         want.append(tuple(tuple(i for i in range(n) if labels[i] == part)
                                           for part in range(k)))
-                assert list(_k_partitions(n, k)) == want, (n, k)
+                got = [tuple(map(members, parts)) for parts in _k_partitions(n, k)]
+                assert got == want, (n, k)
 
     def test_ccpvg_selects_among_all_but_the_first_group(self):
         for n_groups in range(5):
@@ -304,7 +305,7 @@ class TestOracle:
             for k in (max(n + 1, 2), n + 3):
                 inst = ControlInstance(problem=Problem.CCPKV, rule=rule,
                                        profile=prof, p="p", tie=tie, k=k)
-                parts = [VoterPartition(w) for w in _k_partitions(n, k)]
+                parts = [VoterPartition(map(members, w)) for w in _k_partitions(n, k)]
                 first = next((i for i, w in enumerate(parts, 1)
                               if verify_witness(inst, w)), None)
                 d = oracle_solve(inst)

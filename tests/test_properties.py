@@ -57,12 +57,15 @@ from electctl.oracle import (
 )
 from electctl.two_stage import (
     FINAL_MEMO_SIZE,
+    MASK_SHARE,
     TAKES,
+    _compile,
     _public_witness,
     _replay,
     final_round,
     finalists_voter_partition,
 )
+from pab import members
 
 IDS = ("p", "a", "b", "c")
 
@@ -286,8 +289,13 @@ def rule_profile_subset(draw):
         ballots = [linear(*draw(st.permutations(ids))) for _ in range(n_voters)]
     among = draw(st.sets(st.sampled_from(ids), min_size=1))
     kept = draw(st.lists(st.booleans(), min_size=n_voters, max_size=n_voters))
-    votes = tuple(i for i, keep in enumerate(kept) if keep)
+    votes = sum(1 << i for i, keep in enumerate(kept) if keep)
     return rule, Profile(cands, tuple(ballots)), among, votes
+
+
+def ballots_of(prof, mask):
+    """The ballots of ``prof`` whose bits are set in ``mask``, in order."""
+    return tuple(b for i, b in enumerate(prof.ballots) if mask >> i & 1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -295,9 +303,24 @@ def rule_profile_subset(draw):
 def test_winners_among_equals_restricted_election(case):
     rule, prof, among, votes = case
     assert winners(rule, prof, among) == winners(rule, restrict_profile(prof, among))
-    voting = tuple(prof.ballots[i] for i in votes)
+    voting = ballots_of(prof, votes)
     assert (_mask_ids(prof, _elect(rule, prof, _id_mask(prof, among), votes))
             == winners(rule, Profile(prof.candidates, voting), among))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rule_profile_subset(), st.data())
+def test_elect_on_a_ballot_mask_equals_the_election_of_its_ballots(case, data):
+    # Any mask of the ballots, drawn as an int, votes as the profile of its
+    # ballots does, and so does the index tuple of its ballots; None votes
+    # as every ballot does.
+    rule, prof, among, _ = case
+    mask = data.draw(st.integers(0, (1 << len(prof.ballots)) - 1))
+    between = _id_mask(prof, among)
+    voting = winners(rule, Profile(prof.candidates, ballots_of(prof, mask)), among)
+    assert _mask_ids(prof, _elect(rule, prof, between, mask)) == voting
+    assert _mask_ids(prof, _elect(rule, prof, between, members(mask))) == voting
+    assert _mask_ids(prof, _elect(rule, prof, between, None)) == winners(rule, prof, among)
 
 
 def test_winners_among_rejects_empty_or_unknown_subsets():
@@ -414,29 +437,61 @@ def test_replay_equals_naive_two_stage_evaluation(case):
     assert replay(inst, w) == naive_replay(inst, w)
 
 
+@pytest.mark.parametrize("rule", list(VotingRule))
+def test_small_voter_parts_elect_on_their_own_ballots(rule):
+    # A part of fewer than 1/MASK_SHARE of the ballots compiles to its index
+    # tuple, whose ballots ``_elect`` counts one by one; next to a part
+    # compiled to its mask and to empty parts, the replay, the public
+    # two-stage run and the witness compiled back equal the definition.
+    for seed in range(40):
+        rng = random.Random(seed)
+        k = rng.randint(3, 10)
+        inst = random_instance(rng, Problem.CCPKV, rule, rng.choice(list(TieRule)),
+                               n_candidates=rng.randint(1, 4),
+                               n_voters=rng.randint(2 * MASK_SHARE, 40), k=k,
+                               with_specials=rule is VotingRule.SYSTEM_E)
+        n = len(inst.profile.ballots)
+        owner = [0 if k == 3 or rng.random() < 0.6 else rng.randrange(1, k - 2)
+                 for _ in range(n)]
+        owner[rng.randrange(n)] = k - 2  # one ballot alone; part k - 1 stays empty
+        w = VoterPartition(tuple(tuple(i for i in range(n) if owner[i] == part)
+                                 for part in range(k)))
+        compiled = _compile(inst, w)
+        assert {type(part) for part in compiled if part} == {int, tuple}, (seed, w)
+        assert replay(inst, w) == naive_replay(inst, w), (seed, w)
+        assert finalists_voter_partition(rule, inst.tie, inst.profile, w.parts) == \
+            naive_replay(inst, w)[0]
+        assert _public_witness(inst, compiled) == w
+
+
 # ------------------------------------------- compiled oracle against a reference
 
 def reference_witnesses(inst):
     """The oracle's witnesses in its order, each built as a witness object
-    from the enumerators (whose order ``test_oracle`` pins)."""
+    from the enumerators (whose order ``test_oracle`` pins), whose subsets
+    are bitmasks."""
     prob, prof = inst.problem, inst.profile
     nv, ids = len(prof.ballots), prof.candidate_ids
     if prob is Problem.CCPV:
-        return [VoterPartition(parts) for parts in _bipartitions(nv)]
+        return [VoterPartition(map(members, parts)) for parts in _bipartitions(nv)]
     if prob is Problem.CCEPV:
         return [VoterPartition(parts) for parts in enumerate_equipartitions(nv)]
     if prob is Problem.CCPKV:
-        return [VoterPartition(parts) for parts in _k_partitions(nv, inst.k)]
-    if prob in (Problem.CCRPC, Problem.CCREPC):
-        halves = (enumerate_equipartitions if prob is Problem.CCREPC else _bipartitions)(len(ids))
-        return [CandidatePartition({ids[i] for i in a}, {ids[i] for i in b}) for a, b in halves]
+        return [VoterPartition(map(members, parts)) for parts in _k_partitions(nv, inst.k)]
+    if prob is Problem.CCREPC:
+        return [CandidatePartition({ids[i] for i in a}, {ids[i] for i in b})
+                for a, b in enumerate_equipartitions(len(ids))]
+    if prob is Problem.CCRPC:
+        return [CandidatePartition({ids[i] for i in members(a)}, {ids[i] for i in members(b)})
+                for a, b in _bipartitions(len(ids))]
     labels = [lab for lab, _ in inst.groups]
     if prob is Problem.CCPVG:  # the first group stays in part one
-        return [GroupSelection({labels[1:][i] for i in chosen})
+        return [GroupSelection({labels[1:][i] for i in members(chosen)})
                 for chosen, _ in _subsets(len(labels[1:]))]
     sizes = [len(idx) for _, idx in inst.groups]
-    return [GroupSelection({labels[i] for i in chosen}) for chosen, _ in _subsets(len(labels))
-            if sum(sizes[i] for i in chosen) <= inst.limit]
+    return [GroupSelection({labels[i] for i in members(chosen)})
+            for chosen, _ in _subsets(len(labels))
+            if sum(sizes[i] for i in members(chosen)) <= inst.limit]
 
 
 def reference_solve(inst, budget):
@@ -466,6 +521,30 @@ def test_compiled_oracle_equals_reference_oracle(inst, budget):
         finalists, won = _replay(inst, cw)
         core = None if finalists is None else _mask_ids(prof, finalists), _mask_ids(prof, won)
         assert core == replay(inst, w) == naive_replay(inst, w)
+
+
+@pytest.mark.parametrize("problem", [p for p in Problem
+                                     if p not in (Problem.CCRPC, Problem.CCREPC)],
+                         ids=lambda p: p.value)
+def test_public_witness_inverts_compile_on_the_oracles_witnesses(problem):
+    # Each witness the oracle enumerates, read as a witness from outside,
+    # compiles to a form that _public_witness turns back into it: voter
+    # parts through ballot masks (CCPkV's padded back to k parts), group
+    # selections through group index tuples.
+    takes = TAKES[problem]
+    for seed in range(40):
+        rng = random.Random(seed)
+        rule = rng.choice(list(VotingRule))
+        inst = random_instance(
+            rng, problem, rule, rng.choice(list(TieRule)) if "tie" in takes else None,
+            n_candidates=rng.randint(1, 3), n_voters=rng.randint(0, 6),
+            k=rng.randint(2, 4) if "k" in takes else None,
+            limit=rng.randint(0, 4) if "limit" in takes else None,
+            pool_size=rng.randint(0, 6) if "pool" in takes else None,
+            with_specials=rule is VotingRule.SYSTEM_E)
+        for cw in _candidate_witnesses(inst):
+            w = _public_witness(inst, cw)
+            assert _public_witness(inst, _compile(inst, w)) == w, (seed, w)
 
 
 def test_final_round_memo_tells_rules_apart():

@@ -1,5 +1,6 @@
 """The packed rank columns behind plurality among a candidate subset and the
-Condorcet family's pairwise margins, tested against the definitions."""
+Condorcet family's pairwise margins, and the top-choice masks built from the
+same fields, tested against the definitions."""
 
 import sys
 import tracemalloc
@@ -21,6 +22,7 @@ from electctl.elections import (
     _mask_ids,
     _rank_columns,
     _standing_masks,
+    _top_masks,
     pairwise_margins,
 )
 
@@ -31,7 +33,8 @@ IDS = ("p", "a", "b", "c", "d")
 def profile_and_votes(draw, max_candidates=5):
     """A linear profile of 0-8 ballots (equal ones often) and the ``votes``
     of one election on it: None, distinct indices, indices with repeats,
-    or none at all."""
+    or none at all. The tests read them as the ballot mask of the indices
+    (see ``vote_mask``)."""
     ids = IDS[:draw(st.integers(1, max_candidates))]
     orders = draw(st.lists(st.permutations(ids), max_size=8))
     prof = Profile(tuple(map(Candidate, ids)), tuple(linear(*o) for o in orders))
@@ -45,8 +48,16 @@ def profile_and_votes(draw, max_candidates=5):
     return prof, votes
 
 
+def vote_mask(votes):
+    """The ballot mask of drawn ``votes``, a repeated index once (None: all
+    ballots)."""
+    return None if votes is None else sum(1 << i for i in set(votes))
+
+
 def voting_orders(prof, votes):
-    ballots = prof.ballots if votes is None else [prof.ballots[i] for i in votes]
+    """The orders of the ballots in the mask ``votes``, in ballot order."""
+    ballots = prof.ballots if votes is None else [
+        b for i, b in enumerate(prof.ballots) if votes >> i & 1]
     return [b.order for b in ballots]
 
 
@@ -61,7 +72,7 @@ def nonempty_subsets(ids):
 @settings(max_examples=250, deadline=None)
 @given(profile_and_votes())
 def test_elect_among_every_subset_equals_the_definition(case):
-    prof, votes = case
+    prof, votes = case[0], vote_mask(case[1])
     orders = voting_orders(prof, votes)
     voting = Profile(prof.candidates, tuple(linear(*o) for o in orders))
     for among in nonempty_subsets(prof.candidate_ids):
@@ -83,7 +94,7 @@ def test_elect_among_every_subset_equals_the_definition(case):
 @settings(max_examples=200, deadline=None)
 @given(profile_and_votes())
 def test_margins_and_standing_masks_equal_the_definition(case):
-    prof, votes = case
+    prof, votes = case[0], vote_mask(case[1])
     orders = voting_orders(prof, votes)
     ids = prof.candidate_ids
     packed = _columns(prof, votes)
@@ -168,11 +179,34 @@ def test_columns_read_little_endian_on_either_byte_order(monkeypatch):
         assert (columns == native_columns) == (width == 1)
 
 
+def top_mask_definition(tops, c):
+    return sum(1 << i for i, top in enumerate(tops) if top == c)
+
+
+def test_top_masks_equal_the_definition_on_either_byte_order(monkeypatch):
+    # One-, two- and four-byte fields; on a host of the other byte order the
+    # fields are swapped before the planes are read, so skipping the swap
+    # would match a two-byte top against each candidate's bytes reversed.
+    for m in (1, 3, 256, 300, 32_769):
+        tops = tuple((7 * i * i + i) % m for i in range(40)) + (m - 1, 0, m - 1)
+        assert _top_masks(tops, m) == tuple(top_mask_definition(tops, c) for c in range(m))
+        assert _top_masks((), m) == (0,) * m
+    other = "big" if sys.byteorder == "little" else "little"
+    tops = (0, 299, 1, 256, 44, 1, 299, 258)
+    with monkeypatch.context() as patch:
+        patch.setattr("electctl.elections.sys", SimpleNamespace(byteorder=other))
+        swapped = _top_masks(tops, 300)
+        assert _top_masks((0, 2, 1, 2), 3) == tuple(top_mask_definition((0, 2, 1, 2), c)
+                                                    for c in range(3))
+    assert swapped == tuple(top_mask_definition(tops, (c & 255) << 8 | c >> 8)
+                            for c in range(300))
+
+
 def test_no_ballots_pack_to_empty_columns():
     empty = Profile(tuple(map(Candidate, ("p", "a", "b"))))
     assert empty.columns == ((0, 0, 0), 0)
     prof = Profile(tuple(map(Candidate, ("p", "a"))), (linear("p", "a"), linear("a", "p")))
-    packed = _columns(prof, [])
+    packed = _columns(prof, 0)
     assert packed == ((0, 0), 0)
     assert _margin(*packed, 0, 1) == _margin(*packed, 1, 0) == 0
     # Nobody votes: every margin is 0, so only weakCondorcet keeps a rival.
@@ -194,7 +228,7 @@ def test_a_shared_ballot_object_packs_like_equal_copies(case):
     # The profiles drawn hold equal ballots as distinct objects; here each
     # order becomes one object, so a repeat copies the fields of its first
     # occurrence (in REPEATED, not those of ballot 0).
-    prof, votes = case
+    prof, votes = case[0], vote_mask(case[1])
     shared = {b.order: b for b in prof.ballots}
     one = Profile(prof.candidates, tuple(shared[b.order] for b in prof.ballots))
     assert one.columns == prof.columns
