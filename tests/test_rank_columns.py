@@ -2,6 +2,7 @@
 Condorcet family's pairwise margins, and the top-choice masks built from the
 same fields, tested against the definitions."""
 
+import random
 import sys
 import tracemalloc
 from array import array
@@ -89,6 +90,31 @@ def test_elect_among_every_subset_equals_the_definition(case):
                 if all(above_count(orders, a, c) - above_count(orders, c, a) >= least
                        for c in among if c != a))
             assert _mask_ids(prof, _elect(rule, prof, mask, votes)) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.integers(9, 24), st.integers(65, 140)), st.integers(1, 7),
+       st.randoms(use_true_random=False))
+def test_condorcet_elections_across_mask_bytes_equal_the_definition(m, n, rng):
+    # All ballots voting, an election reads two nibble tables per nonzero
+    # byte of among, so past 8 candidates among spans several bytes, and
+    # the sparse masks have zero bytes to skip. Every among is elected
+    # twice, so the tables are read back after they are built.
+    ids = [f"c{i}" for i in range(m)]
+    orders = [rng.sample(ids, m) for _ in range(n)]
+    prof = Profile(tuple(map(Candidate, ids)), tuple(linear(*o) for o in orders))
+    ranks = [[o.index(cid) for cid in ids] for o in orders]
+    margin = [[sum(1 if r[a] < r[c] else -1 for r in ranks) for c in range(m)] for a in range(m)]
+    amongs = [1 << rng.randrange(m), 1 << m - 1, 1 | 1 << m - 1, prof.everyone]
+    amongs += [rng.getrandbits(m) | 1 << rng.randrange(m) for _ in range(15)]
+    amongs += [rng.getrandbits(m) & rng.getrandbits(m) & rng.getrandbits(m)
+               | 1 << rng.randrange(m) for _ in range(15)]
+    for rule, least in ((VotingRule.CONDORCET, 1), (VotingRule.WEAK_CONDORCET, 0)):
+        for among in amongs + amongs:
+            members = [a for a in range(m) if among >> a & 1]
+            expected = sum(1 << a for a in members
+                           if all(margin[a][c] >= least for c in members if c != a))
+            assert _elect(rule, prof, among, None) == expected, (rule, among)
 
 
 @settings(max_examples=200, deadline=None)
@@ -273,6 +299,32 @@ def test_condorcet_masks_stay_small_on_a_thousand_candidates():
     # Ballots 1-5 rank c5 above p and the other five p above c5: a tie.
     assert _elect(VotingRule.WEAK_CONDORCET, prof, _id_mask(prof, ("p", "c5")), None) == 0b100001
     assert _elect(VotingRule.CONDORCET, prof, _id_mask(prof, ("p", "c5")), None) == 0
+    # Seeded random orders: the nibble table entries are wide ints, not the
+    # rotations' shared 0. The bound holds with the tables of both rules
+    # built and every byte value of every byte of a candidate mask elected.
+    rng = random.Random(1)
+    prof = Profile(prof.candidates, tuple(linear(*rng.sample(ids, 1000)) for _ in range(10)))
+    pairs = [(a, 999 - a) for a in range(0, 500, 7)]
+    between = {}
+    tracemalloc.start()
+    try:
+        won = _elect(VotingRule.WEAK_CONDORCET, prof, prof.everyone, None)
+        for rule in (VotingRule.WEAK_CONDORCET, VotingRule.CONDORCET):
+            between[rule] = [_elect(rule, prof, 1 << a | 1 << c, None) for a, c in pairs]
+            for k in range(0, 1000, 8):
+                for b in range(1, 256):
+                    _elect(rule, prof, b << k, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20, peak
+    assert won == 0  # nobody ties or beats all 999 rivals
+    columns, guard = prof.columns
+    margins = [_margin(columns, guard, a, c) for a, c in pairs]
+    assert between[VotingRule.WEAK_CONDORCET] == [
+        (margin >= 0) << a | (margin <= 0) << c for margin, (a, c) in zip(margins, pairs)]
+    assert between[VotingRule.CONDORCET] == [
+        (margin > 0) << a | (margin < 0) << c for margin, (a, c) in zip(margins, pairs)]
 
 
 def test_columns_of_a_thousand_distinct_ballots_stay_small():

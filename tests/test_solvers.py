@@ -91,8 +91,9 @@ class TestEquipartitionSolver:
         assert d.answer == oracle_solve(inst).answer == "no"
 
     def test_final_is_a_plurality_election_not_a_margin_lookup(self):
-        # The p-versus-c final goes through final_round(); the Condorcet
-        # family's standing masks are never built for a plurality instance.
+        # The p-versus-c final goes through final_round(); ``_standing``,
+        # which holds the Condorcet family's nibble tables (built from the
+        # standing masks), is never built for a plurality instance.
         for tops in (("p", "p", "a", "a", "b"), ("p", "a", "a", "b")):
             inst = ccepv(profile(*tops))
             solve_plurality_ccepv_te(inst)
