@@ -147,8 +147,9 @@ def _candidate_witnesses(instance: ControlInstance) -> Iterator[Compiled]:
 
 def oracle_solve(instance: ControlInstance, budget: int = DEFAULT_BUDGET) -> Decision:
     """Decide the instance by exhaustive witness enumeration, examining at
-    most ``budget`` witnesses (``ValueError`` if negative). Witnesses are
-    enumerated and replayed compiled; only the one returned is built."""
+    most ``budget`` witnesses (``ValueError`` if negative). Each is enumerated
+    compiled and passed once to ``verify_witness``, whose accept test rejects
+    it as soon as p cannot reach the final; only the one returned is built."""
     if budget < 0:
         raise ValueError(f"budget must be at least 0, got {budget}")
     examined = 0

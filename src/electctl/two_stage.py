@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .elections import (
     Profile,
@@ -198,6 +198,19 @@ class ControlInstance:
         return {}
 
     @cached_property
+    def _accept(self) -> Callable[[ControlInstance, tuple], bool]:
+        """The accept test: ``verify_witness`` on (instance, compiled witness),
+        dispatched once. It holds no instance, lest a cycle keep the profile."""
+        target = 1 << self.profile.index[self.p]
+        stage = _stage_one(self)
+        if stage is None:
+            return lambda inst, w: _replay(inst, w)[1] == target
+        def accept(inst: ControlInstance, w: tuple) -> bool:
+            finalists = stage(inst, w, target)
+            return finalists & target != 0 and final_round(inst, finalists) == target
+        return accept
+
+    @cached_property
     def electorate(self) -> Profile:
         """The election's ballots followed by the pool's: every CCAVG
         addition elects from this profile."""
@@ -250,9 +263,9 @@ def _candidate_sides(profile: Profile, c1: Iterable[str], c2: Iterable[str]) -> 
 # own loop: a shared one over a generator of winners cost the oracle about
 # 10% on small voter and candidate partitions.
 
-def _voter_finalists(rule: VotingRule, tie: TieRule, profile: Profile,
+def _voter_finalists(rule: VotingRule, te: bool, profile: Profile,
                      parts: Iterable[int | tuple[int, ...]]) -> int:
-    te, everyone = tie is TieRule.TE, profile.everyone
+    everyone = profile.everyone
     finalists = 0
     for part in parts:
         won = _elect(rule, profile, everyone, part)
@@ -261,15 +274,21 @@ def _voter_finalists(rule: VotingRule, tie: TieRule, profile: Profile,
     return finalists
 
 
-def _candidate_finalists(rule: VotingRule, tie: TieRule, profile: Profile,
-                         sides: Iterable[int]) -> int:
-    te = tie is TieRule.TE
+def _candidate_finalists(rule: VotingRule, te: bool, profile: Profile,
+                         sides: Sequence[int], need: int = 0) -> int:
+    # With ``need``, a candidate's bit, its side goes first and must promote it.
+    if sides[1] & need:
+        sides = sides[::-1]
     finalists = 0
     for side in sides:
         if side:
             won = _elect(rule, profile, side, None)
-            if not (te and won & (won - 1)):
-                finalists |= won
+            if side & need:  # the needed candidate's side
+                if (won != need if te else not won & need):
+                    return 0
+            elif te and won & (won - 1):
+                continue
+            finalists |= won
     return finalists
 
 
@@ -309,11 +328,10 @@ def _group_winners(instance: ControlInstance, groups: Iterable[int]) -> int:
     return _elect(rule, profile, profile.everyone, _group_votes(instance, groups))
 
 
-# The most finals one instance remembers; a full memo is emptied. Under TP
-# one enumeration can meet tens of thousands of finalist sets (80,555 on
-# the weakCondorcet K_{3,3}, k=2 reduction), but it meets them close
-# together: on every benchmark workload 64 entries hit within 0.5 points
-# as often as an unbounded memo (see README).
+# The most finals one instance remembers; a full memo is emptied. A final
+# is asked only when p is a finalist: one round (seed 1) asks 492 on
+# ``hardness`` (68% remembered) and 4,190 on ``sweep`` (95%); on every
+# workload 64 entries hit as often as an unbounded memo (see README).
 FINAL_MEMO_SIZE = 64
 
 
@@ -334,7 +352,20 @@ def final_round(instance: ControlInstance, finalists: int) -> int:
 
 
 _CANDIDATE_PROBLEMS = (Problem.CCRPC, Problem.CCREPC)
-_GROUP_PROBLEMS = (Problem.CCPVG, Problem.CCDVG, Problem.CCAVG)
+
+
+def _stage_one(instance: ControlInstance) -> Callable[[ControlInstance, tuple, int], int] | None:
+    """The instance's stage one (None for CCDVG, CCAVG), holding no instance: the
+    finalists of (instance, compiled witness, ``need``), or 0 once bit ``need`` cannot be one."""
+    prob = instance.problem
+    if prob in (Problem.CCDVG, Problem.CCAVG):
+        return None
+    rule, profile, te = instance.rule, instance.profile, instance.tie is TieRule.TE
+    if prob in _CANDIDATE_PROBLEMS:
+        return lambda _, w, need: _candidate_finalists(rule, te, profile, w, need)
+    if prob is Problem.CCPVG:
+        return lambda inst, w, _: _group_finalists(inst, w)
+    return lambda _, w, __: _voter_finalists(rule, te, profile, w)
 
 
 def _replay(instance: ControlInstance, w: tuple) -> tuple[int | None, int]:
@@ -343,21 +374,16 @@ def _replay(instance: ControlInstance, w: tuple) -> tuple[int | None, int]:
     side masks; for a voter partition its parts, each a ballot mask or
     (see ``_voter_parts``) an index tuple; for the group problems tuples of
     group indices: a CCPVG split's two parts, the groups a CCDVG deletion keeps, the pool groups
-    a CCAVG addition adds."""
-    prob, rule, profile = instance.problem, instance.rule, instance.profile
-    if prob in _CANDIDATE_PROBLEMS:
-        finalists = _candidate_finalists(rule, instance.tie, profile, w)
-    elif prob in _GROUP_PROBLEMS:
-        if prob is Problem.CCDVG:
-            return None, _group_winners(instance, w)
-        if prob is Problem.CCAVG:
-            n = len(profile.ballots)  # all of the election's ballots, then the pool's
-            votes = (1 << n) - 1 | _group_votes(instance, w) << n
-            return None, _elect(rule, instance.electorate, profile.everyone, votes)
-        finalists = _group_finalists(instance, w)
-    else:
-        finalists = _voter_finalists(rule, instance.tie, profile, w)
-    return finalists, final_round(instance, finalists)
+    a CCAVG addition adds. It runs every stage; ``ControlInstance._accept`` need not."""
+    stage = _stage_one(instance)
+    if stage is not None:
+        finalists = stage(instance, w, 0)
+        return finalists, final_round(instance, finalists)
+    if instance.problem is Problem.CCDVG:
+        return None, _group_winners(instance, w)
+    n = len(instance.profile.ballots)  # all of the election's ballots, then the pool's
+    votes = (1 << n) - 1 | _group_votes(instance, w) << n
+    return None, _elect(instance.rule, instance.electorate, instance.profile.everyone, votes)
 
 
 # The public entry points check their input and compile it for the core.
@@ -372,7 +398,7 @@ def finalists_voter_partition(
     _check_kind(rule, profile)
     n = len(profile.ballots)
     parts = _voter_parts(n, _check_parts(n, parts))
-    return _mask_ids(profile, _voter_finalists(rule, tie, profile, parts))
+    return _mask_ids(profile, _voter_finalists(rule, tie is TieRule.TE, profile, parts))
 
 
 def run_two_stage_voter_partition(
@@ -400,7 +426,7 @@ def run_two_stage_candidate_partition(
     """
     _check_kind(rule, profile)
     sides = _candidate_sides(profile, c1, c2)
-    finalists = _mask_ids(profile, _candidate_finalists(rule, tie, profile, sides))
+    finalists = _mask_ids(profile, _candidate_finalists(rule, tie is TieRule.TE, profile, sides))
     return winners(rule, profile, finalists) if finalists else finalists
 
 
@@ -503,9 +529,12 @@ class Compiled(tuple):
 
 def verify_witness(instance: ControlInstance, w: Witness | Compiled) -> bool:
     """True iff ``replay`` accepts the witness's side conditions and the
-    distinguished candidate is the sole final winner."""
+    distinguished candidate is the sole final winner. The compiled witness
+    goes to the accept test (``ControlInstance._accept``): as final winners
+    are finalists, it rejects with no final when stage one leaves p out, or
+    when p's side of a candidate partition, elected first, does not promote p."""
     if type(w) is not Compiled:
         w = _compile(instance, w)
         if w is None:
             return False
-    return _replay(instance, w)[1] == 1 << instance.profile.index[instance.p]
+    return instance._accept(instance, w)

@@ -1,5 +1,6 @@
 """Unit tests for the exhaustive-enumeration oracle."""
 
+import random
 import signal
 from itertools import combinations, product
 from math import comb
@@ -21,8 +22,10 @@ from electctl import (
     oracle_solve,
     verify_witness,
 )
+from electctl import oracle
+from electctl.generate import random_instance
 from electctl.oracle import _bipartitions, _candidate_witnesses, _k_partitions
-from electctl.two_stage import _public_witness
+from electctl.two_stage import TAKES, _public_witness
 from pab import PAB, members, profile
 
 
@@ -311,3 +314,25 @@ class TestOracle:
                 d = oracle_solve(inst)
                 assert d.stats["cases"] == (first or len(parts)), (prof, k)
                 assert d.witness == (first and parts[first - 1]), (prof, k)
+
+
+@pytest.mark.parametrize("problem", list(Problem), ids=lambda p: p.value)
+def test_a_no_calls_verify_witness_once_per_case(problem, monkeypatch):
+    # The oracle hands each witness it examines to verify_witness once, so
+    # a "no" makes exactly ``cases`` calls; a tracer that counts replays by
+    # wrapping verify_witness relies on it.
+    takes, rng = TAKES[problem], random.Random(problem.value)
+    while True:
+        inst = random_instance(
+            rng, problem, VotingRule.PLURALITY, TieRule.TE if "tie" in takes else None,
+            n_candidates=4, n_voters=5, k=3 if "k" in takes else None,
+            limit=2 if "limit" in takes else None, pool_size=4 if "pool" in takes else None)
+        d = oracle_solve(inst)
+        if d.answer == "no" and d.stats["cases"] > 1:
+            break
+    calls = []
+    real = oracle.verify_witness
+    monkeypatch.setattr(oracle, "verify_witness",
+                        lambda instance, w: calls.append(w) or real(instance, w))
+    assert oracle_solve(inst) == d
+    assert len(calls) == d.stats["cases"]

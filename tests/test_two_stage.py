@@ -1,5 +1,11 @@
 """Unit tests for two-stage partition elections and witness verification."""
 
+import gc
+import random
+import weakref
+from dataclasses import replace
+from itertools import product
+
 import pytest
 
 from electctl import (
@@ -19,8 +25,10 @@ from electctl import (
     run_two_stage_voter_partition,
     verify_witness,
 )
+from electctl.generate import random_instance
 from electctl.instance_io import parse_instance, serialize_instance, witness_to_dict
-from electctl.oracle import oracle_solve
+from electctl.oracle import _candidate_witnesses, oracle_solve
+from electctl.two_stage import TAKES, _compile, _replay
 from pab import PAB, lex, profile
 
 
@@ -347,3 +355,94 @@ class TestVerifyWitness:
         assert verify_witness(inst, GroupSelection(frozenset({"h2"})))
         assert verify_witness(inst, GroupSelection(frozenset({"h1"}))) is False
         assert verify_witness(inst, GroupSelection(frozenset())) is False
+
+
+# ------------------------------------------------------------ the accept test
+
+def draw_instance(rng, problem, rule, tie):
+    """A ``random_instance`` of 1-6 candidates (plus the four specials under
+    system E) and 0-8 ballots whose distinguished candidate is any of them,
+    so that p's side of a candidate partition is sometimes the second."""
+    takes = TAKES[problem]
+    inst = random_instance(
+        rng, problem, rule, tie, n_candidates=rng.randint(1, 6), n_voters=rng.randint(0, 8),
+        k=rng.randint(2, 4) if "k" in takes else None,
+        limit=rng.randint(0, 4) if "limit" in takes else None,
+        pool_size=rng.randint(0, 6) if "pool" in takes else None,
+        with_specials=rule is VotingRule.SYSTEM_E)
+    return replace(inst, p=rng.choice(inst.profile.candidate_ids))
+
+
+def outside_witnesses(rng, inst):
+    """Witnesses as from outside: candidate partitions with either side
+    empty or random, random voter partitions (some unbalanced, some with
+    empty parts, some splitting a CCPVG group) and group selections."""
+    prob, ids = inst.problem, set(inst.profile.candidate_ids)
+    if prob in (Problem.CCRPC, Problem.CCREPC):
+        for c1 in (set(), ids, {c for c in ids if rng.random() < 0.5}):
+            yield CandidatePartition(c1, ids - c1)
+        return
+    if inst.groups is not None:
+        for _ in range(3):
+            yield GroupSelection({lab for lab, _ in inst.groups if rng.random() < 0.5})
+    if prob not in (Problem.CCDVG, Problem.CCAVG):
+        size = inst.k if prob is Problem.CCPKV else 2
+        for _ in range(3):
+            parts = [[] for _ in range(size)]
+            for i in range(len(inst.profile.ballots)):
+                parts[rng.randrange(size)].append(i)
+            yield VoterPartition(parts)
+
+
+def test_accept_test_agrees_with_the_full_replay():
+    # verify_witness stops as soon as p cannot reach the final; it must
+    # still say what the full replay says, on every witness the oracle
+    # enumerates and on witnesses from outside, for every problem, rule and
+    # tie rule. One-candidate system-E finals and ballotless Condorcet
+    # finals elect nobody, so a finalist set of p alone is no "yes".
+    rng = random.Random("accept test")
+    draws = 0
+    for problem, rule in product(Problem, VotingRule):
+        for tie in TieRule if "tie" in TAKES[problem] else (None,):
+            for _ in range(8):
+                inst = draw_instance(rng, problem, rule, tie)
+                target = 1 << inst.profile.index[inst.p]
+                for w in _candidate_witnesses(inst):
+                    assert verify_witness(inst, w) == (_replay(inst, w)[1] == target), (inst, w)
+                for w in outside_witnesses(rng, inst):
+                    cw = _compile(inst, w)
+                    want = cw is not None and _replay(inst, cw)[1] == target
+                    assert verify_witness(inst, w) == want, (inst, w)
+                draws += 1
+    assert draws == 8 * 5 * (6 * 2 + 2)
+
+
+def test_a_te_tie_on_p_side_promotes_nobody():
+    # On p's side {p, a}, p and a have two first places each, so TE promotes
+    # neither and b, promoted from {b}, wins; TP promotes both, and the
+    # final among p, a and b elects p (two first places against one each).
+    prof = Profile(PAB, (linear("p", "a", "b"), linear("p", "a", "b"),
+                         linear("a", "b", "p"), linear("b", "a", "p")))
+    for tie, want in ((TieRule.TE, False), (TieRule.TP, True)):
+        inst = ControlInstance(problem=Problem.CCRPC, rule=VotingRule.PLURALITY,
+                               profile=prof, p="p", tie=tie)
+        for w in (CandidatePartition({"p", "a"}, {"b"}), CandidatePartition({"b"}, {"p", "a"})):
+            assert verify_witness(inst, w) is want, (tie, w)
+
+
+def test_accept_test_holds_no_reference_to_its_instance():
+    # The accept test is cached on its instance; a reference back would
+    # make a cycle that keeps the profile alive until a full collection.
+    rng = random.Random("no cycle")
+    gc.disable()
+    try:
+        for problem in Problem:
+            tie = TieRule.TP if "tie" in TAKES[problem] else None
+            inst = draw_instance(rng, problem, VotingRule.PLURALITY, tie)
+            oracle_solve(inst)
+            assert "_accept" in vars(inst)
+            ref = weakref.ref(inst)
+            del inst
+            assert ref() is None, problem
+    finally:
+        gc.enable()
