@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations, repeat
 from typing import Iterator
 
-from .elections import _indices, _members
+from .elections import _indices
 from .two_stage import (
     NO,
     UNKNOWN,
@@ -31,20 +31,19 @@ DEFAULT_BUDGET = 10_000_000
 
 
 def _subsets(
-    n: int, pin: bool = False, size: int | None = None, start: int = 0
+    n: int, pin: bool = False, size: int | None = None
 ) -> Iterator[tuple[int, int]]:
     """Subsets of range(n) as bitmasks, each with its complement, smallest
     first.
 
     Subsets of one size come in ``itertools.combinations`` order. With
     ``pin`` (and n > 0) every subset holds element 0, so each unordered
-    bipartition appears once. With ``start``, no subset holds an element
-    below it. With ``size``, only subsets of that size (counting a pinned
-    element) are yielded. This order is what fixes the oracle's witnesses
-    and case counts.
+    bipartition appears once. With ``size``, only subsets of that size
+    (counting a pinned element) are yielded. This order is what fixes the
+    oracle's witnesses and case counts.
     """
     pinned = 1 if pin and n else 0  # element 0's bit, and the count it adds
-    free = [1 << i for i in range(max(pinned, start), n)]
+    free = [1 << i for i in range(pinned, n)]
     everything = (1 << n) - 1
     for r in range(len(free) + 1):
         if size is not None and r + pinned != size:
@@ -109,7 +108,9 @@ def _k_partitions(n: int, k: int) -> Iterator[tuple[int, ...]]:
 def _candidate_witnesses(instance: ControlInstance) -> Iterator[Compiled]:
     """The instance's witnesses in the oracle's order, compiled for
     ``two_stage._replay``: candidate sides and voter parts as bitmasks, the
-    group problems' witnesses as group index tuples."""
+    group problems' witnesses as the tuple of the groups they name (a CCPVG
+    split's part 2, the groups a CCDVG deletion deletes or a CCAVG addition
+    adds)."""
     prob = instance.problem
     profile = instance.profile
     nv = len(profile.ballots)
@@ -127,22 +128,22 @@ def _candidate_witnesses(instance: ControlInstance) -> Iterator[Compiled]:
     elif prob is Problem.CCREPC:
         yield from map(Compiled, _equipartitions(len(profile.candidates)))
     elif prob is Problem.CCPVG:
-        # Unordered bipartition of groups: group 0 stays in part one, and
-        # part two is each subset of the others. Both parts are few groups.
-        for chosen, others in _subsets(len(instance.groups), start=1):
-            yield Compiled((tuple(_members(others)), tuple(_members(chosen))))
+        # Unordered bipartition of groups: group 0 stays in part 1, and
+        # part 2, the side a split names, is each subset of the others.
+        others = range(1, len(instance.groups))
+        for r in range(len(others) + 1):
+            yield from map(Compiled, combinations(others, r))
     else:  # CCDVG or CCAVG
-        # A deletion keeps the groups it does not choose; an addition adds
-        # the ones it does. Every group holds a ballot and smaller subsets
+        # Both name the groups they choose: a deletion deletes them, an
+        # addition adds them. Every group holds a ballot and smaller subsets
         # come first, so past ``limit`` groups no subset is within budget.
         sizes = [len(idx) for _, idx in instance.groups]
-        deleting = prob is Problem.CCDVG
-        for chosen, others in _subsets(len(sizes)):
+        for chosen, _ in _subsets(len(sizes)):
             if chosen.bit_count() > instance.limit:
                 return
             members = _indices(chosen)
             if sum(map(sizes.__getitem__, members)) <= instance.limit:
-                yield Compiled(_indices(others) if deleting else members)
+                yield Compiled(members)
 
 
 def oracle_solve(instance: ControlInstance, budget: int = DEFAULT_BUDGET) -> Decision:

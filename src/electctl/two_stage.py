@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain
+from operator import sub
 from typing import Callable, Iterable, Sequence, Union
 
 from .elections import (
@@ -193,6 +194,12 @@ class ControlInstance:
         return tuple(table)
 
     @cached_property
+    def _group_total(self) -> tuple[int, ...]:
+        """Per candidate position, how many grouped ballots rank it first
+        (plurality only): one side's counts are these minus the other's."""
+        return tuple(_group_counts(self, range(len(self.groups))))
+
+    @cached_property
     def _finals(self) -> dict[int, int]:
         """Memo of the final round: finalist mask -> final winners' mask."""
         return {}
@@ -292,14 +299,25 @@ def _candidate_finalists(rule: VotingRule, te: bool, profile: Profile,
     return finalists
 
 
-def _group_finalists(instance: ControlInstance, parts: Iterable[Sequence[int]]) -> int:
+def _group_finalists(instance: ControlInstance, named: Sequence[int]) -> int:
+    # Under TE a part promotes only a sole winner, which plurality reads off
+    # its counts with no tie mask.
     te = instance.tie is TieRule.TE
+    sides = _group_sides(instance, named)
+    if te and instance.rule is VotingRule.PLURALITY:
+        return _sole_top(sides[0]) | _sole_top(sides[1])
     finalists = 0
-    for part in parts:
-        won = _group_winners(instance, part)
+    for votes in sides:
+        won = _side_winners(instance, votes)
         if not (te and won & (won - 1)):
             finalists |= won
     return finalists
+
+
+def _sole_top(counts: Sequence[int]) -> int:
+    """The bit of the one position with the most of ``counts``, or 0 on a tie."""
+    top = max(counts)
+    return 1 << counts.index(top) if counts.count(top) == 1 else 0
 
 
 def _group_counts(instance: ControlInstance, groups: Iterable[int]) -> list[int]:
@@ -318,14 +336,24 @@ def _group_votes(instance: ControlInstance, groups: Iterable[int]) -> int:
                         len(instance.grouped.ballots))
 
 
-def _group_winners(instance: ControlInstance, groups: Iterable[int]) -> int:
-    """The winners among all candidates when the ballots of ``groups`` of
-    the election vote: under plurality from the groups' first places, under
-    any other rule from their ballots."""
-    rule, profile = instance.rule, instance.profile
-    if rule is VotingRule.PLURALITY:
-        return _plurality(_group_counts(instance, groups))
-    return _elect(rule, profile, profile.everyone, _group_votes(instance, groups))
+def _group_sides(instance: ControlInstance, named: Sequence[int]) -> tuple:
+    """The votes of the groups ``named`` and of every other group of the
+    election: under plurality their first-place counts, the other side's
+    the totals minus the named side's; under any other rule their ballot
+    masks, the other side's all ballots' mask XOR the named side's."""
+    if instance.rule is VotingRule.PLURALITY:
+        counts = _group_counts(instance, named)
+        return counts, list(map(sub, instance._group_total, counts))
+    votes = _group_votes(instance, named)
+    return votes, (1 << len(instance.grouped.ballots)) - 1 ^ votes
+
+
+def _side_winners(instance: ControlInstance, votes: list[int] | int) -> int:
+    """The winners among all candidates of one side of ``_group_sides``."""
+    if instance.rule is VotingRule.PLURALITY:
+        return _plurality(votes)
+    profile = instance.profile
+    return _elect(instance.rule, profile, profile.everyone, votes)
 
 
 # The most finals one instance remembers; a full memo is emptied. A final
@@ -372,15 +400,17 @@ def _replay(instance: ControlInstance, w: tuple) -> tuple[int | None, int]:
     """(finalists, final winners) as bitmasks, finalists None for CCDVG and
     CCAVG, of the compiled witness ``w``: for a candidate partition its two
     side masks; for a voter partition its parts, each a ballot mask or
-    (see ``_voter_parts``) an index tuple; for the group problems tuples of
-    group indices: a CCPVG split's two parts, the groups a CCDVG deletion keeps, the pool groups
-    a CCAVG addition adds. It runs every stage; ``ControlInstance._accept`` need not."""
+    (see ``_voter_parts``) an index tuple; for the group problems the tuple
+    of the group indices it names: a CCPVG split's part 2, the groups a
+    CCDVG deletion deletes, the pool groups a CCAVG addition adds. The side
+    it does not name is counted as the totals minus the named side (see
+    ``_group_sides``). It runs every stage; ``ControlInstance._accept`` need not."""
     stage = _stage_one(instance)
     if stage is not None:
         finalists = stage(instance, w, 0)
         return finalists, final_round(instance, finalists)
-    if instance.problem is Problem.CCDVG:
-        return None, _group_winners(instance, w)
+    if instance.problem is Problem.CCDVG:  # the groups it keeps vote
+        return None, _side_winners(instance, _group_sides(instance, w)[1])
     n = len(instance.profile.ballots)  # all of the election's ballots, then the pool's
     votes = (1 << n) - 1 | _group_votes(instance, w) << n
     return None, _elect(instance.rule, instance.electorate, instance.profile.everyone, votes)
@@ -430,17 +460,12 @@ def run_two_stage_candidate_partition(
     return winners(rule, profile, finalists) if finalists else finalists
 
 
-def _group_split(
-    instance: ControlInstance, selected: frozenset[str]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The indices of the groups outside and inside ``selected``."""
+def _group_indices(instance: ControlInstance, selected: frozenset[str]) -> tuple[int, ...]:
+    """The indices of the groups in ``selected``, ascending."""
     unknown = selected.difference(lab for lab, _ in instance.groups)
     if unknown:
         raise ValueError(f"unknown group labels: {sorted(unknown)}")
-    split: tuple[list[int], list[int]] = ([], [])
-    for g, (lab, _) in enumerate(instance.groups):
-        split[lab in selected].append(g)
-    return tuple(split[0]), tuple(split[1])
+    return tuple(g for g, (lab, _) in enumerate(instance.groups) if lab in selected)
 
 
 def _compile(instance: ControlInstance, w: Witness) -> tuple | None:
@@ -448,12 +473,14 @@ def _compile(instance: ControlInstance, w: Witness) -> tuple | None:
     when it breaks the problem's structural side conditions (equipartition
     size bound, group atomicity, selection budget). A witness whose shape
     does not fit the problem family, or that names unknown ballots, groups
-    or candidates, is an error, also when it breaks a side condition."""
+    or candidates, is an error, also when it breaks a side condition. A
+    group witness compiles to the indices of the groups it names: a voter
+    partition of CCPVG to its part 2's."""
     prob, profile = instance.problem, instance.profile
 
     if prob in (Problem.CCPV, Problem.CCEPV, Problem.CCPKV, Problem.CCPVG):
         if prob is Problem.CCPVG and isinstance(w, GroupSelection):
-            return _group_split(instance, w.labels)
+            return _group_indices(instance, w.labels)
         size = instance.k if prob is Problem.CCPKV else 2
         if not isinstance(w, VoterPartition) or len(w.parts) != size:
             raise ValueError(f"{prob.value} needs a {size}-part voter partition witness")
@@ -465,7 +492,7 @@ def _compile(instance: ControlInstance, w: Witness) -> tuple | None:
             return _voter_parts(n, parts)
         # A group on both sides is split; otherwise part 2 selects its groups.
         first, second = ({instance.labels[i] for i in part} for part in parts)
-        return None if first & second else _group_split(instance, frozenset(second))
+        return None if first & second else _group_indices(instance, frozenset(second))
     if prob in _CANDIDATE_PROBLEMS:
         if not isinstance(w, CandidatePartition):
             raise ValueError(f"{prob.value} needs a candidate partition witness")
@@ -475,10 +502,10 @@ def _compile(instance: ControlInstance, w: Witness) -> tuple | None:
         return sides
     if not isinstance(w, GroupSelection):  # CCDVG or CCAVG
         raise ValueError(f"{prob.value} needs a group selection witness")
-    rest, chosen = _group_split(instance, w.labels)
+    chosen = _group_indices(instance, w.labels)
     if sum(len(instance.groups[g][1]) for g in chosen) > instance.limit:
         return None
-    return rest if prob is Problem.CCDVG else chosen
+    return chosen
 
 
 def _public_witness(instance: ControlInstance, w: tuple) -> Witness:
@@ -493,10 +520,6 @@ def _public_witness(instance: ControlInstance, w: tuple) -> Witness:
             parts += ((),) * (instance.k - len(w))
         return VoterPartition(parts)
     labels = [lab for lab, _ in instance.groups]
-    if prob is Problem.CCPVG:
-        return GroupSelection(map(labels.__getitem__, w[1]))
-    if prob is Problem.CCDVG:
-        return GroupSelection(frozenset(labels).difference(map(labels.__getitem__, w)))
     return GroupSelection(map(labels.__getitem__, w))
 
 

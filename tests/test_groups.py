@@ -24,6 +24,7 @@ from electctl import (
     linear,
     oracle_solve,
     replay,
+    verify_witness,
 )
 from electctl.elections import _mask_ids
 from electctl.generate import random_instance
@@ -181,6 +182,118 @@ def test_plurality_group_elections_by_hand():
     assert replay(av, GroupSelection({"g2"})) == (None, {"a"})
 
 
+def edge_instance(prob, rule, tie, ids, orders, labels, limit=None):
+    """An instance of a group problem on the candidates ``ids`` (system E
+    adds its four specials) whose ballots are ``orders``: a linear ballot
+    ranks its order, an approval ballot approves the first of it."""
+    cands = tuple(map(Candidate, ids))
+    if rule is VotingRule.SYSTEM_E:
+        cands += tuple(Candidate(f"s{i}", i) for i in range(4))
+    if rule in (VotingRule.APPROVAL, VotingRule.SYSTEM_E):
+        ballots = tuple(approval(order[:1]) for order in orders)
+    else:
+        ballots = tuple(linear(*order, *(c.id for c in cands if c.id not in order))
+                        for order in orders)
+    return ControlInstance(problem=prob, rule=rule, profile=Profile(cands, ballots), p="p",
+                           tie=tie, limit=limit, labels=labels)
+
+
+def group_edge_cases():
+    """(instance, selection) pairs at the edges of the group problems, for
+    every rule and, for CCPVG, both tie rules."""
+    # In g1, a and b tie for the top; in g2, p leads alone. Under TE the
+    # tied part promotes nobody, so p alone reaches the final.
+    tied = (("a", "b", "p"), ("b", "a", "p"), ("p", "a", "b"), ("p", "b", "a"),
+            ("a", "p", "b"))
+    tied_labels = ("g1", "g1", "g2", "g2", "g2")
+    cases = []
+    for rule in RULES:
+        for tie in (TieRule.TE, TieRule.TP):
+            def ccpvg(ids, orders, labels, *selections):
+                inst = edge_instance(Problem.CCPVG, rule, tie, ids, orders, labels)
+                cases.extend((inst, GroupSelection(sel)) for sel in selections)
+            # One candidate: an empty part elects it, so TE promotes it.
+            ccpvg(("p",), [("p",)] * 3, ("g1", "g1", "g2"), (), ("g1",), ("g1", "g2"))
+            # Zero groups: both parts are empty.
+            ccpvg(("p", "a"), (), (), ())
+            # Every group on one side.
+            ccpvg(("p", "a", "b"), tied, tied_labels, ("g1", "g2"), ())
+            # A tie for the top inside the named part, then inside the other.
+            ccpvg(("p", "a", "b"), tied, tied_labels, ("g1",), ("g2",))
+        for limit, selections in ((0, ((), ("g1",))), (5, (("g1", "g2"),))):
+            # Limit 0 admits only the empty deletion; limit 5 deletes every group.
+            inst = edge_instance(Problem.CCDVG, rule, None, ("p", "a", "b"), tied, tied_labels,
+                                 limit=limit)
+            cases.extend((inst, GroupSelection(sel)) for sel in selections)
+    return cases
+
+
+GROUP_EDGE_CASES = group_edge_cases()
+
+
+def with_examples(cases):
+    """A decorator that adds each of ``cases`` to a test as an explicit example."""
+    def add(test):
+        for case in cases:
+            test = example(case)(test)
+        return test
+    return add
+
+
+def as_partition(inst, selection):
+    """The two-part voter partition of ``selection``: the ballots of the
+    unselected groups, then those of the selected ones."""
+    return VoterPartition(tuple(tuple(i for lab, idx in inst.groups
+                                      if (lab in selection.labels) == inside for i in idx)
+                                for inside in (False, True)))
+
+
+@st.composite
+def group_selections(draw):
+    """A random instance of a group problem, zero groups included, and a
+    selection of its group labels (which may exceed the budget)."""
+    prob = draw(st.sampled_from(GROUP_PROBLEMS))
+    rule = draw(st.sampled_from(RULES))
+    takes = TAKES[prob]
+    inst = random_instance(
+        random.Random(draw(st.integers(0, 2**32))), prob, rule,
+        draw(st.sampled_from(TIES[prob])), n_candidates=draw(st.integers(1, 4)),
+        n_voters=draw(st.integers(0, 8)), n_groups=draw(st.integers(1, 4)),
+        limit=draw(st.integers(0, 8)) if "limit" in takes else None,
+        pool_size=draw(st.integers(0, 8)) if "pool" in takes else None,
+        with_specials=rule is VotingRule.SYSTEM_E)
+    labels = sorted(lab for lab, _ in inst.groups)
+    return inst, GroupSelection(draw(st.sets(st.sampled_from(labels))) if labels else ())
+
+
+@settings(max_examples=300, deadline=None)
+@given(group_selections())
+@with_examples(GROUP_EDGE_CASES)
+def test_group_selections_replay_as_the_naive_evaluator(case):
+    # The selection compiles to the groups it names, and back; its replay,
+    # which counts the other side as the totals minus the named one, and its
+    # accept test agree with the naive evaluator.
+    inst, w = case
+    want = naive_replay(inst, w)
+    assert replay(inst, w) == want
+    assert verify_witness(inst, w) == (want is not None and want[1] == {inst.p})
+    compiled = _compile(inst, w)
+    if compiled is not None:
+        assert compiled == tuple(g for g, (lab, _) in enumerate(inst.groups) if lab in w.labels)
+        assert _public_witness(inst, compiled) == w
+
+
+def test_a_ccdvg_deletion_compiles_to_the_groups_it_deletes():
+    prof = Profile(tuple(map(Candidate, ("p", "a"))),
+                   (linear("p", "a"), linear("a", "p"), linear("a", "p")))
+    dv = ControlInstance(problem=Problem.CCDVG, rule=VotingRule.PLURALITY, profile=prof,
+                         p="p", limit=2, labels=("g1", "g2", "g3"))
+    assert _compile(dv, GroupSelection({"g3", "g2"})) == (1, 2)
+    assert _compile(dv, GroupSelection(())) == ()
+    assert _compile(dv, GroupSelection({"g1", "g2", "g3"})) is None  # over the budget
+    assert replay(dv, GroupSelection({"g3", "g2"})) == (None, {"p"})
+
+
 @st.composite
 def ccpvg_partitions(draw):
     """A random CCPVG instance, zero groups included, and a two-part voter
@@ -207,10 +320,12 @@ def ccpvg_partitions(draw):
                           profile=Profile((Candidate("p"),), ()), p="p", tie=TieRule.TE,
                           labels=()),
           VoterPartition(((), ()))))
+@with_examples([(inst, as_partition(inst, w)) for inst, w in GROUP_EDGE_CASES
+                if inst.problem is Problem.CCPVG])
 def test_ccpvg_voter_partition_replays_as_the_selection_of_its_second_part(case):
     # A partition that splits a group breaks atomicity. Any other selects
     # the groups of its second part, and compiles, as that selection does,
-    # to the indices of each part's groups in group order.
+    # to the indices of part 2's groups in group order.
     inst, w = case
     first, second = ({inst.labels[i] for i in part} for part in w.parts)
     if first & second:
@@ -218,8 +333,7 @@ def test_ccpvg_voter_partition_replays_as_the_selection_of_its_second_part(case)
         return
     selection = GroupSelection(second)
     assert replay(inst, w) == replay(inst, selection) == naive_replay(inst, selection)
-    want = tuple(tuple(g for g, (lab, _) in enumerate(inst.groups) if lab in side)
-                 for side in (first, second))
+    want = tuple(g for g, (lab, _) in enumerate(inst.groups) if lab in second)
     assert _compile(inst, w) == _compile(inst, selection) == want
 
 
