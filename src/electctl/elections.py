@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, combinations, compress, count
+from itertools import chain, combinations, compress, count, repeat
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 
@@ -83,6 +85,23 @@ def approval(approved: Iterable[str]) -> Ballot:
     return Ballot(approvals=frozenset(approved))
 
 
+def typed_ballots(values: Sequence, ranked: bool) -> list[Ballot]:
+    """A ballot per value, equal to ``linear(*value)`` if ``ranked`` and to
+    ``approval(value)`` if not, for values already of the field's type
+    (tuples if ``ranked``, frozensets if not). Each is made by
+    ``object.__new__`` and gets the value as its one field through
+    ``object.__setattr__``, both by ``map``: no Python call per ballot, and
+    none of ``__init__``'s and ``__post_init__``'s per-ballot work, which
+    the type of ``values`` makes moot. The other field reads None, the
+    default the dataclass keeps on the class."""
+    ballots = list(map(object.__new__, repeat(Ballot, len(values))))
+    deque(map(object.__setattr__, ballots, repeat("order" if ranked else "approvals"), values), 0)
+    return ballots
+
+
+_ORDER, _APPROVALS = attrgetter("order"), attrgetter("approvals")
+
+
 @dataclass(frozen=True)
 class Profile:
     """An ordered candidate set plus a multiset of ballots over it.
@@ -107,24 +126,29 @@ class Profile:
         if not self.candidates:
             raise ValueError("profile needs at least one candidate")
         ids = self.candidate_ids
-        idset = self.index.keys()
+        idset = frozenset(self.index)
         if len(idset) != len(ids):
             raise ValueError("duplicate candidate ids")
         specials = [c.special_index for c in self.candidates if c.special_index is not None]
         if len(specials) != len(set(specials)):
             raise ValueError("duplicate special_index values")
-        # A document's equal ballots are one object, checked once.
+        # A document's equal ballots are one object, checked once, and each
+        # check runs by ``map``; only a failed one looks for the first culprit.
         distinct = {id(b): b for b in self.ballots}.values()
-        if len({b.order is None for b in distinct}) > 1:
+        orders = list(map(_ORDER, distinct))
+        if 0 < orders.count(None) < len(orders):
             raise ValueError("mixed ballot kinds in one profile")
-        for b in distinct:
-            if b.order is not None:
-                if len(b.order) != len(ids) or frozenset(b.order) != idset:
-                    raise ValueError(f"linear ballot {b.order} is not a permutation of {ids}")
-            else:
-                if not b.approvals <= idset:
-                    raise ValueError(f"approval ballot mentions unknown candidates: "
-                                     f"{sorted(b.approvals - idset, key=str)}")
+        if orders and orders[0] is not None:
+            if (set(map(len, orders)) != {len(ids)}
+                    or not all(map(idset.__eq__, map(frozenset, orders)))):
+                bad = next(o for o in orders if len(o) != len(ids) or frozenset(o) != idset)
+                raise ValueError(f"linear ballot {bad} is not a permutation of {ids}")
+        else:
+            approvals = list(map(_APPROVALS, distinct))
+            if not all(map(idset.issuperset, approvals)):
+                bad = next(a for a in approvals if not a <= idset)
+                raise ValueError(f"approval ballot mentions unknown candidates: "
+                                 f"{sorted(bad - idset, key=str)}")
 
     @cached_property
     def candidate_ids(self) -> tuple[str, ...]:

@@ -11,10 +11,11 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
-from itertools import chain, repeat, zip_longest
+from itertools import chain, compress, filterfalse, repeat, zip_longest
+from operator import attrgetter, itemgetter, not_
 from typing import Any
 
-from .elections import Ballot, Candidate, Profile, VotingRule
+from .elections import Ballot, Candidate, Profile, VotingRule, typed_ballots
 from .reductions import CubicGraphVC, X3CInstance
 from .two_stage import (
     TAKES,
@@ -108,6 +109,44 @@ def _candidate_from_dict(entry: Any) -> Candidate:
     return Candidate(entry["id"], special)
 
 
+_NOT_IDS = '"order" / "approve" must be a list of candidate ids'
+
+
+def _plain_entries(entries: list, grouped: bool) -> tuple[bool, list, list | None] | None:
+    """Whether a section's ballots are ranked, their id lists and their
+    group labels, if each entry is an object that holds only a list of one
+    kind ("order" in every entry, or "approve" in every entry) and, in the
+    ``grouped`` section, a string "group": every entry electctl writes.
+    Such a section is checked a column at a time, by ``map``, with no
+    Python call per entry. None for any other section."""
+    try:
+        if set(map(len, entries)) - {2 if grouped else 1}:
+            return None
+        ranked = bool(entries) and "order" in entries[0]
+        lists = list(map(itemgetter("order" if ranked else "approve"), entries))
+        labels = list(map(itemgetter("group"), entries)) if grouped else None
+    except (KeyError, TypeError):  # an entry that is no object, or has other keys
+        return None
+    if set(map(type, lists)) - {list} or (grouped and set(map(type, labels)) - {str}):
+        return None
+    return ranked, lists, labels
+
+
+def _interned(keys: list[tuple], ranked: bool, built: dict) -> list[Ballot]:
+    """The ballot of each key, a tuple of candidate ids: the one in ``built``
+    for a key it holds, and a new one, put in ``built``, for each other
+    distinct key."""
+    try:
+        new = list(filterfalse(built.__contains__, dict.fromkeys(keys)))
+    except TypeError:  # an unhashable element, so not a candidate id
+        raise FormatError(_NOT_IDS) from None
+    made = typed_ballots(new if ranked else list(map(frozenset, new)), ranked)
+    built.update(zip(new, made))
+    if len(new) == len(keys):  # each key distinct and new: ``new`` is ``keys``
+        return made
+    return list(map(built.__getitem__, keys))
+
+
 def _ballot_entries(doc: dict, section: str, problem: Problem, grouped: bool,
                     interned: tuple[dict, dict]) -> tuple[list, list, list | None]:
     """A section's ballot entries, checked and built as three lists: the
@@ -117,11 +156,19 @@ def _ballot_entries(doc: dict, section: str, problem: Problem, grouped: bool,
     ``Ballot``, kept in ``interned[False]`` by the tuple of their candidate
     ids for the whole document, and so do equal "order" lists, in
     ``interned[True]``; so each distinct ballot is built once, and
-    ``Profile`` checks its ids once."""
+    ``Profile`` checks its ids once. A section of ``_plain_entries`` is
+    read a column at a time; any other, entry by entry, so that a malformed
+    one fails on its first bad entry."""
     entries = doc.get(section, [])
     if not isinstance(entries, list):
         raise FormatError(f'"{section}" must be a list of ballot objects')
-    ballots: list[Ballot] = []
+    plain = _plain_entries(entries, grouped)
+    if plain is not None:
+        ranked, lists, labels = plain
+        keys = list(map(tuple, lists))
+        return _interned(keys, ranked, interned[ranked]), [1] * len(keys), labels
+    keys: list[tuple] = []
+    kinds: list[bool] = []
     counts: list[int] = []
     labels: list[str] | None = [] if grouped else None
     for entry in entries:
@@ -132,15 +179,12 @@ def _ballot_entries(doc: dict, section: str, problem: Problem, grouped: bool,
             raise FormatError('each ballot needs exactly one of "order" / "approve"')
         ids = entry["order"] if ranked else entry["approve"]
         if not isinstance(ids, list):
-            raise FormatError('"order" / "approve" must be a list of candidate ids')
+            raise FormatError(_NOT_IDS)
         key = tuple(ids)
-        built = interned[ranked]
         try:
-            ballot = built.get(key)
+            hash(key)
         except TypeError:  # an unhashable element, so not a candidate id
-            raise FormatError('"order" / "approve" must be a list of candidate ids') from None
-        if ballot is None:
-            ballot = built[key] = Ballot(order=key) if ranked else Ballot(approvals=frozenset(key))
+            raise FormatError(_NOT_IDS) from None
         if grouped:
             group = entry.get("group")
             if not isinstance(group, str):
@@ -152,9 +196,13 @@ def _ballot_entries(doc: dict, section: str, problem: Problem, grouped: bool,
         count = entry.get("count", 1)
         if type(count) is not int or count < 1:  # _is_int, inlined in this hot loop
             raise FormatError("ballot count must be a positive integer")
-        ballots.append(ballot)
+        keys.append(key)
+        kinds.append(ranked)
         counts.append(count)
-    return ballots, counts, labels
+    if len(set(kinds)) > 1:  # mixed kinds, which Profile refuses: interned one at a time
+        return [_interned([k], r, interned[r])[0] for k, r in zip(keys, kinds)], counts, labels
+    ranked = bool(kinds) and kinds[0]
+    return _interned(keys, ranked, interned[ranked]), counts, labels
 
 
 def _expand(ballots: list[Ballot], counts: list[int],
@@ -356,31 +404,44 @@ def serialize_witness(witness: Witness) -> str:
 
 # The canonical encoding: json.dumps(..., sort_keys=True, separators=(",", ":")).
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_ORDER, _APPROVALS = attrgetter("order"), attrgetter("approvals")
 
 
-def _section_text(profile: Profile, labels: tuple[str, ...], ids: dict[str, str]) -> str:
+def _section_text(profile: Profile, labels: tuple[str, ...], ids: dict[str, str] | None) -> str:
     """The canonical text of one section's ``instance_to_dict`` entries.
     ``labels`` gives each ballot's group label, or is empty for a section
-    without groups; ``ids`` maps each candidate id to its encoded text. A
-    labelled entry is encoded from ``_ballot_to_dict``, once per distinct
-    (ballot, label) entry. An unlabelled entry is its head, its list and
-    "}": the list of each distinct ballot is built once from ``ids``, and
-    the entries are looked up and joined at C level, so no entry allocates
-    a container that the cyclic collector tracks."""
+    without groups; ``ids`` maps each candidate id to its encoded text, or
+    is None when every id encodes as itself in quotes. A labelled entry is
+    encoded from ``_ballot_to_dict``, once per distinct (ballot, label)
+    entry. An unlabelled entry is its head, its list and "}", and the
+    entries are joined at C level, so no entry allocates a container that
+    the cyclic collector tracks. The list of each distinct ballot is built
+    once, by looking its ids up in ``ids``, or, when ``ids`` is None, as
+    the ids joined by '","' in quotes and brackets: so is a linear ballot's
+    list at each entry, which saves the lookup of its distinct list."""
     ballots = profile.ballots
+    if not ballots:
+        return "[]"
+    ranked = profile.kind == "linear"
+    head = '{"order":' if ranked else '{"approve":'
+    if ranked and ids is None and not labels:
+        return ("[" + head + '["' + ('"]},' + head + '["').join(map('","'.join, map(_ORDER, ballots)))
+                + '"]}]')
     by_id = dict(zip(map(id, ballots), ballots))
     if labels:
         keys = list(zip(map(id, ballots), labels))
         made = {(i, lab): _encode(_ballot_to_dict(by_id[i], lab)) for i, lab in set(keys)}
         return "[" + ",".join(map(made.__getitem__, keys)) + "]"
-    if not ballots:
-        return "[]"
-    ranked = profile.kind == "linear"
-    lists = {key: "[" + ",".join(map(ids.__getitem__, b.order if ranked
-                                     else sorted(b.approvals))) + "]"
-             for key, b in by_id.items()}
-    head = '{"order":' if ranked else '{"approve":'
-    return "[" + head + ("}," + head).join(map(lists.__getitem__, map(id, ballots))) + "}]"
+    distinct = by_id.values()
+    lists = map(_ORDER, distinct) if ranked else map(sorted, map(_APPROVALS, distinct))
+    if ids is None:
+        made = dict(zip(by_id, map('["{}"]'.format, map('","'.join, lists))))
+        # An empty approval list joins to "" as the list of the id "" does.
+        made.update(dict.fromkeys(compress(by_id, map(not_, map(_APPROVALS, distinct))), "[]"))
+    else:
+        made = {key: "[" + ",".join(map(ids.__getitem__, ids_)) + "]"
+                for key, ids_ in zip(by_id, lists)}
+    return "[" + head + ("}," + head).join(map(made.__getitem__, map(id, ballots))) + "}]"
 
 
 def instance_digest(instance: ControlInstance) -> str:
@@ -391,6 +452,8 @@ def instance_digest(instance: ControlInstance) -> str:
     with each candidate id encoded once, and the keys and the ``_head``
     values go through the same encoder."""
     ids = {cid: _encode(cid) for cid in instance.profile.candidate_ids}
+    if all(text[1:-1] == cid for cid, text in ids.items()):
+        ids = None
     texts = {key: _encode(value) for key, value in _head(instance).items()}
     for key, profile, labels in _sections(instance):
         texts[key] = _section_text(profile, labels, ids)

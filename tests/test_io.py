@@ -17,6 +17,7 @@ from electctl import (
     VoterPartition,
     VotingRule,
     approval,
+    linear,
 )
 from electctl.instance_io import (
     FORMAT,
@@ -196,6 +197,83 @@ def test_equal_ballots_share_one_object():
     assert all(b is first for b in inst.profile.ballots[1:2] + inst.profile.ballots[3:])
     assert inst.pool.ballots[0] is first
     assert inst.profile.positions[0] is inst.profile.positions[3]
+
+
+def ballots_doc(rule, entries, problem="CCPV", **more):
+    return {"format": FORMAT, "problem": problem, "rule": rule, "p": "p", "tie": "TE",
+            "candidates": PAB_DOC, "ballots": entries, **more}
+
+
+@pytest.mark.parametrize("extra", [{}, {"count": 1}, {"group": "g"}],
+                         ids=["plain", "with-count", "with-group"])
+@pytest.mark.parametrize("rule, key, made", [
+    ("plurality", "order", lambda ids: linear(*ids)),
+    ("approval", "approve", approval),
+])
+def test_read_ballots_equal_and_hash_like_built_ones(rule, key, made, extra):
+    ids = (["p", "a", "b"], ["b", "p", "a"], ["p", "a", "b"])
+    if rule == "approval":
+        ids = (["p"], [], ["b", "a"], ["a", "b"])
+    entries = [{key: list(i), **extra} for i in ids]
+    doc = ballots_doc(rule, entries, problem="CCPVG" if "group" in extra else "CCPV")
+    read = instance_from_dict(doc).profile.ballots
+    want = tuple(made(i) for i in ids)
+    assert read == want
+    assert list(map(hash, read)) == list(map(hash, want))
+    assert [b.kind for b in read] == [b.kind for b in want]
+
+
+# A malformed ballot entry and the message it fails with, the same wherever
+# it stands among well-formed entries.
+MALFORMED_ENTRIES = {
+    "duplicate-id": ("plurality", {"order": ["p", "p", "b"]},
+                     "linear ballot ('p', 'p', 'b') is not a permutation of ('p', 'a', 'b')"),
+    "unknown-id": ("plurality", {"order": ["p", "x", "b"]},
+                   "linear ballot ('p', 'x', 'b') is not a permutation of ('p', 'a', 'b')"),
+    "short-order": ("plurality", {"order": ["p", "a"]},
+                    "linear ballot ('p', 'a') is not a permutation of ('p', 'a', 'b')"),
+    "long-order": ("plurality", {"order": ["p", "a", "b", "a"]},
+                   "linear ballot ('p', 'a', 'b', 'a') is not a permutation of ('p', 'a', 'b')"),
+    "non-string-id": ("plurality", {"order": ["p", 1, "b"]},
+                      "linear ballot ('p', 1, 'b') is not a permutation of ('p', 'a', 'b')"),
+    "unknown-approval-id": ("approval", {"approve": ["p", "x"]},
+                            "approval ballot mentions unknown candidates: ['x']"),
+    "mixed-kinds": ("plurality", {"approve": ["p"]}, "mixed ballot kinds in one profile"),
+    "unhashable-id": ("plurality", {"order": [["p"], "a", "b"]},
+                      '"order" / "approve" must be a list of candidate ids'),
+    "ids-not-a-list": ("plurality", {"order": "pab"},
+                       '"order" / "approve" must be a list of candidate ids'),
+    "count-zero": ("plurality", {"order": ["p", "a", "b"], "count": 0},
+                   "ballot count must be a positive integer"),
+    "count-true": ("plurality", {"order": ["p", "a", "b"], "count": True},
+                   "ballot count must be a positive integer"),
+    "stray-group": ("plurality", {"order": ["p", "a", "b"], "group": "g"},
+                    'CCPV takes no group labels on "ballots" ballots'),
+    "not-an-object": ("plurality", ["p", "a", "b"], "each ballot must be an object"),
+    "both-kinds": ("plurality", {"order": ["p", "a", "b"], "approve": ["p"]},
+                   'each ballot needs exactly one of "order" / "approve"'),
+}
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+@pytest.mark.parametrize("name", MALFORMED_ENTRIES)
+def test_a_malformed_entry_fails_with_its_message(name, where):
+    rule, bad, message = MALFORMED_ENTRIES[name]
+    good = {"order": ["p", "a", "b"]} if rule == "plurality" else {"approve": ["p"]}
+    entries = [bad, good] if where == "first" else [good, good, bad]
+    with pytest.raises(FormatError) as caught:
+        instance_from_dict(ballots_doc(rule, entries))
+    assert str(caught.value) == message
+
+
+def test_the_first_malformed_entry_names_the_fault():
+    entries = [{"order": ["p", "a", "b"]}, {"order": [["p"], "a", "b"]},
+               {"order": ["p", "a", "b"], "count": 0}]
+    with pytest.raises(FormatError, match='"order" / "approve" must be a list'):
+        instance_from_dict(ballots_doc("plurality", entries))
+    entries[1:] = entries[:0:-1]
+    with pytest.raises(FormatError, match="ballot count must be a positive integer"):
+        instance_from_dict(ballots_doc("plurality", entries))
 
 
 class TestCollectorState:

@@ -10,9 +10,12 @@ parts, which a mask per part would make parts x ballots.
 Each test replays one witness at n and at 16n ballots and bounds the
 ratio of the times by 36, 6 for each fourfold growth: linear code reads
 about 14 to 19, quadratic code about 256, so neither comes near the bound.
+Reading a document and digesting its instance are held to the same bound.
 """
 
 import gc
+import json
+from itertools import permutations
 from time import perf_counter
 
 import pytest
@@ -29,6 +32,7 @@ from electctl import (
     linear,
     replay,
 )
+from electctl.instance_io import instance_digest, parse_instance
 
 CANDIDATES = tuple(map(Candidate, ("p", "a", "b")))
 ORDERS = (linear("p", "a", "b"), linear("a", "b", "p"), linear("b", "p", "a"))
@@ -66,27 +70,60 @@ def singleton_deletion(n):
     return inst, GroupSelection(labels[::3])
 
 
-def replay_seconds(make, sizes):
-    """Per size, the least time of three replays, each on a fresh instance
-    of that many ballots, so that the profile's tables are built within the
-    time. The sizes take turns, so that a slow spell of the host slows them
-    alike, and the collector is paused while a replay runs, so that the
-    time does not depend on how many objects the test process holds."""
-    times = [[] for _ in sizes]
+def document(ranked, n):
+    """A CCEPV document of n ballots, most of them distinct: the first n
+    orders of eight candidates, or the approval sets of the first n bit
+    patterns of sixteen."""
+    ids = [f"c{i}" for i in range(8 if ranked else 16)]
+    if ranked:
+        entries = [{"order": list(order)} for order, _ in zip(permutations(ids), range(n))]
+    else:
+        entries = [{"approve": [c for k, c in enumerate(ids) if i >> k & 1]} for i in range(n)]
+    return json.dumps({"format": "electctl/1", "problem": "CCEPV",
+                       "rule": "plurality" if ranked else "approval", "tie": "TE",
+                       "p": "c0", "candidates": [{"id": c} for c in ids], "ballots": entries})
+
+
+def least_seconds(prepare, inputs):
+    """Per input, the least time of three calls: ``prepare(input)`` gives a
+    function and its arguments, and only the call is timed. The inputs take
+    turns, so that a slow spell of the host slows them alike, and the
+    collector is paused while a call runs, so that the time does not depend
+    on how many objects the test process holds."""
+    times = [[] for _ in inputs]
     for _ in range(3):
-        for n, spent in zip(sizes, times):
-            inst, w = make(n)
+        for item, spent in zip(inputs, times):
+            run, args = prepare(item)
             was = gc.isenabled()
             gc.collect()
             gc.disable()
             try:
                 start = perf_counter()
-                replay(inst, w)
+                run(*args)
                 spent.append(perf_counter() - start)
             finally:
                 if was:
                     gc.enable()
     return [min(spent) for spent in times]
+
+
+def read_and_digest(text):
+    return instance_digest(parse_instance(text))
+
+
+@pytest.mark.parametrize("ranked", [True, False], ids=["linear", "approval"])
+def test_reading_and_digesting_grow_linearly_in_the_ballots(ranked):
+    n = 2_000
+    texts = [document(ranked, n), document(ranked, 16 * n)]
+    small, large = least_seconds(lambda text: (read_and_digest, (text,)), texts)
+    assert large <= 36 * small, (small, large)
+
+
+def replay_seconds(make, sizes):
+    """Per size, the least time of three replays, each on a fresh instance
+    of that many ballots, so that the profile's tables are built within the
+    time."""
+    return least_seconds(lambda n: (replay, make(n)), sizes)
 
 
 @pytest.mark.parametrize("make, n", [

@@ -6,7 +6,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from electctl import (
@@ -223,6 +223,16 @@ def test_digest_equals_its_definition(inst):
     assert instance_digest(back) == reference_digest(back) == reference_digest(inst)
 
 
+def ccavg_instance(ids, ranked, main, pool, labels):
+    """A CCAVG instance over candidates ``ids``: ``main`` and ``pool`` are
+    its ballots, and ``labels`` its pool's group labels."""
+    return ControlInstance(
+        problem=Problem.CCAVG,
+        rule=VotingRule.CONDORCET if ranked else VotingRule.APPROVAL,
+        profile=Profile(tuple(map(Candidate, ids)), tuple(main)), p=ids[0], limit=1,
+        labels=list(labels), pool=Profile(tuple(map(Candidate, ids)), tuple(pool)))
+
+
 @st.composite
 def instances_with_any_ids(draw):
     """A CCAVG instance whose candidate ids and pool group labels are any
@@ -230,21 +240,34 @@ def instances_with_any_ids(draw):
     ids = draw(st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True))
     names = draw(st.lists(st.text(max_size=4), min_size=1, max_size=3))
     ranked = draw(st.booleans())
-    cands = tuple(Candidate(c) for c in ids)
     ballot = (st.permutations(ids).map(lambda order: linear(*order)) if ranked
               else st.sets(st.sampled_from(ids)).map(approval))
     main = draw(st.lists(ballot, max_size=4))
     pool = draw(st.lists(ballot, max_size=5))
-    return ControlInstance(
-        problem=Problem.CCAVG,
-        rule=VotingRule.CONDORCET if ranked else VotingRule.APPROVAL,
-        profile=Profile(cands, tuple(main)), p=ids[0], limit=1,
-        labels=[draw(st.sampled_from(names)) for _ in pool],
-        pool=Profile(cands, tuple(pool)))
+    return ccavg_instance(ids, ranked, main, pool, [draw(st.sampled_from(names)) for _ in pool])
+
+
+# The explicit examples: the id "" beside empty approval ballots (whose
+# lists a join of ids would write alike), ids that JSON escapes, one
+# candidate, and one ballot object repeated.
+ESCAPED = ('"', "\\", "\n", "\u2028", "é", "\U0001F600")
+REPEATED = linear("a", "b")
 
 
 @settings(max_examples=200, deadline=None)
 @given(instances_with_any_ids())
+@example(ccavg_instance(("",), False, [approval([""]), approval([]), approval([""])],
+                        [approval([]), approval([""])], ["", "g"]))
+@example(ccavg_instance(("", "a"), False, [approval([]), approval(["", "a"])], [], []))
+@example(ccavg_instance(ESCAPED, True, [linear(*ESCAPED), linear(*ESCAPED[::-1])],
+                        [linear(*ESCAPED)], ['"\\']))
+@example(ccavg_instance(ESCAPED, False, [approval(ESCAPED), approval([]), approval(ESCAPED[3:])],
+                        [approval(ESCAPED[:2])], ["\u2028"]))
+@example(ccavg_instance(("p",), True, [linear("p")] * 3, [linear("p")], ["g"]))
+@example(ccavg_instance(("p",), False, [approval(["p"]), approval([])], [approval([])], ["g"]))
+@example(ccavg_instance(("a", "b"), True, [REPEATED] * 3 + [linear("b", "a"), REPEATED],
+                        [REPEATED] * 2, ["g", "g"]))
+@example(ccavg_instance(("a", "b"), False, [approval(["a"])] * 2 + [approval([])] * 2, [], []))
 def test_digest_equals_its_definition_for_any_ids_and_labels(inst):
     assert instance_digest(inst) == reference_digest(inst)
     assert instance_digest(parse_instance(serialize_instance(inst))) == reference_digest(inst)
