@@ -12,10 +12,10 @@ import gc
 import hashlib
 import json
 from itertools import chain, compress, filterfalse, repeat, zip_longest
-from operator import attrgetter, itemgetter, not_
-from typing import Any
+from operator import not_
+from typing import Any, Iterable
 
-from .elections import Ballot, Candidate, Profile, VotingRule, typed_ballots
+from .elections import _APPROVALS, _ORDER, Ballot, Candidate, Profile, VotingRule, typed_ballots
 from .reductions import CubicGraphVC, X3CInstance
 from .two_stage import (
     TAKES,
@@ -112,34 +112,12 @@ def _candidate_from_dict(entry: Any) -> Candidate:
 _NOT_IDS = '"order" / "approve" must be a list of candidate ids'
 
 
-def _plain_entries(entries: list, grouped: bool) -> tuple[bool, list, list | None] | None:
-    """Whether a section's ballots are ranked, their id lists and their
-    group labels, if each entry is an object that holds only a list of one
-    kind ("order" in every entry, or "approve" in every entry) and, in the
-    ``grouped`` section, a string "group": every entry electctl writes.
-    Such a section is checked a column at a time, by ``map``, with no
-    Python call per entry. None for any other section."""
-    try:
-        if set(map(len, entries)) - {2 if grouped else 1}:
-            return None
-        ranked = bool(entries) and "order" in entries[0]
-        lists = list(map(itemgetter("order" if ranked else "approve"), entries))
-        labels = list(map(itemgetter("group"), entries)) if grouped else None
-    except (KeyError, TypeError):  # an entry that is no object, or has other keys
-        return None
-    if set(map(type, lists)) - {list} or (grouped and set(map(type, labels)) - {str}):
-        return None
-    return ranked, lists, labels
-
-
-def _interned(keys: list[tuple], ranked: bool, built: dict) -> list[Ballot]:
-    """The ballot of each key, a tuple of candidate ids: the one in ``built``
-    for a key it holds, and a new one, put in ``built``, for each other
-    distinct key."""
-    try:
-        new = list(filterfalse(built.__contains__, dict.fromkeys(keys)))
-    except TypeError:  # an unhashable element, so not a candidate id
-        raise FormatError(_NOT_IDS) from None
+def _interned(keys: list[tuple], distinct: Iterable[tuple], ranked: bool,
+              built: dict) -> list[Ballot]:
+    """The ballot of each key, a tuple of candidate ids, given the
+    ``distinct`` keys in their first order: the one in ``built`` for a key
+    it holds, and a new one, put in ``built``, for each other distinct key."""
+    new = list(filterfalse(built.__contains__, distinct))
     made = typed_ballots(new if ranked else list(map(frozenset, new)), ranked)
     built.update(zip(new, made))
     if len(new) == len(keys):  # each key distinct and new: ``new`` is ``keys``
@@ -155,22 +133,19 @@ def _ballot_entries(doc: dict, section: str, problem: Problem, grouped: bool,
     takes none and has None for its labels. Equal "approve" lists share one
     ``Ballot``, kept in ``interned[False]`` by the tuple of their candidate
     ids for the whole document, and so do equal "order" lists, in
-    ``interned[True]``; so each distinct ballot is built once, and
-    ``Profile`` checks its ids once. A section of ``_plain_entries`` is
-    read a column at a time; any other, entry by entry, so that a malformed
-    one fails on its first bad entry."""
+    ``interned[True]``; so each distinct ballot is built once, after the
+    entries are checked, and ``Profile`` checks its ids once. An entry with
+    no key but its list and, in the ``grouped`` section, its label (every
+    entry electctl writes) skips the "count" and stray-label lookups."""
     entries = doc.get(section, [])
     if not isinstance(entries, list):
         raise FormatError(f'"{section}" must be a list of ballot objects')
-    plain = _plain_entries(entries, grouped)
-    if plain is not None:
-        ranked, lists, labels = plain
-        keys = list(map(tuple, lists))
-        return _interned(keys, ranked, interned[ranked]), [1] * len(keys), labels
     keys: list[tuple] = []
-    kinds: list[bool] = []
+    distinct: dict[tuple, None] = {}
+    ranks = 0
     counts: list[int] = []
     labels: list[str] | None = [] if grouped else None
+    plain = 2 if grouped else 1  # the keys of an entry with no "count"
     for entry in entries:
         if not isinstance(entry, dict):
             raise FormatError("each ballot must be an object")
@@ -182,7 +157,7 @@ def _ballot_entries(doc: dict, section: str, problem: Problem, grouped: bool,
             raise FormatError(_NOT_IDS)
         key = tuple(ids)
         try:
-            hash(key)
+            distinct[key] = None
         except TypeError:  # an unhashable element, so not a candidate id
             raise FormatError(_NOT_IDS) from None
         if grouped:
@@ -191,18 +166,22 @@ def _ballot_entries(doc: dict, section: str, problem: Problem, grouped: bool,
                 raise FormatError(f'every "{section}" ballot of {problem.value} '
                                   "needs a string group label")
             labels.append(group)
-        elif entry.get("group") is not None:
-            raise FormatError(f'{problem.value} takes no group labels on "{section}" ballots')
-        count = entry.get("count", 1)
-        if type(count) is not int or count < 1:  # _is_int, inlined in this hot loop
-            raise FormatError("ballot count must be a positive integer")
+        if len(entry) == plain:
+            count = 1
+        else:
+            if not grouped and entry.get("group") is not None:
+                raise FormatError(f'{problem.value} takes no group labels on "{section}" ballots')
+            count = entry.get("count", 1)
+            if type(count) is not int or count < 1:  # _is_int, inlined in this hot loop
+                raise FormatError("ballot count must be a positive integer")
         keys.append(key)
-        kinds.append(ranked)
+        ranks += ranked
         counts.append(count)
-    if len(set(kinds)) > 1:  # mixed kinds, which Profile refuses: interned one at a time
-        return [_interned([k], r, interned[r])[0] for k, r in zip(keys, kinds)], counts, labels
-    ranked = bool(kinds) and kinds[0]
-    return _interned(keys, ranked, interned[ranked]), counts, labels
+    if 0 < ranks < len(keys):  # mixed kinds, which Profile refuses: interned one at a time
+        kinds = ["order" in entry for entry in entries]
+        return [_interned([k], [k], r, interned[r])[0] for k, r in zip(keys, kinds)], counts, labels
+    ranked = ranks > 0
+    return _interned(keys, distinct, ranked, interned[ranked]), counts, labels
 
 
 def _expand(ballots: list[Ballot], counts: list[int],
@@ -404,7 +383,6 @@ def serialize_witness(witness: Witness) -> str:
 
 # The canonical encoding: json.dumps(..., sort_keys=True, separators=(",", ":")).
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-_ORDER, _APPROVALS = attrgetter("order"), attrgetter("approvals")
 
 
 def _section_text(profile: Profile, labels: tuple[str, ...], ids: dict[str, str] | None) -> str:
@@ -417,16 +395,12 @@ def _section_text(profile: Profile, labels: tuple[str, ...], ids: dict[str, str]
     entries are joined at C level, so no entry allocates a container that
     the cyclic collector tracks. The list of each distinct ballot is built
     once, by looking its ids up in ``ids``, or, when ``ids`` is None, as
-    the ids joined by '","' in quotes and brackets: so is a linear ballot's
-    list at each entry, which saves the lookup of its distinct list."""
+    the ids joined by '","' in quotes and brackets."""
     ballots = profile.ballots
     if not ballots:
         return "[]"
     ranked = profile.kind == "linear"
     head = '{"order":' if ranked else '{"approve":'
-    if ranked and ids is None and not labels:
-        return ("[" + head + '["' + ('"]},' + head + '["').join(map('","'.join, map(_ORDER, ballots)))
-                + '"]}]')
     by_id = dict(zip(map(id, ballots), ballots))
     if labels:
         keys = list(zip(map(id, ballots), labels))
@@ -436,8 +410,8 @@ def _section_text(profile: Profile, labels: tuple[str, ...], ids: dict[str, str]
     lists = map(_ORDER, distinct) if ranked else map(sorted, map(_APPROVALS, distinct))
     if ids is None:
         made = dict(zip(by_id, map('["{}"]'.format, map('","'.join, lists))))
-        # An empty approval list joins to "" as the list of the id "" does.
-        made.update(dict.fromkeys(compress(by_id, map(not_, map(_APPROVALS, distinct))), "[]"))
+        if not ranked:  # an empty approval list joins to "" as the list of the id "" does
+            made.update(dict.fromkeys(compress(by_id, map(not_, map(_APPROVALS, distinct))), "[]"))
     else:
         made = {key: "[" + ",".join(map(ids.__getitem__, ids_)) + "]"
                 for key, ids_ in zip(by_id, lists)}
