@@ -273,8 +273,9 @@ def main(argv=None) -> int:
                 raise ValueError(f"--{name} must be at least 0, got {getattr(args, name)}")
         # Looked up when called, so a replaced cmd_* attribute takes effect.
         return globals()[f"cmd_{args.command}"](args)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"electctl: error: {exc}", file=sys.stderr)
+    # Running out of memory or stack is an error too, never exit 1 ("no").
+    except (OSError, ValueError, KeyError, MemoryError, RecursionError) as exc:
+        print(f"electctl: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_ERROR
 
 

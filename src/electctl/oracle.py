@@ -135,15 +135,13 @@ def _candidate_witnesses(instance: ControlInstance) -> Iterator[Compiled]:
             yield from map(Compiled, combinations(others, r))
     else:  # CCDVG or CCAVG
         # Both name the groups they choose: a deletion deletes them, an
-        # addition adds them. Every group holds a ballot and smaller subsets
-        # come first, so past ``limit`` groups no subset is within budget.
+        # addition adds them, smallest first. Every group holds a ballot, so
+        # no subset of more than ``limit`` groups is within budget.
         sizes = [len(idx) for _, idx in instance.groups]
-        for chosen, _ in _subsets(len(sizes)):
-            if chosen.bit_count() > instance.limit:
-                return
-            members = _indices(chosen)
-            if sum(map(sizes.__getitem__, members)) <= instance.limit:
-                yield Compiled(members)
+        for r in range(min(len(sizes), instance.limit) + 1):
+            for chosen in combinations(range(len(sizes)), r):
+                if sum(map(sizes.__getitem__, chosen)) <= instance.limit:
+                    yield Compiled(chosen)
 
 
 def oracle_solve(instance: ControlInstance, budget: int = DEFAULT_BUDGET) -> Decision:

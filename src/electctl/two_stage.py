@@ -263,8 +263,8 @@ def _candidate_sides(profile: Profile, c1: Iterable[str], c2: Iterable[str]) -> 
 
 # The compiled core. Candidates are position bitmasks, voters ballot
 # bitmasks (a small voter part its index tuple, see ``_voter_parts``) and
-# groups their indices in ``groups``, checked before they get
-# here: stage one elects per voter part or group part (all candidates
+# groups their indices in ``groups``, checked before they get here: stage
+# one elects per voter part or side of a group split (all candidates
 # running) or per nonempty candidate side (all voters voting); TE keeps a
 # subelection's winners only when there is one. Each kind of part has its
 # own loop: a shared one over a generator of winners cost the oracle about
@@ -299,21 +299,6 @@ def _candidate_finalists(rule: VotingRule, te: bool, profile: Profile,
     return finalists
 
 
-def _group_finalists(instance: ControlInstance, named: Sequence[int]) -> int:
-    # Under TE a part promotes only a sole winner, which plurality reads off
-    # its counts with no tie mask.
-    te = instance.tie is TieRule.TE
-    sides = _group_sides(instance, named)
-    if te and instance.rule is VotingRule.PLURALITY:
-        return _sole_top(sides[0]) | _sole_top(sides[1])
-    finalists = 0
-    for votes in sides:
-        won = _side_winners(instance, votes)
-        if not (te and won & (won - 1)):
-            finalists |= won
-    return finalists
-
-
 def _sole_top(counts: Sequence[int]) -> int:
     """The bit of the one position with the most of ``counts``, or 0 on a tie."""
     top = max(counts)
@@ -334,26 +319,6 @@ def _group_votes(instance: ControlInstance, groups: Iterable[int]) -> int:
     """The ballot mask, over ``grouped``, of the ballots of ``groups``."""
     return _ballot_mask(chain.from_iterable(instance.groups[g][1] for g in groups),
                         len(instance.grouped.ballots))
-
-
-def _group_sides(instance: ControlInstance, named: Sequence[int]) -> tuple:
-    """The votes of the groups ``named`` and of every other group of the
-    election: under plurality their first-place counts, the other side's
-    the totals minus the named side's; under any other rule their ballot
-    masks, the other side's all ballots' mask XOR the named side's."""
-    if instance.rule is VotingRule.PLURALITY:
-        counts = _group_counts(instance, named)
-        return counts, list(map(sub, instance._group_total, counts))
-    votes = _group_votes(instance, named)
-    return votes, (1 << len(instance.grouped.ballots)) - 1 ^ votes
-
-
-def _side_winners(instance: ControlInstance, votes: list[int] | int) -> int:
-    """The winners among all candidates of one side of ``_group_sides``."""
-    if instance.rule is VotingRule.PLURALITY:
-        return _plurality(votes)
-    profile = instance.profile
-    return _elect(instance.rule, profile, profile.everyone, votes)
 
 
 # The most finals one instance remembers; a full memo is emptied. A final
@@ -391,9 +356,20 @@ def _stage_one(instance: ControlInstance) -> Callable[[ControlInstance, tuple, i
     rule, profile, te = instance.rule, instance.profile, instance.tie is TieRule.TE
     if prob in _CANDIDATE_PROBLEMS:
         return lambda _, w, need: _candidate_finalists(rule, te, profile, w, need)
-    if prob is Problem.CCPVG:
-        return lambda inst, w, _: _group_finalists(inst, w)
-    return lambda _, w, __: _voter_finalists(rule, te, profile, w)
+    if prob is not Problem.CCPVG:
+        return lambda _, w, __: _voter_finalists(rule, te, profile, w)
+    # A CCPVG split's two sides: the groups it names, and the totals minus them.
+    if rule is VotingRule.PLURALITY:  # under TE a side's sole winner, with no tie mask
+        total, top = instance._group_total, _sole_top if te else _plurality
+        def plurality_sides(inst: ControlInstance, w: tuple, _: int) -> int:
+            named = _group_counts(inst, w)
+            return top(named) | top(list(map(sub, total, named)))
+        return plurality_sides
+    all_ballots = (1 << len(profile.ballots)) - 1  # other rules elect them as voter parts
+    def sides(inst: ControlInstance, w: tuple, _: int) -> int:
+        named = _group_votes(inst, w)
+        return _voter_finalists(rule, te, profile, (named, all_ballots ^ named))
+    return sides
 
 
 def _replay(instance: ControlInstance, w: tuple) -> tuple[int | None, int]:
@@ -403,17 +379,20 @@ def _replay(instance: ControlInstance, w: tuple) -> tuple[int | None, int]:
     (see ``_voter_parts``) an index tuple; for the group problems the tuple
     of the group indices it names: a CCPVG split's part 2, the groups a
     CCDVG deletion deletes, the pool groups a CCAVG addition adds. The side
-    it does not name is counted as the totals minus the named side (see
-    ``_group_sides``). It runs every stage; ``ControlInstance._accept`` need not."""
+    it does not name is counted as the totals minus the named side. It runs
+    every stage; ``ControlInstance._accept`` need not."""
     stage = _stage_one(instance)
     if stage is not None:
         finalists = stage(instance, w, 0)
         return finalists, final_round(instance, finalists)
-    if instance.problem is Problem.CCDVG:  # the groups it keeps vote
-        return None, _side_winners(instance, _group_sides(instance, w)[1])
-    n = len(instance.profile.ballots)  # all of the election's ballots, then the pool's
-    votes = (1 << n) - 1 | _group_votes(instance, w) << n
-    return None, _elect(instance.rule, instance.electorate, instance.profile.everyone, votes)
+    profile, n = instance.profile, len(instance.profile.ballots)
+    if instance.problem is Problem.CCAVG:  # all of the election's ballots, then the pool's
+        votes = (1 << n) - 1 | _group_votes(instance, w) << n
+        return None, _elect(instance.rule, instance.electorate, profile.everyone, votes)
+    if instance.rule is VotingRule.PLURALITY:  # CCDVG: the groups it keeps vote
+        return None, _plurality(list(map(sub, instance._group_total, _group_counts(instance, w))))
+    kept = (1 << n) - 1 ^ _group_votes(instance, w)
+    return None, _elect(instance.rule, profile, profile.everyone, kept)
 
 
 # The public entry points check their input and compile it for the core.

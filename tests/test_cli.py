@@ -9,9 +9,13 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -479,6 +483,47 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "/nonexistent.json")
         assert code == EXIT_ERROR
         assert "error" in err
+
+    @pytest.mark.parametrize("exc,line", [
+        (MemoryError(), "MemoryError"),
+        (RecursionError("maximum recursion depth exceeded"), "maximum recursion depth exceeded"),
+    ], ids=["memory", "recursion"])
+    def test_memory_or_recursion_error_exits_three(self, capsys, monkeypatch, exc, line):
+        # An error, not a "no" (exit 1); main looks cmd_solve up when called.
+        def raising(args):
+            raise exc
+        monkeypatch.setattr(cli, "cmd_solve", raising)
+        code, out, err = run(capsys, "solve", "any.json")
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err == f"electctl: error: {line}\n"
+
+    @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="reads /proc/self/statm")
+    def test_out_of_memory_in_a_process_exits_three(self, tmp_path):
+        # The child alone may map only 32 MiB more than it has once electctl
+        # is imported. The document is at the entry bound, 1,000 candidates
+        # times 10,000 ballots in one counted entry: 24 kB on disk, but its
+        # digest text alone takes about 70 MB.
+        path = tmp_path / "counted.json"
+        path.write_text(json.dumps(counted_doc(MAX_ENTRIES // MAX_CANDIDATES)))
+        child = "\n".join([
+            "import resource, sys",
+            "from electctl import cli",
+            "with open('/proc/self/statm') as f:",
+            "    mapped = int(f.read().split()[0]) * resource.getpagesize()",
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]",
+            "resource.setrlimit(resource.RLIMIT_AS, (mapped + (32 << 20), hard))",
+            "sys.exit(cli.main(sys.argv[1:]))",
+        ])
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", child, "solve", str(path)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == EXIT_ERROR, done.stderr
+        assert done.stdout == ""
+        assert done.stderr.startswith("electctl: error: MemoryError")
+        assert done.stderr.count("\n") == 1
 
     def test_oversized_ballot_count_exits_three(self, tmp_path, capsys):
         # Rejected from the counts alone, before any ballot is built.

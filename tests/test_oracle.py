@@ -249,29 +249,31 @@ class TestOracle:
     @pytest.mark.parametrize("problem", [Problem.CCDVG, Problem.CCAVG])
     def test_group_walk_stops_past_the_limit(self, problem):
         # 30 singleton groups hold 2^30 subsets, but only those of at most
-        # one group fit the limit. The alarm fails a walk past them instead
-        # of letting it run on.
-        n, limit = 30, 1
-        labels = [f"g{i}" for i in range(n)]
-        if problem is Problem.CCDVG:  # deleting one "a" ballot of 30 leaves 29
-            extra = {"profile": profile(*["a"] * n)}
-        else:  # adding one "p" ballot to two "a" ballots is not enough
-            extra = {"profile": profile("a", "a"), "pool": profile(*["p"] * n)}
-        inst = ControlInstance(problem=problem, rule=VotingRule.PLURALITY, p="p",
-                               limit=limit, labels=labels, **extra)
-
+        # one group fit limit 1. 600 groups of two ballots fit limit 2 one
+        # at a time: the walk sums the sizes of their 179,700 pairs, but must
+        # not go on to their 3.6 * 10^7 triples, more groups than the limit.
+        # The alarm fails a walk past them instead of letting it run on.
         def stop(signum, frame):
             raise TimeoutError("the group walk ran past the limit")
 
-        previous = signal.signal(signal.SIGALRM, stop)
-        signal.alarm(5)
-        try:
-            d = oracle_solve(inst)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-        assert d.answer == "no"
-        assert d.stats["cases"] == sum(comb(n, r) for r in range(limit + 1))
+        for n, size in (30, 1), (600, 2):  # at limit = size one group fits, no two
+            labels = [f"g{i}" for i in range(n) for _ in range(size)]
+            if problem is Problem.CCDVG:  # deleting a group leaves p behind the "a" ballots
+                extra = {"profile": profile(*["a"] * n * size)}
+            else:  # adding a group's "p" ballots to size + 1 "a" ballots is not enough
+                extra = {"profile": profile(*["a"] * (size + 1)),
+                         "pool": profile(*["p"] * n * size)}
+            inst = ControlInstance(problem=problem, rule=VotingRule.PLURALITY, p="p",
+                                   limit=size, labels=labels, **extra)
+            previous = signal.signal(signal.SIGALRM, stop)
+            signal.alarm(5)
+            try:
+                d = oracle_solve(inst)
+            finally:
+                signal.alarm(0)
+                signal.signal(signal.SIGALRM, previous)
+            assert d.answer == "no"
+            assert d.stats["cases"] == 1 + n  # no group, or any one of them
 
     def test_every_returned_witness_verifies(self):
         # spot-check one instance per problem family

@@ -433,16 +433,17 @@ def test_a_te_tie_on_p_side_promotes_nobody():
 def test_accept_test_holds_no_reference_to_its_instance():
     # The accept test is cached on its instance; a reference back would
     # make a cycle that keeps the profile alive until a full collection.
+    # Stage one differs by problem, rule and tie rule, so each is drawn.
     rng = random.Random("no cycle")
     gc.disable()
     try:
-        for problem in Problem:
-            tie = TieRule.TP if "tie" in TAKES[problem] else None
-            inst = draw_instance(rng, problem, VotingRule.PLURALITY, tie)
-            oracle_solve(inst)
-            assert "_accept" in vars(inst)
-            ref = weakref.ref(inst)
-            del inst
-            assert ref() is None, problem
+        for problem, rule in product(Problem, VotingRule):
+            for tie in (TieRule.TE, TieRule.TP) if "tie" in TAKES[problem] else (None,):
+                inst = draw_instance(rng, problem, rule, tie)
+                oracle_solve(inst)
+                assert "_accept" in vars(inst)
+                ref = weakref.ref(inst)
+                del inst
+                assert ref() is None, (problem, rule, tie)
     finally:
         gc.enable()
