@@ -185,10 +185,11 @@ class Profile:
     def supporters(self) -> tuple[int, ...]:
         """Per candidate position, the bitmask of the ballots that count for
         it (bit i is ballot i): those that rank it first (linear ballots) or
-        approve it (approval ballots)."""
-        if self.kind == "linear":
-            return _top_masks(self.tops, len(self.candidates))
+        approve it (approval ballots). Linear masks are built one class of
+        ``_top_classes`` at a time, so only one digit buffer is alive."""
         n = len(self.ballots)
+        if self.kind == "linear":
+            return tuple(_ballot_mask(cls, n) for cls in _top_classes(self))
         digits = [bytearray(b"0") * n for _ in self.candidates]  # as in ``_ballot_mask``
         for i, row in enumerate(self.positions):
             for a in row:
@@ -252,34 +253,18 @@ def _indices(mask: int) -> tuple[int, ...]:
     return tuple(compress(count(), _selectors(mask)))
 
 
+def _top_classes(profile: Profile) -> list[list[int]]:
+    """Per candidate position, the indices of the ballots it tops."""
+    classes: list[list[int]] = [[] for _ in profile.candidates]
+    for i, a in enumerate(profile.tops):
+        classes[a].append(i)
+    return classes
+
+
 def _field_code(m: int) -> str:
     """The ``array`` type code of the narrowest field that holds every rank
     of an m-candidate ballot, 0 to m - 1, below a clear top (guard) bit."""
     return next(code for code in "BHIQ" if (m - 1).bit_length() < 8 * array(code).itemsize)
-
-
-def _top_masks(tops: Sequence[int], m: int) -> tuple[int, ...]:
-    """Per candidate position below m, the ballot mask of the ballots whose
-    top choice (in ``tops``) it is. The tops go into the fields of one
-    array; byte k of every field, ballot 0 last, is plane k, and a ballot
-    counts for c when each plane's byte is c's: ``bytes.translate`` turns a
-    plane into a "1" digit where it is and "0" elsewhere."""
-    if not tops:
-        return (0,) * m
-    fields = array(_field_code(m), tops)
-    if sys.byteorder == "big":
-        fields.byteswap()
-    raw, width = fields.tobytes(), fields.itemsize
-    planes = [raw[k::width][::-1] for k in range(width)]
-    masks = []
-    for c in range(m):
-        mask = -1
-        for k, plane in enumerate(planes):
-            digit = bytearray(b"0") * 256
-            digit[c >> 8 * k & 255] = 49  # "1"
-            mask &= int(plane.translate(digit), 2)
-        masks.append(mask)
-    return tuple(masks)
 
 
 def _rank_columns(index: Mapping[str, int],

@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from itertools import combinations
 
-from .elections import Profile, VotingRule
+from .elections import VotingRule, _top_classes
 from .two_stage import (
     NO,
     YES,
@@ -39,14 +39,6 @@ def _require(instance: ControlInstance, problem: Problem,
             f"solver handles {problem.value}/{rule.value}/{tie.value}, "
             f"got {got[0].value}/{got[1].value}/{got[2].value if got[2] else '-'}"
         )
-
-
-def _top_classes(profile: Profile) -> list[list[int]]:
-    """Per candidate position, the indices of the ballots it tops."""
-    classes: list[list[int]] = [[] for _ in profile.candidates]
-    for i, a in enumerate(profile.tops):
-        classes[a].append(i)
-    return classes
 
 
 def _extend_to_equipartition(classes, score, pinned, kp, cap2, lo, hi):

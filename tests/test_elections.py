@@ -106,7 +106,8 @@ class TestScores:
     def test_supporters_are_the_ballots_that_count_for_each_candidate(self):
         # Bit i of a candidate's supporter mask is set iff ballot i ranks it
         # first or approves it; a repeated ballot object sets its bit each
-        # time, and a profile with no ballots has no supporters.
+        # time, and a profile with no ballots has no supporters. One profile
+        # has a single candidate, which tops every linear ballot.
         def definition(prof, c):
             cid = prof.candidate_ids[c]
             return sum(1 << i for i, b in enumerate(prof.ballots)
@@ -116,10 +117,13 @@ class TestScores:
         cands = tuple(map(Candidate, ids))
         orders = [linear(*ids[i:], *ids[:i]) for i in (0, 299, 1, 256, 44)]
         sets = [approval(ids[i::j]) for i, j in ((0, 1), (299, 2), (1, 7), (3, 256))]
-        for ballots in ([orders[i % 5] for i in range(41)], [sets[i * i % 4] for i in range(37)],
-                        [approval([])] * 3, []):
-            prof = Profile(cands, ballots)
-            assert prof.supporters == tuple(definition(prof, c) for c in range(300))
+        one = (Candidate("c0"),)
+        for candidates, ballots in ((cands, [orders[i % 5] for i in range(41)]),
+                                    (cands, [sets[i * i % 4] for i in range(37)]),
+                                    (cands, [approval([])] * 3), (cands, []),
+                                    (one, [linear("c0")] * 43), (one, [])):
+            prof = Profile(candidates, ballots)
+            assert prof.supporters == tuple(definition(prof, c) for c in range(len(candidates)))
 
 
 class TestMargins:

@@ -1,6 +1,5 @@
 """The packed rank columns behind plurality among a candidate subset and the
-Condorcet family's pairwise margins, and the top-choice masks built from the
-same fields, tested against the definitions."""
+Condorcet family's pairwise margins, tested against the definitions."""
 
 import random
 import sys
@@ -23,7 +22,6 @@ from electctl.elections import (
     _mask_ids,
     _rank_columns,
     _standing_masks,
-    _top_masks,
     pairwise_margins,
 )
 
@@ -205,29 +203,6 @@ def test_columns_read_little_endian_on_either_byte_order(monkeypatch):
         assert (columns == native_columns) == (width == 1)
 
 
-def top_mask_definition(tops, c):
-    return sum(1 << i for i, top in enumerate(tops) if top == c)
-
-
-def test_top_masks_equal_the_definition_on_either_byte_order(monkeypatch):
-    # One-, two- and four-byte fields; on a host of the other byte order the
-    # fields are swapped before the planes are read, so skipping the swap
-    # would match a two-byte top against each candidate's bytes reversed.
-    for m in (1, 3, 256, 300, 32_769):
-        tops = tuple((7 * i * i + i) % m for i in range(40)) + (m - 1, 0, m - 1)
-        assert _top_masks(tops, m) == tuple(top_mask_definition(tops, c) for c in range(m))
-        assert _top_masks((), m) == (0,) * m
-    other = "big" if sys.byteorder == "little" else "little"
-    tops = (0, 299, 1, 256, 44, 1, 299, 258)
-    with monkeypatch.context() as patch:
-        patch.setattr("electctl.elections.sys", SimpleNamespace(byteorder=other))
-        swapped = _top_masks(tops, 300)
-        assert _top_masks((0, 2, 1, 2), 3) == tuple(top_mask_definition((0, 2, 1, 2), c)
-                                                    for c in range(3))
-    assert swapped == tuple(top_mask_definition(tops, (c & 255) << 8 | c >> 8)
-                            for c in range(300))
-
-
 def test_no_ballots_pack_to_empty_columns():
     empty = Profile(tuple(map(Candidate, ("p", "a", "b"))))
     assert empty.columns == ((0, 0, 0), 0)
@@ -279,46 +254,58 @@ def test_a_profile_wider_than_one_byte_fields():
             == {"c0", "c1", "c129"})
 
 
+def retained_tables(prof):
+    """The bytes of the nibble tables that ``prof`` keeps for the Condorcet
+    family: every list, pair and int of them (a shared int once per use)."""
+    size = 0
+    for tables in prof._standing.values():
+        size += sys.getsizeof(tables)
+        for pair in tables:
+            size += sys.getsizeof(pair)
+            for table in pair:
+                size += sys.getsizeof(table) + sum(map(sys.getsizeof, table))
+    return size
+
+
 def test_condorcet_masks_stay_small_on_a_thousand_candidates():
     # 1,000 candidates and 10 rotations of their order: one standing mask
     # per candidate, counted pair by pair on the rank columns, with no table
-    # of the 999,000 ordered pairs (about 100 MB as a dict).
+    # of the 999,000 ordered pairs (about 100 MB as a dict). tracemalloc
+    # slows a 1,000-candidate build about tenfold, so it traces one build,
+    # and the tables kept after every election are sized directly.
     ids = ["p"] + [f"c{i}" for i in range(1, 1000)]
     prof = Profile(tuple(map(Candidate, ids)),
                    tuple(linear(*ids[i:], *ids[:i]) for i in range(10)))
-    tracemalloc.start()
-    try:
-        won = _elect(VotingRule.WEAK_CONDORCET, prof, prof.everyone, None)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 5 * 2**20, peak
     # Nobody wins: ballots 1-9 rank c9 above p, ballot j alone ranks c_j
     # above c_(j-1) for 1 <= j <= 9, and no ballot does for j >= 10.
-    assert won == 0
+    assert _elect(VotingRule.WEAK_CONDORCET, prof, prof.everyone, None) == 0
     # Ballots 1-5 rank c5 above p and the other five p above c5: a tie.
     assert _elect(VotingRule.WEAK_CONDORCET, prof, _id_mask(prof, ("p", "c5")), None) == 0b100001
     assert _elect(VotingRule.CONDORCET, prof, _id_mask(prof, ("p", "c5")), None) == 0
+    assert retained_tables(prof) < 5 * 2**20
     # Seeded random orders: the nibble table entries are wide ints, not the
-    # rotations' shared 0. The bound holds with the tables of both rules
-    # built and every byte value of every byte of a candidate mask elected.
+    # rotations' shared 0. The transient peak of building the tables stays
+    # under the bound, and so do the tables of both rules, kept after every
+    # byte value of every byte of a candidate mask is elected.
     rng = random.Random(1)
     prof = Profile(prof.candidates, tuple(linear(*rng.sample(ids, 1000)) for _ in range(10)))
     pairs = [(a, 999 - a) for a in range(0, 500, 7)]
-    between = {}
     tracemalloc.start()
     try:
         won = _elect(VotingRule.WEAK_CONDORCET, prof, prof.everyone, None)
-        for rule in (VotingRule.WEAK_CONDORCET, VotingRule.CONDORCET):
-            between[rule] = [_elect(rule, prof, 1 << a | 1 << c, None) for a, c in pairs]
-            for k in range(0, 1000, 8):
-                for b in range(1, 256):
-                    _elect(rule, prof, b << k, None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2**20, peak
     assert won == 0  # nobody ties or beats all 999 rivals
+    between = {}
+    for rule in (VotingRule.WEAK_CONDORCET, VotingRule.CONDORCET):
+        between[rule] = [_elect(rule, prof, 1 << a | 1 << c, None) for a, c in pairs]
+        for k in range(0, 1000, 8):
+            for b in range(1, 256):
+                _elect(rule, prof, b << k, None)
+    retained = retained_tables(prof)
+    assert retained < 5 * 2**20, retained
     columns, guard = prof.columns
     margins = [_margin(columns, guard, a, c) for a, c in pairs]
     assert between[VotingRule.WEAK_CONDORCET] == [
